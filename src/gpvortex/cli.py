@@ -173,26 +173,27 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     shapes = (cfg.eta_shape, "cosine") if args.eta_check else (cfg.eta_shape,)
     ok = True
     for c in cfg.speeds:
-        payloads = []
-        for shape in shapes:
-            payload = _spectrum_one(cfg, branch, c, shape)
-            suffix = "" if shape == cfg.eta_shape else f"_{shape}"
-            _write_json(os.path.join(cfg.out_dir, f"spectrum_c{c:g}{suffix}.json"),
-                        payload)
-            payloads.append(payload)
+        payloads = [_spectrum_one(cfg, branch, c, shape) for shape in shapes]
         base = payloads[0]
         print(f"c={c}: negative_count={base['negative_count']} "
               f"near_zero={base['near_zero_count']} coercivity="
               + ", ".join(f"{k}={v:.3e}" for k, v in base["coercivity"].items()))
+        good = True
         if args.eta_check and len(payloads) == 2:
             for key, va in payloads[0]["coercivity"].items():
                 vb = payloads[1]["coercivity"][key]
                 if abs(va - vb) > 1e-6 * max(abs(va), 1e-12):
                     print(f"[numeric-check FAIL] eta-shape disagreement on {key}")
-                    ok = False
+                    good = False
         if base["negative_count"] != 1:
             print(f"[numeric-check FAIL] negative count {base['negative_count']} != 1")
-            ok = False
+            good = False
+        for shape, payload in zip(shapes, payloads):
+            payload["ok"] = good
+            suffix = "" if shape == cfg.eta_shape else f"_{shape}"
+            _write_json(os.path.join(cfg.out_dir, f"spectrum_c{c:g}{suffix}.json"),
+                        payload)
+        ok = ok and good
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -246,11 +247,11 @@ def cmd_stability(cfg: RunConfig, args) -> int:
         out = evolve_linearized(handle, u0, T=cfg.stability_T, dt=cfg.stability_dt)
         runs.append({"kind": f"random_{k}", "fitted_rate": out["fitted_rate"],
                      "form_drift": out["form_drift"]})
-    payload = {"config_hash": cfg.config_hash, "c": e.c, "lx": g.lx, "nx": g.nx,
-               "runs": runs}
-    _write_json(os.path.join(cfg.out_dir, "stability.json"), payload)
     ok = (kern["relative_energy_change"] <= 0.01
           and all(r["fitted_rate"] <= 0.02 for r in runs))
+    payload = {"config_hash": cfg.config_hash, "c": e.c, "lx": g.lx, "nx": g.nx,
+               "runs": runs, "ok": ok}
+    _write_json(os.path.join(cfg.out_dir, "stability.json"), payload)
     for r in runs:
         print(f"{r['kind']}: rate={r['fitted_rate']:.3e}")
     return EXIT_OK if ok else EXIT_NUMERIC
@@ -277,16 +278,17 @@ def cmd_uniqueness(cfg: RunConfig, args) -> int:
         ok = ok and not rep["uniqueness_violation"] and rep["mismatch"] <= 1e-6
         print(f"{shape}: |X|={np.hypot(*rep['X']):.2e} mismatch={rep['mismatch']:.2e}")
     payload = {"config_hash": cfg.config_hash, "c": entry.c,
-               "delta": cfg.uniqueness_delta, "runs": runs}
+               "delta": cfg.uniqueness_delta, "runs": runs, "ok": ok}
     _write_json(os.path.join(cfg.out_dir, "uniqueness.json"), payload)
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
+    """Aggregate the stored outputs into ``summary.json``; exit 1 when a
+    stored output records a failed check (``"ok": false``)."""
     hashes = set()
     summary = {"config_hash": cfg.config_hash, "sections": {}}
     branch_dir = _branch_dir(cfg, False)
-    ok = True
     if os.path.isdir(branch_dir):
         branch = load_branch(branch_dir)
         hashes.add(branch.config_hash)
@@ -308,10 +310,15 @@ def cmd_report(cfg: RunConfig, args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     _write_json(os.path.join(cfg.out_dir, "summary.json"), summary)
+    failed = []
     for section, payload in summary["sections"].items():
         print(f"[{section}]")
         print(json.dumps(payload, indent=2, sort_keys=True)[:600])
-    return EXIT_OK if ok else EXIT_NUMERIC
+        if isinstance(payload, dict) and payload.get("ok") is False:
+            failed.append(section)
+    if failed:
+        print(f"[numeric-check FAIL] stored checks failed: {', '.join(failed)}")
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 # ----------------------------------------------------------------------

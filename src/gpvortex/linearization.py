@@ -28,6 +28,7 @@ from .field_core import (
     mult_ratio,
     resolution_floor,
 )
+from .tw_solver import _atomic_write
 
 PROP12_COLUMNS = (
     "c", "energy", "p2", "dE_dc", "dP2_dc", "rel_dE_identity",
@@ -339,5 +340,4 @@ def write_prop12_csv(rows: list[dict], path) -> None:
     lines = [",".join(PROP12_COLUMNS)]
     for row in rows:
         lines.append(",".join(repr(float(row[k])) for k in PROP12_COLUMNS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")

@@ -122,15 +122,17 @@ class QuarterMaps:
         self.pinned = mq + axis
         self.mq = mq
         self.m = m
+        keep = np.ones(2 * mq)
+        keep[self.pinned] = 0.0
+        self._keep = sp.diags(keep, format="csr")
+        self._pin = sp.diags(1.0 - keep, format="csr")
 
     def reduce(self, A: sp.csr_matrix) -> sp.csr_matrix:
-        """Restrict the full linearized matrix to the symmetric subspace."""
-        Aq = A[self.rep_rows, :] @ self.P
-        Aq = Aq.tolil()
-        for r in self.pinned:
-            Aq.rows[r] = [int(r)]
-            Aq.data[r] = [1.0]
-        return Aq.tocsr()
+        """Restrict the full linearized matrix to the symmetric subspace;
+        each pinned row becomes the identity row."""
+        Aq = self._keep @ (A[self.rep_rows, :] @ self.P) + self._pin
+        Aq.sort_indices()
+        return Aq
 
     def reduce_rhs(self, b: np.ndarray, pin_values: np.ndarray | None = None):
         bq = b[self.rep_rows].copy()

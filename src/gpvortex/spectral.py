@@ -26,7 +26,7 @@ from .ansatz import AnsatzParams, d_derivative
 from .field_core import ComplexField, Grid, MODULUS_FLOOR, resolution_floor
 from .linearization import DirectionSet, _grad4, rotation_direction
 from .operators import interior_to_real, linearized_matrix
-from .tw_solver import locate_zeros
+from .tw_solver import _atomic_write, locate_zeros
 
 CONSTRAINT_SETS = {
     "none": (),
@@ -57,7 +57,19 @@ class OperatorHandle:
     b_dx1_form4: float = 0.0
     b_dc_form: float = 0.0
     dx1_mass: float = 1.0
-    _bases: dict = dc_field(default_factory=dict)
+    _basis: _RitzBasis | None = None        # the one live Ritz basis
+    _evolve: dict = dc_field(default_factory=dict)
+
+
+@dataclass
+class _RitzBasis:
+    """A Ritz basis with the projections Z^T A Z and Z^T G Z, computed by
+    the first constraint set that uses it."""
+
+    key: tuple                  # (norm, size, seed), plus "sym3" if mirrored
+    Z: np.ndarray
+    Ah: np.ndarray | None = None
+    Gh: np.ndarray | None = None
 
 
 @dataclass
@@ -74,8 +86,7 @@ class SpectrumReport:
     def to_json(self, path=None) -> str:
         text = json.dumps(self.__dict__, indent=2, sort_keys=True)
         if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
+            _atomic_write(path, text + "\n")
         return text
 
 
@@ -379,26 +390,20 @@ def assemble(Q: ComplexField, c: float, grid: Grid | None = None,
 # ----------------------------------------------------------------------
 # constrained coercivity by shared-subspace Rayleigh-Ritz
 
-def _mirror_even(x: np.ndarray, grid: Grid) -> np.ndarray:
-    mx, my = grid.nx - 2, grid.ny - 2
-    m = mx * my
-    out = np.empty_like(x)
-    for comp in (0, 1):
-        blk = x[comp * m:(comp + 1) * m].reshape(mx, my)
-        out[comp * m:(comp + 1) * m] = (0.5 * (blk + blk[::-1, :])).ravel()
-    return out
-
-
 def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
                seed: int = 0, sigma: float | None = None) -> np.ndarray:
     """Shared shift-inverted subspace-iteration basis for the pencil
-    (A, G_norm), seeded with the direction fields; cached on the handle.
+    (A, G_norm), seeded with the direction fields.
 
-    The shift sits a little below the most negative direction's Rayleigh
-    quotient so the resolvent separates the bottom of the pencil."""
+    The handle keeps one basis: a request for another drops the live one
+    before the factorization, and rebuilding a dropped basis gives the
+    same bits.  The shift sits a little below the most negative
+    direction's Rayleigh quotient so the resolvent separates the bottom
+    of the pencil."""
     key = (norm, size, seed)
-    if key in handle._bases:
-        return handle._bases[key]
+    if handle._basis is not None and handle._basis.key == key:
+        return handle._basis.Z
+    handle._basis = None
     G = handle.G_C if norm == "C" else handle.G_exp
     if sigma is None:
         dc = handle.directions["dc"]
@@ -411,20 +416,55 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
     seeds.append(rng.standard_normal(n))
     block, _ = np.linalg.qr(np.column_stack(
         [s / np.linalg.norm(s) for s in seeds]))
-    Z = block
-    while Z.shape[1] < size:
+    Z = np.empty((n, size))
+    k = min(block.shape[1], size)
+    Z[:, :k] = block[:, :k]
+    while k < size:
         W = lu.solve(np.asarray(G @ block))
         for _ in range(2):
-            W -= Z @ (Z.T @ W)
+            W -= Z[:, :k] @ (Z[:, :k].T @ W)
         block, rdiag = np.linalg.qr(W)
         keep = np.abs(np.diag(rdiag)) > 1e-12 * max(1.0, abs(rdiag[0, 0]))
         if not np.any(keep):
             break
         block = block[:, keep]
-        Z = np.column_stack([Z, block])
-    Z = np.ascontiguousarray(Z[:, :size])
-    handle._bases[key] = Z
+        j = min(block.shape[1], size - k)
+        Z[:, k:k + j] = block[:, :j]
+        k += j
+    if k < size:
+        Z = np.ascontiguousarray(Z[:, :k])
+    handle._basis = _RitzBasis(key, Z)
     return Z
+
+
+def _mirror_x1(Z: np.ndarray, grid: Grid) -> np.ndarray:
+    """Fortran-ordered x1-even parts (phi(x) + phi(-x1, x2))/2 of the
+    columns of Z."""
+    mx, my = grid.nx - 2, grid.ny - 2
+    n, size = Z.shape
+    M = np.empty((n, size), order="F")
+    src = Z.reshape(2, mx, my, size)
+    dst = M.T.reshape(size, 2, mx, my).transpose(1, 2, 3, 0)
+    np.add(src, src[:, ::-1], out=dst)
+    dst *= 0.5
+    return M
+
+
+def _sym3_basis(handle: OperatorHandle, norm: str, size: int,
+                seed: int) -> _RitzBasis:
+    """Orthonormal basis of the x1-even parts of the Ritz basis; it
+    replaces the plain basis as the handle's live one."""
+    key = (norm, size, seed, "sym3")
+    if handle._basis is None or handle._basis.key != key:
+        Z = ritz_basis(handle, norm=norm, size=size, seed=seed)
+        handle._basis = None
+        M = _mirror_x1(Z, handle.grid)
+        del Z
+        q, r = sla.qr(M, mode="economic", overwrite_a=True, check_finite=False)
+        del M
+        keep = np.abs(np.diag(r)) > 1e-10
+        handle._basis = _RitzBasis(key, q[:, keep])
+    return handle._basis
 
 
 def constrained_coercivity(handle: OperatorHandle, constraint_set="four",
@@ -433,19 +473,22 @@ def constrained_coercivity(handle: OperatorHandle, constraint_set="four",
     """Minimal generalized Rayleigh quotient of the form against the
     chosen norm over the subspace cut out by the constraint set.
 
-    All constraint sets of one norm share the Ritz basis, so nested sets
-    give exactly monotone minima.  Convergence is checked against the
-    half-size basis."""
+    All constraint sets of one norm share the Ritz basis and its
+    projections, so nested sets give exactly monotone minima.
+    Convergence is checked against the half-size basis, whose
+    projections are the leading blocks of the full ones."""
     names = CONSTRAINT_SETS[constraint_set] if isinstance(constraint_set, str) \
         else tuple(constraint_set)
-    Z = ritz_basis(handle, norm=norm, size=size, seed=seed)
-    if isinstance(constraint_set, str) and constraint_set == "sym3":
-        Z = np.column_stack([_mirror_even(Z[:, j], handle.grid)
-                             for j in range(Z.shape[1])])
-        Z, rdiag = np.linalg.qr(Z)
-        keep = np.abs(np.diag(rdiag)) > 1e-10
-        Z = Z[:, keep]
-    G = handle.G_C if norm == "C" else handle.G_exp
+    if constraint_set == "sym3":
+        basis = _sym3_basis(handle, norm, size, seed)
+    else:
+        ritz_basis(handle, norm=norm, size=size, seed=seed)
+        basis = handle._basis
+    Z = basis.Z
+    if basis.Ah is None:
+        G = handle.G_C if norm == "C" else handle.G_exp
+        basis.Ah = Z.T @ (handle.A @ Z)
+        basis.Gh = Z.T @ (G @ Z)
     # the C seminorm vanishes on the (interior) phase direction; quotient
     # it out of every C-norm minimization so the reduced Gram stays
     # definite.  The same extra row in every set keeps the nesting exact.
@@ -454,9 +497,8 @@ def constrained_coercivity(handle: OperatorHandle, constraint_set="four",
         iq = handle.directions["iQ"]
         quotient_rows.append(iq / np.linalg.norm(iq))
 
-    def min_ritz(Zb):
-        Ah = Zb.T @ (handle.A @ Zb)
-        Gh = Zb.T @ (G @ Zb)
+    def min_ritz(k):
+        Zb = Z[:, :k]
         rows = [handle.constraints[nm] @ Zb for nm in names]
         rows += [q @ Zb for q in quotient_rows]
         if rows:
@@ -464,16 +506,16 @@ def constrained_coercivity(handle: OperatorHandle, constraint_set="four",
             rank = int(np.sum(s > 1e-12 * max(s[0], 1e-300)))
             N = Vt[rank:].T
         else:
-            N = np.identity(Zb.shape[1])
-        Ar = N.T @ Ah @ N
-        Gr = N.T @ Gh @ N
+            N = np.identity(k)
+        Ar = N.T @ basis.Ah[:k, :k] @ N
+        Gr = N.T @ basis.Gh[:k, :k] @ N
         # guard against a rank-deficient reduced Gram
         jitter = 1e-13 * np.trace(Gr) / Gr.shape[0]
         vals, vecs = sla.eigh(Ar, Gr + jitter * np.identity(Gr.shape[0]))
         return float(vals[0]), N @ vecs[:, 0]
 
-    val, yred = min_ritz(Z)
-    val_half, _ = min_ritz(Z[:, : max(8, Z.shape[1] // 2)])
+    val, yred = min_ritz(Z.shape[1])
+    val_half, _ = min_ritz(max(8, Z.shape[1] // 2))
     # Ritz values are upper bounds, so half vs full is a one-sided Cauchy
     # check.  A negative value certifies a negative minimum regardless of
     # convergence; positive constrained minima must have stabilized.
@@ -577,16 +619,16 @@ def evolve_linearized(handle: OperatorHandle, u0: np.ndarray, T: float,
     exponential rate, and the drift of the conserved quadratic form."""
     n = handle.A_op.shape[0]
     m = n // 2
-    key = ("evolve", float(dt))
-    if key in handle._bases:
-        lu, M_plus = handle._bases[key]
+    key = float(dt)
+    if key in handle._evolve:
+        lu, M_plus = handle._evolve[key]
     else:
         A = handle.A_op
         S = sp.vstack([A[m:], -A[:m]]).tocsc()  # J A with J = [[0, I], [-I, 0]]
         M_minus = (sp.identity(n, format="csc") - (0.5 * dt) * S).tocsc()
         M_plus = (sp.identity(n, format="csr") + (0.5 * dt) * S).tocsr()
         lu = spla.splu(M_minus)
-        handle._bases[key] = (lu, M_plus)
+        handle._evolve[key] = (lu, M_plus)
 
     g = handle.grid
     lap = sp.kron(-_lap1d_psd(g.nx - 2, g.hx), sp.identity(g.ny - 2)) \

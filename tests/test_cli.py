@@ -148,6 +148,12 @@ def test_cmd_report_aggregates_and_refuses_mixed_hashes(tmp_path, capsys):
     assert run(["report"], tmp_path) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert "branch" in summary["sections"]
+    # a stored output that records a failed check fails the report
+    path = tmp_path / "out" / "stability.json"
+    stored = json.loads(path.read_text())
+    assert stored["ok"] is True
+    path.write_text(json.dumps({**stored, "ok": False}))
+    assert run(["report"], tmp_path) == 1
     capsys.readouterr()
     # a different config hash must be refused
     code = run(["report"], tmp_path, extra_cfg={"seed": 999})

@@ -1,6 +1,8 @@
 """Assembled operator, Gram matrices, constraints, coercivity, kernel,
 and the linearized evolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,36 @@ def test_assemble_profile_proxy_close_to_branch(entry01, dirs01, profiles):
     va = constrained_coercivity(ha, "four", norm="C")
     vb = constrained_coercivity(hb, "four", norm="C")
     assert vb == pytest.approx(va, rel=0.25)
+
+
+def test_rebuilt_basis_is_bit_identical(handle01):
+    # the handle keeps one Ritz basis: the exp sets drop the C basis, and
+    # rebuilding it must reproduce every bit
+    size = 160
+    v1, i1 = constrained_coercivity(handle01, "four", norm="C", size=size,
+                                    return_info=True)
+    constrained_coercivity(handle01, "phase4", norm="exp", size=size)
+    assert handle01._basis.key == ("exp", size, 0)
+    assert handle01._basis.Z.shape == (handle01.A.shape[0], size)
+    constrained_coercivity(handle01, "sym3", norm="exp", size=size)
+    v2, i2 = constrained_coercivity(handle01, "four", norm="C", size=size,
+                                    return_info=True)
+    assert v2 == v1
+    assert i2["value_half_basis"] == i1["value_half_basis"]
+    assert np.array_equal(i2["vector"], i1["vector"])
+
+
+def test_exp_sets_peak_memory(entry01, dirs01, profiles):
+    # bases, mirrored copies and projections of n x size doubles dominate
+    # the traced allocations; one live basis keeps the peak below 3.5 of them
+    h = assemble(entry01.field, entry01.c, directions=dirs01, profiles=profiles)
+    size = 160
+    basis_bytes = h.A.shape[0] * size * 8
+    tracemalloc.start()
+    try:
+        constrained_coercivity(h, "phase4", norm="exp", size=size)
+        constrained_coercivity(h, "sym3", norm="exp", size=size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * basis_bytes
