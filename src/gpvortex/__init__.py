@@ -39,7 +39,6 @@ from .linearization import (
     apply_L,
     build_directions,
     quadratic_form_B,
-    quadratic_form_Bexp,
     energy,
     momentum,
     prop12_report,

@@ -21,11 +21,10 @@ import numpy as np
 
 from . import __version__
 from .config import STABILITY_EDGE_MARGIN, RunConfig, load_config
-from .field_core import FieldFileError
+from .field_core import FieldFileError, _atomic_write
 from .linearization import build_directions, prop12_report, write_prop12_csv
 from .tw_solver import (
     SolverConfig,
-    _atomic_write,
     continue_branch,
     load_branch,
     perturb_and_resolve,
@@ -109,30 +108,40 @@ def _branch_dir(cfg: RunConfig, diag: bool) -> str:
     return os.path.join(cfg.out_dir, "branch_diag" if diag else "branch")
 
 
-def _load_or_solve_branch(cfg: RunConfig, diag: bool, progress=print):
-    outdir = _branch_dir(cfg, diag)
-    speeds, anchors = cfg.speeds_with_neighbors()
+def _load_or_solve_branch(cfg: RunConfig, outdir: str, speeds, rule,
+                          announce: str = ""):
+    """Branch at ``speeds`` on the grid rule ``rule``, kept in ``outdir``:
+    loaded when it carries this config's hash and every entry, else
+    solved (after printing ``announce``, if given) and saved."""
     if os.path.isdir(outdir):
         try:
             branch = load_branch(outdir)
             if (branch.config_hash == cfg.config_hash
                     and len(branch.entries) == len(speeds)):
-                progress(f"resume: {outdir} already solved; skipping")
-                return branch, True
+                print(f"resume: {outdir} already solved; skipping")
+                return branch
         except (FieldFileError, FileNotFoundError, KeyError, ValueError) as exc:
             raise FieldFileError(f"existing branch at {outdir} unusable: {exc}")
+    if announce:
+        print(announce)
     profiles = _profiles(cfg.out_dir)
-    rule = cfg.diag_grid_rule if diag else cfg.grid_rule
     branch = continue_branch(speeds, _solver_config(cfg), profiles,
-                             grid_rule=rule, anchors=None,
-                             config_hash=cfg.config_hash)
+                             grid_rule=rule, config_hash=cfg.config_hash)
     save_branch(branch, outdir)
-    return branch, False
+    return branch
+
+
+def _main_branch(cfg: RunConfig, diag: bool = False):
+    """The branch over every main speed and its derivative neighbours, on
+    the spectral-scale grids or, with ``diag``, the diagnostics-scale ones."""
+    return _load_or_solve_branch(cfg, _branch_dir(cfg, diag),
+                                 cfg.speeds_with_neighbors()[0],
+                                 cfg.diag_grid_rule if diag else cfg.grid_rule)
 
 
 def cmd_branch(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    branch, resumed = _load_or_solve_branch(cfg, args.diag)
+    branch = _main_branch(cfg, args.diag)
     rows = prop12_report(branch)
     write_prop12_csv(rows, os.path.join(_branch_dir(cfg, args.diag), "prop12.csv"))
     ok = True
@@ -146,7 +155,7 @@ def cmd_branch(cfg: RunConfig, args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _spectrum_one(cfg: RunConfig, branch, c: float, eta_shape: str) -> dict:
+def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
     from .spectral import assemble, constrained_coercivity, kernel_and_negative
 
     profiles = _profiles(cfg.out_dir)
@@ -162,58 +171,45 @@ def _spectrum_one(cfg: RunConfig, branch, c: float, eta_shape: str) -> dict:
             handle, name, norm=norm, size=cfg.basis_size, seed=cfg.seed)
     payload = dict(report.__dict__)
     payload["config_hash"] = cfg.config_hash
-    payload["eta_shape"] = eta_shape
     payload["r_ball"] = cfg.r_ball
     return payload
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    branch, _ = _load_or_solve_branch(cfg, diag=False)
-    shapes = (cfg.eta_shape, "cosine") if args.eta_check else (cfg.eta_shape,)
+    branch = _main_branch(cfg)
     ok = True
     for c in cfg.speeds:
-        payloads = [_spectrum_one(cfg, branch, c, shape) for shape in shapes]
-        base = payloads[0]
-        print(f"c={c}: negative_count={base['negative_count']} "
-              f"near_zero={base['near_zero_count']} coercivity="
-              + ", ".join(f"{k}={v:.3e}" for k, v in base["coercivity"].items()))
-        good = True
-        if args.eta_check and len(payloads) == 2:
-            for key, va in payloads[0]["coercivity"].items():
-                vb = payloads[1]["coercivity"][key]
-                if abs(va - vb) > 1e-6 * max(abs(va), 1e-12):
-                    print(f"[numeric-check FAIL] eta-shape disagreement on {key}")
-                    good = False
-        if base["negative_count"] != 1:
-            print(f"[numeric-check FAIL] negative count {base['negative_count']} != 1")
-            good = False
-        for shape, payload in zip(shapes, payloads):
-            payload["ok"] = good
-            suffix = "" if shape == cfg.eta_shape else f"_{shape}"
-            _write_json(os.path.join(cfg.out_dir, f"spectrum_c{c:g}{suffix}.json"),
-                        payload)
+        payload = _spectrum_one(cfg, branch, c)
+        print(f"c={c}: negative_count={payload['negative_count']} "
+              f"near_zero={payload['near_zero_count']} coercivity="
+              + ", ".join(f"{k}={v:.3e}" for k, v in payload["coercivity"].items()))
+        good = payload["negative_count"] == 1
+        if not good:
+            print(f"[numeric-check FAIL] negative count {payload['negative_count']} != 1")
+        payload["ok"] = good
+        _write_json(os.path.join(cfg.out_dir, f"spectrum_c{c:g}.json"), payload)
         ok = ok and good
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _stability_branch(cfg: RunConfig, branch, profiles: dict):
+def _stability_branch(cfg: RunConfig, branch):
     """Branch and entry index the stability stage evolves on.
 
     The translation mode d1 Q decays slowly, and a box edge too close to
     the cores cuts it off, so its energy is not conserved to 1%.  The
     spectral entry is used when ``stability_grid_rule`` keeps its grid;
-    otherwise the ``stability_speed`` triple is solved on the widened
-    box."""
+    otherwise the ``stability_speed`` triple on the widened box is
+    loaded from, or solved into, ``<out_dir>/branch_stability``."""
     c = cfg.stability_speed
     idx = branch.index_of(c)
     if branch.entries[idx].field.grid == cfg.stability_grid_rule(c):
         return branch, idx
-    print(f"stability: solving c = {c} on a box with edge margin "
-          f">= {STABILITY_EDGE_MARGIN:g}")
-    wide = continue_branch(cfg.neighbor_triple(c), _solver_config(cfg), profiles,
-                           grid_rule=cfg.stability_grid_rule,
-                           config_hash=cfg.config_hash)
+    wide = _load_or_solve_branch(
+        cfg, os.path.join(cfg.out_dir, "branch_stability"), cfg.neighbor_triple(c),
+        cfg.stability_grid_rule,
+        announce=f"stability: solving c = {c} on a box with edge margin "
+                 f">= {STABILITY_EDGE_MARGIN:g}")
     return wide, 1
 
 
@@ -223,9 +219,8 @@ def cmd_stability(cfg: RunConfig, args) -> int:
 
     _require_main_speed(cfg, "stability_speed")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    branch, _ = _load_or_solve_branch(cfg, diag=False)
+    branch, idx = _stability_branch(cfg, _main_branch(cfg))
     profiles = _profiles(cfg.out_dir)
-    branch, idx = _stability_branch(cfg, branch, profiles)
     e = branch.entries[idx]
     handle = assemble(e.field, e.c, R=cfg.r_ball,
                       directions=build_directions(branch, idx), profiles=profiles)
@@ -260,7 +255,7 @@ def cmd_stability(cfg: RunConfig, args) -> int:
 def cmd_uniqueness(cfg: RunConfig, args) -> int:
     _require_main_speed(cfg, "uniqueness_speed")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    branch, _ = _load_or_solve_branch(cfg, diag=False)
+    branch = _main_branch(cfg)
     entry = branch.entries[branch.index_of(cfg.uniqueness_speed)]
     solver = _solver_config(cfg)
     shapes = ("bump_re", "bump_im", "phase", "mixed", "random")
@@ -334,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--speeds", metavar="LIST",
                         help="comma-separated speeds, e.g. 0.1,0.05,0.03")
     parser.add_argument("--seed", type=int, metavar="N")
-    parser.add_argument("--jobs", type=int, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vortex", help="solve the radial vortex profile")
@@ -346,10 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diag", action="store_true",
                    help="use the large-box diagnostics grid rule")
 
-    p = sub.add_parser("spectrum", help="coercivity and kernel diagnostics")
-    p.add_argument("--eta-check", action="store_true",
-                   help="run both cutoff ramp shapes and compare")
-
+    sub.add_parser("spectrum", help="coercivity and kernel diagnostics")
     sub.add_parser("stability", help="linearized time evolution")
     sub.add_parser("uniqueness", help="perturb-and-resolve experiment")
     sub.add_parser("report", help="aggregate existing outputs")
@@ -366,8 +357,6 @@ def main(argv=None) -> int:
         overrides["speeds"] = args.speeds
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     try:
         cfg = load_config(args.config, overrides)
     except (ValueError, FileNotFoundError) as exc:

@@ -4,7 +4,7 @@ derived grid rules, and the config hash stamped on every output."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,8 +34,9 @@ def _parse_scalar(text: str):
 
 @dataclass
 class RunConfig:
-    """Knobs for the full pipeline; see the README for the meaning of the
-    two grid rules (spectral-scale vs diagnostics-scale boxes).
+    """Knobs for the full pipeline; the docstrings of ``grid_rule``,
+    ``diag_grid_rule`` and ``stability_grid_rule`` give the meaning of
+    the grid rules (spectral-scale, diagnostics-scale and stability boxes).
 
     ``config_hash`` identifies the computation: it covers every field
     except ``out_dir``, so outputs moved to another directory keep their
@@ -51,16 +52,12 @@ class RunConfig:
     h_target: float = 0.4
     max_nx: int = 401
     diag_max_nx: int = 735
-    kernel_speed: float = 0.05
-    kernel_box_factor: float = 3.5
     newton_tol: float = 1e-11
     max_newton_steps: int = 40
     r_ball: float = 10.0
     constraint_sets: tuple = ("none", "three", "four", "phase4", "sym3")
-    eta_shape: str = "quintic"
     basis_size: int = 160
     seed: int = 1234
-    jobs: int = 1
     stability_T: float = 100.0
     stability_dt: float = 0.2
     stability_samples: int = 5
@@ -132,7 +129,8 @@ class RunConfig:
 
     def speeds_with_neighbors(self):
         """Strictly decreasing speed list with the two derivative
-        neighbours per main speed, plus the anchor map."""
+        neighbours per main speed, plus the map from each listed speed to
+        its main speed."""
         out, anchors = [], {}
         for c in self.speeds:
             for s in self.neighbor_triple(c):

@@ -14,8 +14,10 @@ never formed where |Q| is below the floor.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
-from dataclasses import dataclass, field as dc_field
+import tempfile
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -402,11 +404,24 @@ def remove_zero_harmonic(f: ComplexField, zeros) -> ComplexField:
 _HEADER = struct.Struct("<8sIII3d")
 
 
+def _atomic_write(path, data) -> None:
+    """Write ``data`` (``str`` or ``bytes``) to ``path`` through a temporary
+    file in the same directory, so readers never see a partial file."""
+    path = str(path)
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_field(f: ComplexField, path, c: float = float("nan"),
                extra: dict | None = None) -> None:
-    import os
-    import tempfile
-
     g = f.grid
     payload = _HEADER.pack(_FIELD_MAGIC, _FIELD_VERSION, g.nx, g.ny,
                            g.lx, g.ly, c)
@@ -421,17 +436,8 @@ def save_field(f: ComplexField, path, c: float = float("nan"),
     ]
     for key, val in (extra or {}).items():
         lines.append(f"{key} = {val}")
-    for target, data, mode in ((path, payload, "wb"),
-                               (path + ".meta", "\n".join(lines) + "\n", "w")):
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target) or ".")
-        try:
-            with os.fdopen(fd, mode) as fh:
-                fh.write(data)
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
+    _atomic_write(path, payload)
+    _atomic_write(path + ".meta", "\n".join(lines) + "\n")
 
 
 def load_field(path, verify: bool = True):

@@ -21,14 +21,12 @@ import numpy as np
 from .field_core import (
     ComplexField,
     CutoffEta,
+    _atomic_write,
     fd_gradient,
     fd_laplacian,
-    grid_l2,
-    inner_product,
     mult_ratio,
     resolution_floor,
 )
-from .tw_solver import _atomic_write
 
 PROP12_COLUMNS = (
     "c", "energy", "p2", "dE_dc", "dP2_dc", "rel_dE_identity",
@@ -140,16 +138,9 @@ def form_blocks(phi: ComplexField, Q: ComplexField, c: float, eta=None) -> dict:
 
 def quadratic_form_B(phi: ComplexField, Q: ComplexField, c: float, eta=None) -> float:
     """Quadratic form of the linearized operator, assembled as the sum of
-    the cutoff-split quadrature blocks (value independent of the cutoff)."""
+    the cutoff-split quadrature blocks (value independent of the cutoff,
+    finite for phi = i Q)."""
     return float(sum(form_blocks(phi, Q, c, eta).values()))
-
-
-def quadratic_form_Bexp(phi: ComplexField, Q: ComplexField, c: float,
-                        eta=None) -> float:
-    """Expanded quadratic form: same block algebra with the additive part
-    confined to the cutoff holes, finite for phi = i Q."""
-    blocks = form_blocks(phi, Q, c, eta)
-    return float(sum(blocks.values()))
 
 
 def quadratic_form_naive(phi: ComplexField, Q: ComplexField, c: float) -> float:

@@ -77,10 +77,6 @@ def real_to_interior(x: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def field_from_real(x: np.ndarray, grid: Grid) -> ComplexField:
-    return ComplexField(grid, real_to_interior(x, grid))
-
-
 class QuarterMaps:
     """Prolongation/restriction between full interior dofs and the
     symmetric quarter (even in x1, conjugate-even in x2)."""
@@ -134,9 +130,9 @@ class QuarterMaps:
         Aq.sort_indices()
         return Aq
 
-    def reduce_rhs(self, b: np.ndarray, pin_values: np.ndarray | None = None):
+    def reduce_rhs(self, b: np.ndarray) -> np.ndarray:
         bq = b[self.rep_rows].copy()
-        bq[self.pinned] = 0.0 if pin_values is None else pin_values
+        bq[self.pinned] = 0.0
         return bq
 
     def prolong(self, xq: np.ndarray) -> np.ndarray:

@@ -23,10 +23,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .ansatz import AnsatzParams, d_derivative
-from .field_core import ComplexField, Grid, MODULUS_FLOOR, resolution_floor
+from .field_core import (
+    MODULUS_FLOOR,
+    ComplexField,
+    Grid,
+    _atomic_write,
+    mult_ratio,
+    resolution_floor,
+)
 from .linearization import DirectionSet, _grad4, rotation_direction
-from .operators import interior_to_real, linearized_matrix
-from .tw_solver import _atomic_write, locate_zeros
+from .operators import _lap_1d, linearized_matrix
+from .tw_solver import locate_zeros
 
 CONSTRAINT_SETS = {
     "none": (),
@@ -54,7 +61,6 @@ class OperatorHandle:
     r_ball: float
     weight: float
     b_dx1_form: float = 0.0
-    b_dx1_form4: float = 0.0
     b_dc_form: float = 0.0
     dx1_mass: float = 1.0
     _basis: _RitzBasis | None = None        # the one live Ritz basis
@@ -104,12 +110,6 @@ def _interior_diag(values: np.ndarray) -> np.ndarray:
     return values[1:-1, 1:-1].ravel()
 
 
-def _psi_multiplier(Q: np.ndarray, floor: float = MODULUS_FLOOR):
-    q2 = Q.real**2 + Q.imag**2
-    safe = np.maximum(q2, floor**2)
-    return np.conj(Q) / safe, q2
-
-
 def _edge_ops(Qi: np.ndarray, grid: Grid, psi_mult: np.ndarray):
     """Complex sparse operators mapping interior phi to the hatted
     gradient of psi = psi_mult * phi on interior-interior edges."""
@@ -151,7 +151,7 @@ def _gram_C(Q: ComplexField) -> sp.csr_matrix:
     g = Q.grid
     w = g.hx * g.hy
     Qi = Q.values[1:-1, 1:-1]
-    pm, q2 = _psi_multiplier(Qi, resolution_floor(g))
+    pm = mult_ratio(1.0, Qi, resolution_floor(g))[0]
     G = None
     for op, q2e in _edge_ops(Qi, g, pm):
         R = _real_rep(op)
@@ -187,7 +187,7 @@ def _gram_exp(Q: ComplexField, zeros) -> sp.csr_matrix:
     far = rt >= 5.0
 
     Qi = Q.values[1:-1, 1:-1]
-    pm, _ = _psi_multiplier(Qi, resolution_floor(g))
+    pm = mult_ratio(1.0, Qi, resolution_floor(g))[0]
 
     # H1 block on the near region
     G = sp.diags(np.tile(np.where(near, w, 0.0), 2)).tocsr()
@@ -284,7 +284,7 @@ def _constraint_vector_nonzero_harmonic(Q: ComplexField, A_field: np.ndarray,
     g = Q.grid
     w = g.hx * g.hy
     Qi = _interior_diag(Q.values)
-    pm = _psi_multiplier(Q.values[1:-1, 1:-1], resolution_floor(g))[0].ravel()
+    pm = mult_ratio(1.0, Q.values[1:-1, 1:-1], resolution_floor(g))[0].ravel()
     Ai = _interior_diag(A_field)
     v = np.zeros(Qi.size, dtype=complex)
     for (M, ball) in chains:
@@ -360,7 +360,7 @@ def assemble(Q: ComplexField, c: float, grid: Grid | None = None,
     mx, my = grid.nx - 2, grid.ny - 2
     X, Y = np.meshgrid(grid.x[1:-1], grid.y[1:-1], indexing="ij")
     ball0 = (np.hypot(X, Y) <= R).ravel()
-    pm = _psi_multiplier(Q.values[1:-1, 1:-1], resolution_floor(grid))[0].ravel()
+    pm = mult_ratio(1.0, Q.values[1:-1, 1:-1], resolution_floor(grid))[0].ravel()
     v0 = np.conj(pm) * np.where(ball0, -1j * w, 0.0)
     constraints["phase0"] = _complex_to_real_vec(v0)
 
@@ -374,14 +374,12 @@ def assemble(Q: ComplexField, c: float, grid: Grid | None = None,
     handle = OperatorHandle(A=A, A_op=A_op.tocsr(), G_C=G_C, G_exp=G_exp,
                             constraints=constraints, directions=dirs,
                             grid=grid, c=c, zeros=zeros, r_ball=R, weight=w)
-    # discretization floors of the translation identity, evaluated on
-    # fields with their true edge values (the dof vector drops the ring):
-    # the operator-matched 2nd-order gradient brackets the kernel scale
-    # from above, the commuting 4th-order one from below
+    # discretization floor of the translation identity, evaluated on the
+    # operator-matched 2nd-order gradient with its true edge values (the
+    # dof vector drops the ring)
     from .linearization import quadratic_form_B
     gx2 = ComplexField(grid, np.gradient(Q.values, grid.hx, axis=0, edge_order=2))
     handle.b_dx1_form = quadratic_form_B(gx2, Q, c)
-    handle.b_dx1_form4 = quadratic_form_B(gx, Q, c)
     handle.b_dc_form = quadratic_form_B(ComplexField(grid, dc_vals), Q, c)
     handle.dx1_mass = float(np.sum(np.abs(gx.values[1:-1, 1:-1]) ** 2)) * w
     return handle
@@ -631,8 +629,8 @@ def evolve_linearized(handle: OperatorHandle, u0: np.ndarray, T: float,
         handle._evolve[key] = (lu, M_plus)
 
     g = handle.grid
-    lap = sp.kron(-_lap1d_psd(g.nx - 2, g.hx), sp.identity(g.ny - 2)) \
-        + sp.kron(sp.identity(g.nx - 2), -_lap1d_psd(g.ny - 2, g.hy))
+    lap = sp.kron(-_lap_1d(g.nx - 2, g.hx), sp.identity(g.ny - 2)) \
+        + sp.kron(sp.identity(g.nx - 2), -_lap_1d(g.ny - 2, g.hy))
     Ggrad = sp.block_diag([lap, lap]).tocsr() * handle.weight
 
     x = u0.astype(float).copy()
@@ -657,7 +655,3 @@ def evolve_linearized(handle: OperatorHandle, u0: np.ndarray, T: float,
         "relative_energy_change": float(np.max(np.abs(energies - energies[0]))
                                         / energies[0]),
     }
-
-
-def _lap1d_psd(n: int, h: float) -> sp.csr_matrix:
-    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr") / h**2

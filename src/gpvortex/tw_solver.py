@@ -5,14 +5,11 @@ persistence, and the perturb-and-resolve local-uniqueness experiment.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
-import tempfile
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .ansatz import MAX_SOLVE_SPEED, AnsatzParams, build_two_vortex
@@ -20,6 +17,7 @@ from .field_core import (
     ComplexField,
     CutoffEta,
     Grid,
+    _atomic_write,
     bilinear_sample,
     circle_samples,
     fd_gradient,
@@ -28,7 +26,6 @@ from .field_core import (
     load_field,
     save_field,
     symmetrize,
-    symmetry_defect,
 )
 from .operators import (
     QuarterMaps,
@@ -48,17 +45,13 @@ class SolverConfig:
     newton_tol: float = 1e-9
     max_iter: int = 40
     max_halvings: int = 8
-    lin_tol: float = 1e-12          # reserved for iterative Jacobian solves
-    bc_mode: str = "dirichlet"      # or "modulus": lagged modulus-asymptotic edge
     r_ball: float = 10.0
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.lin_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("Newton tolerance must be positive")
         if self.r_ball <= 5.0:
             raise ValueError("orthogonality-ball radius must exceed 5")
-        if self.bc_mode not in ("dirichlet", "modulus"):
-            raise ValueError(f"unknown boundary mode {self.bc_mode!r}")
 
 
 @dataclass
@@ -70,7 +63,6 @@ class BranchEntry:
     energy: float
     p2: float
     newton_steps: int = 0
-    ring_anchor: float | None = None
 
     @property
     def zeros(self):
@@ -166,24 +158,6 @@ def locate_zeros(Q: ComplexField):
     return zeros[0], zeros[1]
 
 
-def _modulus_asymptotic_edge(Q: ComplexField) -> None:
-    """Lagged Robin-type update: push the edge modulus toward the 1/r^2
-    asymptotic continuation of the adjacent ring (convergence studies)."""
-    g = Q.grid
-    v = Q.values
-    X, Y = g.mesh
-    r = np.hypot(X, Y)
-    for edge, inner in ((np.s_[0, :], np.s_[1, :]), (np.s_[-1, :], np.s_[-2, :]),
-                        (np.s_[:, 0], np.s_[:, 1]), (np.s_[:, -1], np.s_[:, -2])):
-        vi = v[inner]
-        mi = np.abs(vi)
-        scale = np.ones_like(mi)
-        ok = mi > 0.1
-        target = 1.0 - (1.0 - mi[ok]) * (r[inner][ok] / np.maximum(r[edge][ok], 1.0)) ** 2
-        scale[ok] = target / mi[ok]
-        v[edge] = vi * scale
-
-
 def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
                  enforce_symmetry: bool = True, check_zeros: bool = True,
                  quarter: QuarterMaps | None = None):
@@ -223,8 +197,6 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
         alpha, accepted = 1.0, False
         for _ in range(config.max_halvings + 1):
             trial = ComplexField(g, Q.values + alpha * delta)
-            if config.bc_mode == "modulus":
-                _modulus_asymptotic_edge(trial)
             rn_trial = grid_l2(residual(trial, c), g)
             if rn_trial < rn:
                 Q, rn, accepted = trial, rn_trial, True
@@ -290,19 +262,14 @@ def _resample(field: ComplexField, grid: Grid, fill: complex = 0.0) -> ComplexFi
 
 
 def continue_branch(c_values, config: SolverConfig, profiles: dict,
-                    grid_rule=default_grid_rule, anchors=None,
-                    config_hash: str = "", progress=None) -> TravellingWaveBranch:
+                    grid_rule=default_grid_rule, config_hash: str = "",
+                    progress=None) -> TravellingWaveBranch:
     """Solve the branch at the given (strictly decreasing) speeds.
 
     The first entry starts from the two-vortex ansatz at separation 1/c;
     later entries start from the previous solution (its correction to
     the ansatz transported to the new speed, resampled when the grid
     changes).
-
-    ``anchors`` optionally maps each speed to the anchor speed whose
-    grid and Dirichlet edge data it shares.  Entries used for centered
-    speed derivatives must share the anchor of their main speed, so the
-    boundary data does not move with c inside a derivative stencil.
     """
     from .linearization import energy, momentum
 
@@ -311,32 +278,20 @@ def continue_branch(c_values, config: SolverConfig, profiles: dict,
         raise ValueError(f"speeds must lie in (0, {MAX_SOLVE_SPEED:g}]")
     if any(b >= a for a, b in zip(c_values, c_values[1:])):
         raise ValueError("speeds must be strictly decreasing")
-    if anchors is None:
-        anchor_of = lambda c: c
-    elif callable(anchors):
-        anchor_of = anchors
-    else:
-        anchor_of = dict(anchors).__getitem__
 
     entries = []
     prev = None          # correction of the last solution to its guess base
     quarters = {}
     for c in c_values:
-        a = anchor_of(c)
-        grid = grid_rule(a)
+        grid = grid_rule(c)
         key = (grid.nx, grid.ny)
         if key not in quarters:
             quarters[key] = QuarterMaps(grid)
-        # Dirichlet edge data: the two-vortex far field at the anchor
-        # speed.  (Pinning the raw vacuum value 1 on a 3/c box distorts
-        # the phase by O(1) at the edge and Newton stalls; anchoring the
-        # data inside a derivative triple keeps d/dc Q = 0 on the edge.)
-        ring = build_two_vortex(AnsatzParams(1.0 / a, profiles[1], profiles[-1]),
-                                grid) if a != c else None
+        # Dirichlet edge data: the two-vortex far field at speed c.
+        # (Pinning the raw vacuum value 1 on a 3/c box distorts the phase
+        # by O(1) at the edge and Newton stalls.)
         params = AnsatzParams(1.0 / c, profiles[1], profiles[-1])
         base = build_two_vortex(params, grid)
-        if ring is not None:
-            base = _set_ring(base, ring)
         if prev is None:
             guess = base
         else:
@@ -362,7 +317,7 @@ def continue_branch(c_values, config: SolverConfig, profiles: dict,
         entries.append(BranchEntry(
             c=c, field=Q, half_separation=d_tilde,
             residual_norm=info["residual"], energy=energy(Q),
-            p2=momentum(Q)[1], newton_steps=info["steps"], ring_anchor=a))
+            p2=momentum(Q)[1], newton_steps=info["steps"]))
         prev = ComplexField(grid, Q.values - base.values)
         if progress is not None:
             progress(entries[-1])
@@ -469,19 +424,6 @@ def perturb_and_resolve(entry: BranchEntry, delta: float, config: SolverConfig,
 _DIAG_COLUMNS = ("c", "d_tilde", "residual", "energy", "p2", "newton_steps")
 
 
-def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(str(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, str(path))
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def save_branch(branch: TravellingWaveBranch, outdir) -> None:
     """Branch directory: manifest + one field file per entry + a CSV of
     diagnostics."""
@@ -499,8 +441,6 @@ def save_branch(branch: TravellingWaveBranch, outdir) -> None:
                           "energy": repr(float(e.energy)),
                           "p2": repr(float(e.p2)),
                           "newton_steps": int(e.newton_steps),
-                          "ring_anchor": repr(float(e.ring_anchor if e.ring_anchor
-                                                    is not None else e.c)),
                           "config_hash": branch.config_hash})
     _atomic_write(os.path.join(outdir, "manifest.txt"), "\n".join(lines) + "\n")
     rows = [",".join(_DIAG_COLUMNS)]
@@ -528,6 +468,5 @@ def load_branch(outdir, verify: bool = True) -> TravellingWaveBranch:
         entries.append(BranchEntry(
             c=c, field=f, half_separation=float(meta["d_tilde"]),
             residual_norm=float(meta["residual"]), energy=float(meta["energy"]),
-            p2=float(meta["p2"]), newton_steps=int(meta.get("newton_steps", 0)),
-            ring_anchor=float(meta.get("ring_anchor", c))))
+            p2=float(meta["p2"]), newton_steps=int(meta.get("newton_steps", 0))))
     return TravellingWaveBranch(entries, config_hash=manifest.get("config_hash", ""))

@@ -15,7 +15,7 @@ points, switching to the far-field law beyond the truncation radius.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -11,6 +11,10 @@ from gpvortex.linearization import build_directions
 from gpvortex.tw_solver import SolverConfig, continue_branch, default_grid_rule
 from gpvortex.vortex_profile import solve_vortex_ode
 
+# kernel/index operating point of ``kernel_handle``
+KERNEL_SPEED = 0.05
+KERNEL_BOX_FACTOR = 3.5
+
 
 @pytest.fixture(scope="session")
 def profiles():
@@ -84,9 +88,9 @@ def kernel_handle(profiles, run_cfg, solver_cfg):
     """Handle at the kernel/index operating point: c = 0.05 on a slightly
     larger box (the near-zero principal angles are box-limited)."""
     from gpvortex.spectral import assemble
-    c0 = run_cfg.kernel_speed
+    c0 = KERNEL_SPEED
     rule = lambda c: default_grid_rule(
-        c0, box_factor=run_cfg.kernel_box_factor,
+        c0, box_factor=KERNEL_BOX_FACTOR,
         h_target=run_cfg.h_target, max_nx=1025)
     br = continue_branch(run_cfg.neighbor_triple(c0), solver_cfg, profiles,
                          grid_rule=rule)

@@ -13,9 +13,9 @@ from gpvortex.linearization import (
     apply_L,
     build_directions,
     fd_gradient,
+    form_blocks,
     prop12_report,
     quadratic_form_B,
-    quadratic_form_Bexp,
 )
 from gpvortex.operators import interior_to_real
 from gpvortex.spectral import constrained_coercivity, kernel_and_negative
@@ -239,9 +239,11 @@ def test_criterion_9_property_suite(entry01, handle01, dirs01):
           f"rel = {abs(ray - B) / abs(B):.1e}")
     dd = abs(quadratic_form_B(phi, Q, c, eta_b) - B) / abs(B)
     check("9c cutoff-shape independence to 1e-8", dd <= 1e-8, f"rel = {dd:.1e}")
-    de = abs(quadratic_form_Bexp(phi, Q, c, eta_a) - B) / abs(B)
-    check("9d expanded form agrees on energy-space fields to 1e-8",
-          de <= 1e-8, f"rel = {de:.1e}")
+    iQ = ComplexField(Q.grid, 1j * Q.values)
+    scale = sum(abs(v) for v in form_blocks(iQ, Q, c, eta_a).values())
+    bq = abs(quadratic_form_B(iQ, Q, c, eta_a))
+    check("9d form finite and vanishing on the phase direction i Q to 1e-6",
+          bq <= 1e-6 * scale, f"|B(iQ)| / sum|blocks| = {bq / scale:.1e}")
     ok = True
     for lam in (0.1, 1.0):
         shifted = ComplexField(Q.grid, phi.values + 1j * lam * Q.values)

@@ -1,15 +1,23 @@
 """Command-line driver: subcommands, exit codes, persistence layout,
 idempotent resume, and deterministic outputs."""
 
+import ast
 import hashlib
 import json
 import os
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gpvortex
+from gpvortex.ansatz import MAX_SPEED
 from gpvortex.cli import main
 from gpvortex.config import RunConfig, load_config
+from gpvortex.spectral import CONSTRAINT_SETS
+from gpvortex.tw_solver import SolverConfig
 
 FAST = ["--speeds", "0.2,0.17"]
 
@@ -19,7 +27,7 @@ def run(args, tmp_path, extra_cfg=None):
     cfg = {"max_nx": 201, "newton_tol": 1e-10, "stability_T": 10.0,
            "stability_dt": 0.5, "stability_samples": 1,
            "stability_speed": 0.2, "uniqueness_speed": 0.2,
-           "kernel_speed": 0.2, "basis_size": 60}
+           "basis_size": 60}
     cfg.update(extra_cfg or {})
     cfgfile.write_text("\n".join(f"{k} = {v}" for k, v in cfg.items()) + "\n")
     return main(["--config", str(cfgfile), "--out", str(tmp_path / "out")]
@@ -33,6 +41,95 @@ def test_config_roundtrip(tmp_path):
     back = load_config(path)
     assert back == cfg
     assert back.config_hash == cfg.config_hash
+
+
+positive = st.floats(1e-3, 1e3)
+odd_cap = st.integers(2, 600).map(lambda k: 2 * k + 1)
+
+
+@st.composite
+def run_configs(draw):
+    speeds = draw(st.lists(st.floats(1e-3, MAX_SPEED), min_size=1, max_size=4,
+                           unique=True))
+    return RunConfig(
+        speeds=tuple(sorted(speeds, reverse=True)),
+        neighbor_quad=draw(positive), box_factor=draw(positive),
+        diag_box_factor=draw(positive), h_target=draw(positive),
+        max_nx=draw(odd_cap), diag_max_nx=draw(odd_cap),
+        newton_tol=draw(st.floats(1e-14, 1e-6)),
+        max_newton_steps=draw(st.integers(1, 100)),
+        r_ball=draw(st.floats(5.001, 50.0)),
+        constraint_sets=tuple(draw(st.lists(st.sampled_from(sorted(CONSTRAINT_SETS)),
+                                            unique=True))),
+        basis_size=draw(st.integers(8, 400)), seed=draw(st.integers(0, 2**63)),
+        stability_T=draw(positive), stability_dt=draw(positive),
+        stability_samples=draw(st.integers(0, 20)),
+        stability_speed=draw(st.floats(1e-3, MAX_SPEED)),
+        uniqueness_delta=draw(st.floats(1e-8, 1e-2)),
+        uniqueness_speed=draw(st.floats(1e-3, MAX_SPEED)),
+        out_dir="runs/" + draw(st.from_regex(r"[a-z0-9_/.-]{0,20}", fullmatch=True)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=run_configs())
+def test_config_text_roundtrip_property(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.txt")
+        cfg.save(path)
+        back = load_config(path)
+    assert back == cfg
+    assert back.config_hash == cfg.config_hash
+
+
+@pytest.mark.parametrize("key", ["jobs", "eta_shape", "kernel_speed",
+                                 "kernel_box_factor"])
+def test_removed_config_keys_are_config_errors(tmp_path, capsys, key):
+    with pytest.raises(ValueError, match=key):
+        load_config(None, {key: "1"})
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text(f"{key} = 1\n")
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "out"),
+                 "report"]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--jobs", "2", "report"],
+                                  ["spectrum", "--eta-check"]])
+def test_removed_flags_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "out")] + FAST + argv)
+    assert exc.value.code == 2
+
+
+def _config_reads() -> set:
+    """Attribute names read as ``self.X``, ``cfg.X`` or ``config.X`` in the
+    package, outside the ``__post_init__`` validators."""
+    pkg = os.path.dirname(gpvortex.__file__)
+    reads = set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        validators = {id(n) for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                      for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("self", "cfg", "config")
+                    and id(node) not in validators):
+                reads.add(node.attr)
+    return reads
+
+
+def test_every_config_field_is_read():
+    # a knob that nothing reads changes no run; the text round trip and
+    # the config hash read every field generically, so they do not count
+    reads = _config_reads()
+    unread = [f"{cls.__name__}.{f.name}" for cls in (RunConfig, SolverConfig)
+              for f in fields(cls) if f.name not in reads]
+    assert unread == []
 
 
 def test_config_validation():
@@ -123,7 +220,7 @@ def test_cmd_branch_corrupted_field(tmp_path, capsys):
 
 
 def test_cmd_spectrum(tmp_path, capsys):
-    code = run(["spectrum", "--eta-check"], tmp_path)
+    code = run(["spectrum"], tmp_path)
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads((tmp_path / "out" / "spectrum_c0.2.json").read_text())
@@ -140,6 +237,23 @@ def test_cmd_stability_and_uniqueness(tmp_path):
     payload = json.loads((tmp_path / "out" / "uniqueness.json").read_text())
     deltas = [r for r in payload["runs"] if r["shape"] != "unperturbed"]
     assert all(r["mismatch"] <= 1e-6 for r in deltas)
+
+
+def test_cmd_stability_resumes_widened_branch(tmp_path, capsys):
+    # c = 0.2 on the 201-node spectral box leaves an edge margin of 10, so
+    # the stage solves its triple on the widened stability box once
+    assert run(["stability"], tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "stability: solving" in out
+    first = json.loads((tmp_path / "out" / "stability.json").read_text())
+    stored = tmp_path / "out" / "branch_stability"
+    assert len((stored / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+    assert run(["stability"], tmp_path) == 0
+    out = capsys.readouterr().out
+    assert f"resume: {stored}" in out
+    assert "stability: solving" not in out
+    again = json.loads((tmp_path / "out" / "stability.json").read_text())
+    assert again == first
 
 
 def test_cmd_report_aggregates_and_refuses_mixed_hashes(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Discrete operators, inner products, norms, cutoffs, and harmonics."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import compact_test_field
 from gpvortex.field_core import (
@@ -348,3 +352,32 @@ def test_field_file_checksum(tmp_path, entry01):
     path.write_bytes(bytes(raw))
     with pytest.raises(FieldFileError):
         load_field(path)
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 7).map(lambda k: 2 * k + 1),
+       ny=st.integers(2, 7).map(lambda k: 2 * k + 1),
+       lx=st.floats(0.1, 100.0), ly=st.floats(0.1, 100.0), c=st.floats(-1e6, 1e6),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_field_file_roundtrip_and_corruption_property(nx, ny, lx, ly, c, seed, data):
+    rng = np.random.default_rng(seed)
+    f = ComplexField(Grid(lx, ly, nx, ny), rng.standard_normal((nx, ny))
+                     + 1j * rng.standard_normal((nx, ny)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "wave.fld")
+        save_field(f, path, c=c, extra={"note": "x"})
+        assert sorted(os.listdir(tmp)) == ["wave.fld", "wave.fld.meta"]
+        back, c_back, meta = load_field(path)
+        assert back.grid == f.grid
+        assert np.array_equal(back.values, f.values)
+        assert c_back == c
+        assert meta["note"] == "x"
+        # flipping bits of any payload byte must be detected
+        raw = bytearray(open(path, "rb").read())
+        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+        raw[pos] ^= data.draw(st.integers(1, 255), label="mask")
+        with open(path, "wb") as fh:
+            fh.write(bytes(raw))
+        with pytest.raises(FieldFileError):
+            load_field(path)

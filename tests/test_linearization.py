@@ -15,7 +15,6 @@ from gpvortex.linearization import (
     momentum,
     prop12_report,
     quadratic_form_B,
-    quadratic_form_Bexp,
     quadratic_form_naive,
     write_prop12_csv,
     PROP12_COLUMNS,
@@ -107,12 +106,11 @@ def test_expanded_form_phase_and_agreement(entry01, eta):
     iQ = ComplexField(Q.grid, 1j * Q.values)
     blocks = form_blocks(iQ, Q, c, eta)
     scale = sum(abs(v) for v in blocks.values())
-    assert abs(quadratic_form_Bexp(iQ, Q, c, eta)) <= 1e-6 * scale
+    assert abs(quadratic_form_B(iQ, Q, c, eta)) <= 1e-6 * scale
     phi = compact_test_field(Q.grid, 6)
     B = quadratic_form_B(phi, Q, c, eta)
-    assert abs(quadratic_form_Bexp(phi, Q, c, eta) - B) <= 1e-8 * abs(B)
     # two ramp shapes agree for the expanded form as well
-    other = quadratic_form_Bexp(phi, Q, c, CutoffEta(entry01.zeros, shape="cosine"))
+    other = quadratic_form_B(phi, Q, c, CutoffEta(entry01.zeros, shape="cosine"))
     assert abs(other - B) <= 1e-8 * abs(B)
 
 
