@@ -39,8 +39,7 @@ EXIT_SOLVER = 3
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(newton_tol=cfg.newton_tol, max_iter=cfg.max_newton_steps,
-                        r_ball=cfg.r_ball)
+    return SolverConfig(newton_tol=cfg.newton_tol, max_iter=cfg.max_newton_steps)
 
 
 def _profiles(out_dir: str, r_max: float = 40.0, tol: float = 1e-10) -> dict:
@@ -281,6 +280,8 @@ def cmd_uniqueness(cfg: RunConfig, args) -> int:
 def cmd_report(cfg: RunConfig, args) -> int:
     """Aggregate the stored outputs into ``summary.json``; exit 1 when a
     stored output records a failed check (``"ok": false``)."""
+    if not os.path.isdir(cfg.out_dir):
+        raise ValueError(f"output directory {cfg.out_dir} does not exist")
     hashes = set()
     summary = {"config_hash": cfg.config_hash, "sections": {}}
     branch_dir = _branch_dir(cfg, False)
@@ -290,7 +291,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         rows = [{"c": e.c, "residual": e.residual_norm,
                  "c_d_tilde": e.c * e.half_separation} for e in branch.entries]
         summary["sections"]["branch"] = rows
-    for name in os.listdir(cfg.out_dir) if os.path.isdir(cfg.out_dir) else []:
+    for name in os.listdir(cfg.out_dir):
         if name.endswith(".json") and name != "summary.json":
             with open(os.path.join(cfg.out_dir, name)) as fh:
                 payload = json.load(fh)

@@ -286,15 +286,10 @@ class CutoffEta:
     centers: tuple
     r_in: float = 1.0
     r_out: float = 2.0
-    shape: str = "quintic"
 
     def _ramp(self, t: np.ndarray) -> np.ndarray:
         t = np.clip(t, 0.0, 1.0)
-        if self.shape == "quintic":
-            return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
-        if self.shape == "cosine":
-            return 0.5 * (1.0 - np.cos(np.pi * t))
-        raise ValueError(f"unknown ramp shape {self.shape!r}")
+        return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
 
     def __call__(self, X, Y) -> np.ndarray:
         out = np.ones(np.broadcast(X, Y).shape)

@@ -1,15 +1,17 @@
-"""Linearized operator around a travelling wave, its quadratic forms,
+"""Linearized operator around a travelling wave, its quadratic form,
 the four symmetry directions, and the energy/momentum diagnostics.
 
-The quadratic forms are assembled from cutoff-split blocks.  Every
-multiplicative (psi) block is an exact pointwise rewrite of the
-corresponding additive (phi) integrand: the hatted derivative of
-psi = phi/Q along each stencil direction is *defined* as the residual
-(D phi - D Q psi)/Q, so the split recombines identically for any cutoff
-and the form equals the plain discrete form and the matrix Rayleigh
-quotient to round-off.  The cutoff therefore only organizes the
-bookkeeping into blocks that are individually integrable in the
-continuum limit; the value is cutoff-independent by construction.
+The quadratic form B is the interior pairing Re<L phi, phi> of the
+stencil operator: the boundary ring of phi enters the interior stencils
+as Dirichlet data and is not summed itself.  On fields with a zero ring
+it equals the matrix Rayleigh quotient of ``linearized_matrix`` and the
+plain discrete form; on the phase direction i Q it pairs phi with
+i TW(Q), so it vanishes to the solver residual.  The paper splits B
+with a cutoff eta into additive terms near the vortex cores and
+multiplicative (psi = phi/Q) terms far out, so that B is defined on the
+energy space.  That split is a continuum device: every grid sum is
+finite, and on the grid the split recombines to this pairing for any
+cutoff, so it is not carried here.
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ import numpy as np
 
 from .field_core import (
     ComplexField,
-    CutoffEta,
     _atomic_write,
     fd_gradient,
     fd_laplacian,
-    mult_ratio,
-    resolution_floor,
 )
 
 PROP12_COLUMNS = (
@@ -51,96 +50,15 @@ def apply_L(phi: ComplexField, Q: ComplexField, c: float) -> ComplexField:
 # ----------------------------------------------------------------------
 # quadratic forms
 
-def _eta_values(eta, grid) -> np.ndarray:
-    if eta is None:
-        return np.ones((grid.nx, grid.ny))
-    if isinstance(eta, CutoffEta):
-        return eta.on_grid(grid)
-    return np.asarray(eta, dtype=float)
-
-
-def _edge_blocks(phi, Q, psi, mask, eta_n, h, axis):
-    """Cutoff-split one-direction gradient energy, closed as the
-    interior-row pairing with the second-difference stencil.
-
-    Interior edges carry |D phi|^2, split exactly via the hatted psi
-    difference defined by D phi = (D Q) psi_w + Q_e hat.  The two edges
-    touching the boundary ring carry the Abel-summation closure terms
-    Re(D phi conj(phi_inner))/h, so that the total equals
-    sum_interior Re(-(d^2 phi) conj(phi)) for arbitrary ring values (in
-    particular the form vanishes on the phase direction i Q up to the
-    solver residual).  Boundary edges are booked as additive."""
-    if axis == 1:
-        phi, Q, psi, mask, eta_n = (a.T for a in (phi, Q, psi, mask, eta_n))
-    # drop the perpendicular boundary columns (their nodes are not rows
-    # of the interior pairing)
-    phi, Q, psi, mask, eta_n = (a[:, 1:-1] for a in (phi, Q, psi, mask, eta_n))
-    dphi = (phi[1:] - phi[:-1]) / h
-    add = (np.sum((dphi[0] * np.conj(phi[1])).real)
-           - np.sum((dphi[-1] * np.conj(phi[-2])).real)) / h
-    dphi = dphi[1:-1]
-    dQ = (Q[2:-1] - Q[1:-2]) / h
-    psi_w = psi[1:-2]
-    Q_e = Q[2:-1]
-    mask_e = mask[2:-1] & mask[1:-2]
-    eta_e = np.where(mask_e, eta_n[1:-2], 0.0)
-    hat = np.zeros_like(dphi)
-    np.divide(dphi - dQ * psi_w, Q_e, out=hat, where=mask_e)
-    add += np.sum((1.0 - eta_e) * np.abs(dphi) ** 2)
-    mult = np.sum(eta_e * (np.abs(dQ) ** 2 * np.abs(psi_w) ** 2
-                           + np.abs(Q_e) ** 2 * np.abs(hat) ** 2))
-    cross = np.sum(eta_e * 2.0 * (dQ * psi_w * np.conj(Q_e * hat)).real)
-    return add, mult, cross
-
-
-def form_blocks(phi: ComplexField, Q: ComplexField, c: float, eta=None) -> dict:
-    """Cutoff-split blocks of the quadratic form; their sum is the form,
-    equal to the interior pairing of the linearized operator."""
-    if phi.grid != Q.grid:
-        raise ValueError("fields live on different grids")
+def quadratic_form_B(phi: ComplexField, Q: ComplexField, c: float) -> float:
+    """Quadratic form of the linearized operator: the interior pairing
+    hx hy sum Re(conj(phi) L phi), with the boundary ring of phi as
+    Dirichlet data of the stencils of L.  It needs no cutoff split (see
+    the module docstring) and is finite for phi = i Q."""
     g = phi.grid
-    w = g.hx * g.hy
-    pv, qv = phi.values, Q.values
-    psi, mask = mult_ratio(pv, qv, resolution_floor(g))
-    eta_n = _eta_values(eta, g) * mask
-
-    ax, mx, cx = _edge_blocks(pv, qv, psi, mask, eta_n, g.hx, 0)
-    ay, my, cy = _edge_blocks(pv, qv, psi, mask, eta_n, g.hy, 1)
-
     inner = np.s_[1:-1, 1:-1]
-    q2 = (qv.real**2 + qv.imag**2)[inner]
-    re_qphi = (np.conj(qv[inner]) * pv[inner]).real
-    pot = -(1.0 - q2) * np.abs(pv[inner]) ** 2 + 2.0 * re_qphi**2
-    eta_i = eta_n[inner]
-    pot_add = np.sum((1.0 - eta_i) * pot)
-    pot_mult = np.sum(eta_i * pot)
-
-    d2phi = (pv[1:-1, 2:] - pv[1:-1, :-2]) / (2.0 * g.hy)
-    d2Q = (qv[1:-1, 2:] - qv[1:-1, :-2]) / (2.0 * g.hy)
-    psi_i, qv_i, mask_i = psi[inner], qv[inner], mask[inner]
-    hat2 = np.zeros_like(d2phi)
-    np.divide(d2phi - d2Q * psi_i, qv_i, out=hat2, where=mask_i)
-    tr_add = -c * np.sum((1.0 - eta_i) * (1j * d2phi * np.conj(pv[inner])).real)
-    tr_mult = -c * np.sum(eta_i * ((1j * d2Q * np.conj(qv_i)).real
-                                   * np.abs(psi_i) ** 2
-                                   + q2 * (1j * hat2 * np.conj(psi_i)).real))
-
-    return {
-        "grad_additive": (ax + ay) * w,
-        "grad_multiplicative": (mx + my) * w,
-        "grad_interface": (cx + cy) * w,
-        "potential_additive": pot_add * w,
-        "potential_multiplicative": pot_mult * w,
-        "transport_additive": tr_add * w,
-        "transport_multiplicative": tr_mult * w,
-    }
-
-
-def quadratic_form_B(phi: ComplexField, Q: ComplexField, c: float, eta=None) -> float:
-    """Quadratic form of the linearized operator, assembled as the sum of
-    the cutoff-split quadrature blocks (value independent of the cutoff,
-    finite for phi = i Q)."""
-    return float(sum(form_blocks(phi, Q, c, eta).values()))
+    Lphi = apply_L(phi, Q, c).values[inner]
+    return float(np.sum((np.conj(phi.values[inner]) * Lphi).real) * g.hx * g.hy)
 
 
 def quadratic_form_naive(phi: ComplexField, Q: ComplexField, c: float) -> float:
@@ -304,7 +222,6 @@ def prop12_report(branch) -> list[dict]:
             continue
         dirs = build_directions(branch, i)
         Q, c = mid.field, mid.c
-        eta = CutoffEta(mid.zeros)
         dE = (hi.energy - lo.energy) / (hi.c - lo.c)
         dP2 = (hi.p2 - lo.p2) / (hi.c - lo.c)
         resid = direction_identity_residuals(dirs, Q, c)
@@ -315,10 +232,10 @@ def prop12_report(branch) -> list[dict]:
             "dE_dc": dE,
             "dP2_dc": dP2,
             "rel_dE_identity": abs(dE - c * dP2) / abs(dE),
-            "B_dx1": quadratic_form_B(dirs.dx1, Q, c, eta),
-            "B_dx2": quadratic_form_B(dirs.dx2, Q, c, eta),
-            "c2_B_dc": c * c * quadratic_form_B(dirs.dc, Q, c, eta),
-            "B_drot": quadratic_form_B(dirs.drot, Q, c, eta),
+            "B_dx1": quadratic_form_B(dirs.dx1, Q, c),
+            "B_dx2": quadratic_form_B(dirs.dx2, Q, c),
+            "c2_B_dc": c * c * quadratic_form_B(dirs.dc, Q, c),
+            "B_drot": quadratic_form_B(dirs.drot, Q, c),
             "curl_ratio": curl_energy_ratio(Q, c),
         }
         row.update(resid)

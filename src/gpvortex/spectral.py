@@ -31,7 +31,7 @@ from .field_core import (
     mult_ratio,
     resolution_floor,
 )
-from .linearization import DirectionSet, _grad4, rotation_direction
+from .linearization import DirectionSet, _grad4, quadratic_form_B, rotation_direction
 from .operators import _lap_1d, linearized_matrix
 from .tw_solver import locate_zeros
 
@@ -377,7 +377,6 @@ def assemble(Q: ComplexField, c: float, grid: Grid | None = None,
     # discretization floor of the translation identity, evaluated on the
     # operator-matched 2nd-order gradient with its true edge values (the
     # dof vector drops the ring)
-    from .linearization import quadratic_form_B
     gx2 = ComplexField(grid, np.gradient(Q.values, grid.hx, axis=0, edge_order=2))
     handle.b_dx1_form = quadratic_form_B(gx2, Q, c)
     handle.b_dc_form = quadratic_form_B(ComplexField(grid, dc_vals), Q, c)

@@ -45,13 +45,10 @@ class SolverConfig:
     newton_tol: float = 1e-9
     max_iter: int = 40
     max_halvings: int = 8
-    r_ball: float = 10.0
 
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("Newton tolerance must be positive")
-        if self.r_ball <= 5.0:
-            raise ValueError("orthogonality-ball radius must exceed 5")
 
 
 @dataclass

@@ -111,3 +111,13 @@ def compact_test_field(grid, seed=0, center=(4.0, 3.0), width=3.0, collar=2):
     v[:collar, :] = v[-collar:, :] = 0.0
     v[:, :collar] = v[:, -collar:] = 0.0
     return ComplexField(grid, v)
+
+
+def edge_gradient_energy(phi):
+    """Scale of the gradient part of the form: hx hy sum over stencil
+    edges of |D phi|^2."""
+    g = phi.grid
+    v = phi.values
+    return float((np.sum(np.abs(np.diff(v, axis=0)) ** 2) / g.hx**2
+                  + np.sum(np.abs(np.diff(v, axis=1)) ** 2) / g.hy**2)
+                 * g.hx * g.hy)

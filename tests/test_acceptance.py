@@ -7,15 +7,15 @@ Desk scale: grids <= 1024^2, speeds {0.1, 0.05, 0.03}.
 import numpy as np
 import pytest
 
-from conftest import compact_test_field
-from gpvortex.field_core import ComplexField, CutoffEta, grid_l2
+from conftest import compact_test_field, edge_gradient_energy
+from gpvortex.field_core import ComplexField, grid_l2
 from gpvortex.linearization import (
     apply_L,
     build_directions,
     fd_gradient,
-    form_blocks,
     prop12_report,
     quadratic_form_B,
+    quadratic_form_naive,
 )
 from gpvortex.operators import interior_to_real
 from gpvortex.spectral import constrained_coercivity, kernel_and_negative
@@ -112,10 +112,9 @@ def test_criterion_4_form_values(branch_diag, run_cfg, profiles, solver_cfg):
                                    max_nx=(run_cfg.diag_max_nx + 1) // 2 + 1)
         br = continue_branch([c], solver_cfg, profiles, grid_rule=lambda s: grid_c)
         e = br.entries[0]
-        eta = CutoffEta(e.zeros)
         gx, gy = fd_gradient(e.field)
-        floors[c] = (quadratic_form_B(gx, e.field, c, eta),
-                     quadratic_form_B(gy, e.field, c, eta))
+        floors[c] = (quadratic_form_B(gx, e.field, c),
+                     quadratic_form_B(gy, e.field, c))
     ok, detail = True, []
     for c in run_cfg.speeds:
         for k, key in ((0, "B_dx1"), (1, "B_dx2")):
@@ -225,29 +224,28 @@ def test_criterion_8_local_uniqueness(branch_spec, solver_cfg):
 
 def test_criterion_9_property_suite(entry01, handle01, dirs01):
     Q, c = entry01.field, entry01.c
-    eta_a = CutoffEta(entry01.zeros, shape="quintic")
-    eta_b = CutoffEta(entry01.zeros, shape="cosine")
     A = handle01.A
     sym = abs(A - A.T).max() / abs(A).max()
     check("9a operator symmetry to 1e-12", sym <= 1e-12, f"defect {sym:.1e}")
 
     phi = compact_test_field(Q.grid, 40)
-    B = quadratic_form_B(phi, Q, c, eta_a)
+    B = quadratic_form_B(phi, Q, c)
     x = interior_to_real(phi.values)
     ray = float(x @ (A @ x))
     check("9b form/matrix agreement to 1e-8", abs(ray - B) <= 1e-8 * abs(B),
           f"rel = {abs(ray - B) / abs(B):.1e}")
-    dd = abs(quadratic_form_B(phi, Q, c, eta_b) - B) / abs(B)
-    check("9c cutoff-shape independence to 1e-8", dd <= 1e-8, f"rel = {dd:.1e}")
+    dd = abs(quadratic_form_naive(phi, Q, c) - B) / abs(B)
+    check("9c form equals the plain discrete form to 1e-8 on compact fields",
+          dd <= 1e-8, f"rel = {dd:.1e}")
     iQ = ComplexField(Q.grid, 1j * Q.values)
-    scale = sum(abs(v) for v in form_blocks(iQ, Q, c, eta_a).values())
-    bq = abs(quadratic_form_B(iQ, Q, c, eta_a))
+    scale = edge_gradient_energy(iQ)
+    bq = abs(quadratic_form_B(iQ, Q, c))
     check("9d form finite and vanishing on the phase direction i Q to 1e-6",
-          bq <= 1e-6 * scale, f"|B(iQ)| / sum|blocks| = {bq / scale:.1e}")
+          bq <= 1e-6 * scale, f"|B(iQ)| / edge gradient energy = {bq / scale:.1e}")
     ok = True
     for lam in (0.1, 1.0):
         shifted = ComplexField(Q.grid, phi.values + 1j * lam * Q.values)
-        ok = ok and abs(quadratic_form_B(shifted, Q, c, eta_a) - B) <= 1e-8 * abs(B)
+        ok = ok and abs(quadratic_form_B(shifted, Q, c) - B) <= 1e-8 * abs(B)
     check("9e phase invariance B(phi + i lam Q) = B(phi) to 1e-8", ok)
 
     # Poincare inequality on circles for random smooth fields

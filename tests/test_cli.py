@@ -101,14 +101,13 @@ def test_removed_flags_exit_2(tmp_path, argv):
     assert exc.value.code == 2
 
 
-def _config_reads() -> set:
-    """Attribute names read as ``self.X``, ``cfg.X`` or ``config.X`` in the
-    package, outside the ``__post_init__`` validators."""
+def _config_reads(names=("self", "cfg", "config"), modules=None) -> set:
+    """Attribute names read as ``<name>.X`` for a name in ``names``, in the
+    package modules ``modules`` (default: every module), outside the
+    ``__post_init__`` validators."""
     pkg = os.path.dirname(gpvortex.__file__)
     reads = set()
-    for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py"):
-            continue
+    for name in modules or sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
         with open(os.path.join(pkg, name)) as fh:
             tree = ast.parse(fh.read())
         validators = {id(n) for fn in ast.walk(tree)
@@ -117,7 +116,7 @@ def _config_reads() -> set:
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                     and isinstance(node.value, ast.Name)
-                    and node.value.id in ("self", "cfg", "config")
+                    and node.value.id in names
                     and id(node) not in validators):
                 reads.add(node.attr)
     return reads
@@ -125,10 +124,13 @@ def _config_reads() -> set:
 
 def test_every_config_field_is_read():
     # a knob that nothing reads changes no run; the text round trip and
-    # the config hash read every field generically, so they do not count
-    reads = _config_reads()
-    unread = [f"{cls.__name__}.{f.name}" for cls in (RunConfig, SolverConfig)
-              for f in fields(cls) if f.name not in reads]
+    # the config hash read every field generically, so they do not count.
+    # A solver knob counts only where the solver reads it, so a RunConfig
+    # field of the same name does not stand in for it.
+    reads = {RunConfig: _config_reads(),
+             SolverConfig: _config_reads(("config",), ("tw_solver.py",))}
+    unread = [f"{cls.__name__}.{f.name}" for cls, names in reads.items()
+              for f in fields(cls) if f.name not in names]
     assert unread == []
 
 
@@ -299,3 +301,11 @@ def test_outputs_bit_identical_across_runs(tmp_path):
 def test_configuration_error_exit(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "missing.cfg"), "vortex"])
     assert code == 2
+
+
+def test_cmd_report_missing_out_dir(tmp_path, capsys):
+    out = tmp_path / "missing"
+    assert main(["--out", str(out), "report"]) == 2
+    err = capsys.readouterr().err
+    assert f"output directory {out} does not exist" in err
+    assert not out.exists()

@@ -228,8 +228,6 @@ def test_cutoff_eta_shape():
     assert np.all(vals[near] == 0.0)
     assert np.all(vals[farr] == 1.0)
     assert np.all((vals >= 0) & (vals <= 1))
-    with pytest.raises(ValueError):
-        CutoffEta(((0.0, 0.0), (1.0, 0.0)), shape="boxcar")(X, Y)
 
 
 def test_harmonic_project_constant_and_wave(grid):

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import compact_test_field
-from gpvortex.field_core import ComplexField, CutoffEta, grid_l2, inner_product
+from conftest import compact_test_field, edge_gradient_energy
+from gpvortex.field_core import ComplexField, grid_l2, inner_product
 from gpvortex.linearization import (
     apply_L,
     build_directions,
     curl_energy_ratio,
     direction_identity_residuals,
     energy,
-    form_blocks,
     momentum,
     prop12_report,
     quadratic_form_B,
@@ -21,11 +20,6 @@ from gpvortex.linearization import (
 )
 from gpvortex.tw_solver import residual
 from gpvortex.vortex_profile import vortex_gradient
-
-
-@pytest.fixture(scope="module")
-def eta(entry01):
-    return CutoffEta(entry01.zeros, shape="quintic")
 
 
 def test_apply_L_phase_direction_is_residual(entry01):
@@ -56,62 +50,45 @@ def test_apply_L_real_pairing_symmetry(entry01):
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
-def test_form_matches_operator_pairing(entry01, eta):
+def test_form_matches_operator_pairing(entry01):
     Q, c = entry01.field, entry01.c
     phi = compact_test_field(Q.grid, 1)
-    B = quadratic_form_B(phi, Q, c, eta)
+    B = quadratic_form_B(phi, Q, c)
     pair = float(np.sum((apply_L(phi, Q, c).values * np.conj(phi.values)).real)
                  * Q.grid.hx * Q.grid.hy)
     assert abs(B - pair) <= 1e-8 * abs(B)
 
 
-def test_form_matches_naive(entry01, eta):
+def test_form_matches_naive(entry01):
     Q, c = entry01.field, entry01.c
     phi = compact_test_field(Q.grid, 2)
-    B = quadratic_form_B(phi, Q, c, eta)
+    B = quadratic_form_B(phi, Q, c)
     assert abs(B - quadratic_form_naive(phi, Q, c)) <= 1e-8 * abs(B)
 
 
-def test_form_eta_independence(entry01):
-    Q, c = entry01.field, entry01.c
-    phi = compact_test_field(Q.grid, 3)
-    a = quadratic_form_B(phi, Q, c, CutoffEta(entry01.zeros, shape="quintic"))
-    b = quadratic_form_B(phi, Q, c, CutoffEta(entry01.zeros, shape="cosine"))
-    d = quadratic_form_B(phi, Q, c, None)
-    assert abs(a - b) <= 1e-8 * abs(a)
-    assert abs(a - d) <= 1e-8 * abs(a)
-
-
-def test_form_phase_invariance(entry01, eta):
+def test_form_phase_invariance(entry01):
     Q, c = entry01.field, entry01.c
     phi = compact_test_field(Q.grid, 4)
-    B = quadratic_form_B(phi, Q, c, eta)
+    B = quadratic_form_B(phi, Q, c)
     for lam in (0.1, 1.0):
         shifted = ComplexField(Q.grid, phi.values + 1j * lam * Q.values)
-        assert abs(quadratic_form_B(shifted, Q, c, eta) - B) <= 1e-8 * abs(B)
+        assert abs(quadratic_form_B(shifted, Q, c) - B) <= 1e-8 * abs(B)
 
 
-def test_form_quadratic_scaling(entry01, eta):
+def test_form_quadratic_scaling(entry01):
     Q, c = entry01.field, entry01.c
     phi = compact_test_field(Q.grid, 5)
-    B = quadratic_form_B(phi, Q, c, eta)
+    B = quadratic_form_B(phi, Q, c)
     for t in (2.0, -1.0):
         scaled = ComplexField(Q.grid, t * phi.values)
-        assert quadratic_form_B(scaled, Q, c, eta) == pytest.approx(t * t * B,
+        assert quadratic_form_B(scaled, Q, c) == pytest.approx(t * t * B,
                                                                     rel=1e-13)
 
 
-def test_expanded_form_phase_and_agreement(entry01, eta):
+def test_expanded_form_phase_and_agreement(entry01):
     Q, c = entry01.field, entry01.c
     iQ = ComplexField(Q.grid, 1j * Q.values)
-    blocks = form_blocks(iQ, Q, c, eta)
-    scale = sum(abs(v) for v in blocks.values())
-    assert abs(quadratic_form_B(iQ, Q, c, eta)) <= 1e-6 * scale
-    phi = compact_test_field(Q.grid, 6)
-    B = quadratic_form_B(phi, Q, c, eta)
-    # two ramp shapes agree for the expanded form as well
-    other = quadratic_form_B(phi, Q, c, CutoffEta(entry01.zeros, shape="cosine"))
-    assert abs(other - B) <= 1e-8 * abs(B)
+    assert abs(quadratic_form_B(iQ, Q, c)) <= 1e-6 * edge_gradient_energy(iQ)
 
 
 def test_energy_momentum_vacuum(entry01):
@@ -181,15 +158,14 @@ def test_speed_direction_matches_core_translation(branch_spec, profiles):
     assert np.max(num) / den <= 0.3
 
 
-def test_form_values_on_directions(branch_spec, run_cfg, eta):
+def test_form_values_on_directions(branch_spec, run_cfg):
     for c in run_cfg.speeds:
         idx = branch_spec.index_of(c)
         e = branch_spec.entries[idx]
         dirs = build_directions(branch_spec, idx)
-        eta_c = CutoffEta(e.zeros)
-        assert (c * c * quadratic_form_B(dirs.dc, e.field, c, eta_c)
+        assert (c * c * quadratic_form_B(dirs.dc, e.field, c)
                 / (-2 * np.pi)) == pytest.approx(1.0, abs=0.3)
-        assert (quadratic_form_B(dirs.drot, e.field, c, eta_c)
+        assert (quadratic_form_B(dirs.drot, e.field, c)
                 / (2 * np.pi)) == pytest.approx(1.0, abs=0.3)
 
 

@@ -1,12 +1,14 @@
 """Sparse operators: the quarter reduction against its row-by-row
-construction."""
+construction, the quarter round trip, the symmetry of the linearized
+matrix and its agreement with the quadratic form."""
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from gpvortex.field_core import ComplexField, Grid
-from gpvortex.operators import QuarterMaps, linearized_matrix
+from gpvortex.linearization import quadratic_form_B
+from gpvortex.operators import QuarterMaps, interior_to_real, linearized_matrix
 
 
 def _reduce_by_rows(q: QuarterMaps, A: sp.csr_matrix) -> sp.csr_matrix:
@@ -27,6 +29,12 @@ def _assert_same_csr(a, b):
 
 
 odd = st.integers(2, 9).map(lambda k: 2 * k + 1)
+small_odd = st.integers(2, 7).map(lambda k: 2 * k + 1)
+
+
+def _random_field(g: Grid, rng) -> ComplexField:
+    return ComplexField(g, rng.standard_normal((g.nx, g.ny))
+                        + 1j * rng.standard_normal((g.nx, g.ny)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -49,3 +57,37 @@ def test_quarter_reduce_matches_row_construction_linearized(nx, ny, c, seed):
     q = QuarterMaps(g)
     A = linearized_matrix(Q, c)
     _assert_same_csr(q.reduce(A), _reduce_by_rows(q, A))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=small_odd, ny=small_odd, seed=st.integers(0, 2**32 - 1))
+def test_quarter_prolong_restrict_roundtrip(nx, ny, seed):
+    q = QuarterMaps(Grid(5.0, 4.0, nx, ny))
+    xq = np.random.default_rng(seed).standard_normal(2 * q.mq)
+    want = xq.copy()
+    want[q.pinned] = 0.0
+    assert np.array_equal(q.reduce_rhs(q.prolong(xq)), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=small_odd, ny=small_odd, c=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_linearized_matrix_symmetric(nx, ny, c, seed):
+    g = Grid(6.0, 5.0, nx, ny)
+    A = linearized_matrix(_random_field(g, np.random.default_rng(seed)), c)
+    assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=small_odd, ny=small_odd, c=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_form_matches_matrix_on_zero_ring(nx, ny, c, seed):
+    g = Grid(6.0, 5.0, nx, ny)
+    rng = np.random.default_rng(seed)
+    Q = _random_field(g, rng)
+    phi = _random_field(g, rng)
+    phi.values[[0, -1], :] = 0.0
+    phi.values[:, [0, -1]] = 0.0
+    A = linearized_matrix(Q, c)
+    x = interior_to_real(phi.values)
+    w = g.hx * g.hy
+    scale = w * float(np.abs(x) @ (abs(A) @ np.abs(x)))
+    assert abs(quadratic_form_B(phi, Q, c) - w * float(x @ (A @ x))) <= 1e-12 * scale

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import compact_test_field
 from gpvortex.config import STABILITY_EDGE_MARGIN
-from gpvortex.field_core import ComplexField, CutoffEta
 from gpvortex.linearization import build_directions, quadratic_form_B
 from gpvortex.operators import interior_to_real
 from gpvortex.spectral import (
@@ -47,7 +46,7 @@ def test_rayleigh_matches_form(entry01, handle01):
     phi = compact_test_field(Q.grid, 31)
     x = interior_to_real(phi.values)
     ray = float(x @ (handle01.A @ x))
-    B = quadratic_form_B(phi, Q, c, CutoffEta(entry01.zeros))
+    B = quadratic_form_B(phi, Q, c)
     assert abs(ray - B) <= 1e-8 * abs(B)
 
 
@@ -177,15 +176,6 @@ def test_evolution_random_no_growth_and_conservation(handle01):
     out = evolve_linearized(handle01, u0, T=50.0, dt=0.2)
     assert out["fitted_rate"] <= 0.02
     assert out["form_drift"] <= 0.01
-
-
-def test_eta_shape_leaves_spectral_outputs(entry01, dirs01, profiles):
-    # the assembled matrices carry no cutoff dependence at all, so the
-    # two ramp shapes give identical constants
-    h = assemble(entry01.field, entry01.c, directions=dirs01, profiles=profiles)
-    v1 = constrained_coercivity(h, "four", norm="C")
-    v2 = constrained_coercivity(h, "four", norm="C")
-    assert v1 == v2
 
 
 def test_assemble_requires_speed_derivative_source(entry01):
