@@ -164,11 +164,16 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
     handle = assemble(e.field, e.c, R=cfg.r_ball, directions=dirs,
                       profiles=profiles)
     report = kernel_and_negative(handle)
+    checks = {}
     for name in cfg.constraint_sets:
         norm = "C" if name in ("none", "three", "four") else "exp"
-        report.coercivity[name] = constrained_coercivity(
-            handle, name, norm=norm, size=cfg.basis_size, seed=cfg.seed)
+        report.coercivity[name], info = constrained_coercivity(
+            handle, name, norm=norm, size=cfg.basis_size, seed=cfg.seed,
+            return_info=True)
+        checks[name] = {"value_half_basis": info["value_half_basis"],
+                        "converged": bool(info["converged"])}
     payload = dict(report.__dict__)
+    payload["coercivity_check"] = checks
     payload["config_hash"] = cfg.config_hash
     payload["r_ball"] = cfg.r_ball
     return payload

@@ -2,8 +2,9 @@
 
 Interior-node stencils of the travelling-wave residual, the sparse
 real-symmetric matrix of the linearized operator on the interior
-unknowns (Dirichlet data on the box edge), and the index machinery that
-restricts linear solves to the symmetric quarter of the grid.
+unknowns (Dirichlet data on the box edge), the index machinery that
+restricts linear solves to the symmetric quarter of the grid, and the
+orthonormal maps onto the four symmetry sectors of that matrix.
 """
 
 from __future__ import annotations
@@ -137,3 +138,43 @@ class QuarterMaps:
 
     def prolong(self, xq: np.ndarray) -> np.ndarray:
         return self.P @ xq
+
+
+def _parity_map(n: int, sign: int) -> sp.csr_matrix:
+    """Orthonormal n x p map onto the vectors of parity ``sign`` about the
+    centre node of an axis with n (odd) nodes; column k is the pair at
+    distance k (the centre node alone for k = 0 of the even map)."""
+    c = (n - 1) // 2
+    k = np.arange(1, c + 1)
+    r = np.sqrt(0.5)
+    if sign > 0:
+        rows = np.concatenate([[c], c + k, c - k])
+        cols = np.concatenate([[0], k, k])
+        vals = np.concatenate([[1.0], np.full(2 * c, r)])
+    else:
+        rows = np.concatenate([c + k, c - k])
+        cols = np.concatenate([k - 1, k - 1])
+        vals = np.concatenate([np.full(c, r), np.full(c, -r)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, c + (sign > 0)))
+
+
+def sector_maps(grid: Grid) -> dict:
+    """Orthonormal real maps P_s onto the invariant sectors of the
+    linearized matrix at a symmetric wave, keyed "++", "+-", "-+", "--".
+
+    The label is (s1, s2): S1 phi = phi(-x1, x2) has eigenvalue s1 and
+    S2 phi = conj phi(x1, -x2) has eigenvalue s2.  S1 gives Re phi and
+    Im phi parity s1 in x1; S2 gives Re phi parity s2 and Im phi parity
+    -s2 in x2.  The four maps are orthonormal for the plain real pairing
+    and together span the interior dofs, so P_s^T A P_s are the diagonal
+    blocks of the symmetric matrix A in that basis."""
+    mx, my = grid.nx - 2, grid.ny - 2
+    X = {s: _parity_map(mx, s) for s in (1, -1)}
+    Y = {s: _parity_map(my, s) for s in (1, -1)}
+    maps = {}
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            label = "+-"[s1 < 0] + "+-"[s2 < 0]
+            maps[label] = sp.block_diag(
+                [sp.kron(X[s1], Y[s2]), sp.kron(X[s1], Y[-s2])], format="csr")
+    return maps

@@ -229,6 +229,20 @@ def test_cmd_spectrum(tmp_path, capsys):
     assert payload["negative_count"] == 1
     assert set(payload["coercivity"]) == {"none", "three", "four", "phase4", "sym3"}
     assert "negative_count=1" in out
+    sectors = payload["sectors"]
+    assert sorted(sectors) == ["++", "+-", "-+", "--"]
+    assert sorted(v for s in sectors.values() for v in s["eigenvalues"]) \
+        == payload["eigenvalues"]
+    assert sum(s["negative_count"] for s in sectors.values()) == 1
+    assert sectors["++"]["negative_count"] == 1
+    assert sum(s["near_zero_count"] for s in sectors.values()) \
+        == payload["near_zero_count"]
+    check = payload["coercivity_check"]
+    assert set(check) == set(payload["coercivity"])
+    for name, entry in check.items():
+        assert set(entry) == {"value_half_basis", "converged"}
+        assert isinstance(entry["converged"], bool)
+        assert isinstance(entry["value_half_basis"], float)
 
 
 def test_cmd_stability_and_uniqueness(tmp_path):

@@ -1,14 +1,20 @@
 """Sparse operators: the quarter reduction against its row-by-row
 construction, the quarter round trip, the symmetry of the linearized
-matrix and its agreement with the quadratic form."""
+matrix, its agreement with the quadratic form, and its block
+diagonalization by the symmetry-sector maps."""
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from gpvortex.field_core import ComplexField, Grid
+from gpvortex.field_core import ComplexField, Grid, symmetrize
 from gpvortex.linearization import quadratic_form_B
-from gpvortex.operators import QuarterMaps, interior_to_real, linearized_matrix
+from gpvortex.operators import (
+    QuarterMaps,
+    interior_to_real,
+    linearized_matrix,
+    sector_maps,
+)
 
 
 def _reduce_by_rows(q: QuarterMaps, A: sp.csr_matrix) -> sp.csr_matrix:
@@ -91,3 +97,29 @@ def test_form_matches_matrix_on_zero_ring(nx, ny, c, seed):
     w = g.hx * g.hy
     scale = w * float(np.abs(x) @ (abs(A) @ np.abs(x)))
     assert abs(quadratic_form_B(phi, Q, c) - w * float(x @ (A @ x))) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=small_odd, ny=small_odd, c=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_sector_maps_block_diagonalize_symmetric_operator(nx, ny, c, seed):
+    g = Grid(6.0, 5.0, nx, ny)
+    Q = symmetrize(_random_field(g, np.random.default_rng(seed)))
+    A = linearized_matrix(Q, c)
+    tol = 1e-12 * abs(A).max()
+    maps = sector_maps(g)
+    assert list(maps) == ["++", "+-", "-+", "--"]
+    n = A.shape[0]
+    total = sp.csr_matrix((n, n))
+    blocks = []
+    for s, P in maps.items():
+        assert abs(P.T @ P - sp.identity(P.shape[1])).max() <= 1e-15
+        total = total + P @ P.T
+        for t, R in maps.items():
+            if t != s:
+                assert abs(P.T @ A @ R).max() <= tol
+        B = (P.T @ A @ P).toarray()
+        assert np.abs(B - B.T).max() <= tol
+        blocks.append(np.linalg.eigvalsh(B))
+    assert abs(total - sp.identity(n)).max() <= 1e-15
+    union = np.sort(np.concatenate(blocks))
+    assert np.abs(union - np.linalg.eigvalsh(A.toarray())).max() <= 1e-10 * abs(A).max()

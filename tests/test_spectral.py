@@ -5,12 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from conftest import compact_test_field
 from gpvortex.config import STABILITY_EDGE_MARGIN
+from gpvortex.field_core import ComplexField, Grid
 from gpvortex.linearization import build_directions, quadratic_form_B
-from gpvortex.operators import interior_to_real
+from gpvortex.operators import interior_to_real, linearized_matrix
 from gpvortex.spectral import (
+    OperatorHandle,
     assemble,
     constrained_coercivity,
     corollary_positivity_check,
@@ -125,6 +129,60 @@ def test_kernel_structure_coarse_box(handle01):
     rep = kernel_and_negative(handle01, tol_zero=1e-3, k=14)
     assert rep.negative_count == 1
     assert rep.near_zero_count == 2
+
+
+def _full_space_kernel(handle, k=12):
+    """Oracle: one shift-invert ``eigsh`` on the whole matrix, with the
+    counts and kernel angles defined as in ``kernel_and_negative``."""
+    n = handle.A_op.shape[0]
+    vals, vecs = spla.eigsh(handle.A_op.tocsc(), k=k, sigma=0.0, which="LM",
+                            v0=np.full(n, 1.0 / np.sqrt(n)))
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    if vals[0] < 0:
+        tol_zero = abs(vals[0]) / 3.0
+    else:
+        tol_zero = 10.0 * abs(handle.b_dx1_form) / handle.dx1_mass
+    negative = vals < -tol_zero
+    near = np.abs(vals) <= tol_zero
+    span = np.column_stack([handle.directions["dx1"], handle.directions["dx2"]])
+    angles = sla.subspace_angles(vecs[:, near], span) if np.any(near) else []
+    return vals, int(np.sum(negative)), int(np.sum(near)), list(angles)
+
+
+def test_sector_solve_matches_full_space_solve(handle01):
+    rep = kernel_and_negative(handle01)
+    vals, n_neg, n_near, angles = _full_space_kernel(handle01)
+    assert (rep.negative_count, rep.near_zero_count) == (n_neg, n_near)
+    np.testing.assert_allclose(rep.eigenvalues, vals, rtol=1e-10, atol=0.0)
+    assert len(rep.kernel_angles) == len(angles) == 2
+    np.testing.assert_allclose(sorted(rep.kernel_angles), sorted(angles),
+                               rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("fixture", ["handle01", "kernel_handle"])
+def test_modes_lie_in_predicted_sectors(fixture, request):
+    # negative mode (+,+); d1 Q in (-,+); d2 Q in (+,-)
+    rep = kernel_and_negative(request.getfixturevalue(fixture))
+    counts = {label: (s["negative_count"], s["near_zero_count"])
+              for label, s in rep.sectors.items()}
+    assert counts == {"++": (1, 0), "+-": (0, 1), "-+": (0, 1), "--": (0, 0)}
+    assert sorted(v for s in rep.sectors.values() for v in s["eigenvalues"]) \
+        == rep.eigenvalues
+
+
+def test_kernel_and_negative_rejects_unsymmetric_field():
+    g = Grid(6.0, 5.0, 15, 13)
+    rng = np.random.default_rng(0)
+    Q = ComplexField(g, rng.standard_normal((g.nx, g.ny))
+                     + 1j * rng.standard_normal((g.nx, g.ny)))
+    A_op = linearized_matrix(Q, 0.1)
+    w = g.hx * g.hy
+    handle = OperatorHandle(A=A_op * w, A_op=A_op, G_C=None, G_exp=None,
+                            constraints={}, directions={}, grid=g, c=0.1,
+                            zeros=(), r_ball=10.0, weight=w)
+    with pytest.raises(RuntimeError, match="symmetry sector"):
+        kernel_and_negative(handle)
 
 
 def test_spectrum_report_json(kernel_handle, tmp_path):
