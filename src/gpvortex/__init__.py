@@ -7,23 +7,17 @@ continuation, the linearized operator with its quadratic forms, and
 spectral diagnostics (constrained coercivity, kernel, stability).
 """
 
-from .vortex_profile import RadialProfile, solve_vortex_ode, evaluate_vortex, vortex_gradient
+from .vortex_profile import RadialProfile, solve_vortex_ode, evaluate_vortex
 from .field_core import (
     Grid,
     ComplexField,
     CutoffEta,
-    HarmonicSlice,
     fd_gradient,
     fd_laplacian,
     inner_product,
     grid_l2,
-    energy_norm,
-    coercivity_seminorm,
-    expanded_energy_norm,
-    harmonic_project,
-    remove_zero_harmonic,
 )
-from .ansatz import AnsatzParams, build_two_vortex, d_derivative, rotate_wave
+from .ansatz import AnsatzParams, build_two_vortex
 from .tw_solver import (
     SolverConfig,
     BranchEntry,
@@ -49,7 +43,6 @@ from .spectral import (
     assemble,
     constrained_coercivity,
     kernel_and_negative,
-    corollary_positivity_check,
     evolve_linearized,
 )
 

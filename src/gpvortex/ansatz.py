@@ -1,5 +1,5 @@
-"""Two-vortex product ansatz, its separation derivative, and rotation of
-travelling waves.
+"""Two-vortex product ansatz and the speed and separation limits of the
+small-speed regime.
 
 The ansatz places a degree +1 vortex at +d e1 and a degree -1 vortex at
 -d e1 and takes the pointwise product; it seeds the Newton solver at
@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .field_core import ComplexField, Grid, bilinear_sample
-from .vortex_profile import RadialProfile, evaluate_vortex, vortex_gradient
+from .field_core import ComplexField, Grid
+from .vortex_profile import RadialProfile, evaluate_vortex
 
 # Largest main speed of a branch, and the cap on the relative offset of
 # the derivative neighbours of a main speed (c (1 +- frac), frac <= cap).
@@ -57,40 +55,3 @@ def build_two_vortex(params: AnsatzParams, grid: Grid) -> ComplexField:
     vp = evaluate_vortex(params.profile_plus, X, Y, center=(params.d, 0.0))
     vm = evaluate_vortex(params.profile_minus, X, Y, center=(-params.d, 0.0))
     return ComplexField(grid, vp * vm)
-
-
-def d_derivative(params: AnsatzParams, grid: Grid) -> ComplexField:
-    """Derivative of the product with respect to the half-separation:
-    -dx1 V_{+1} . V_{-1} + V_{+1} . dx1 V_{-1}."""
-    _check_margin(params, grid)
-    X, Y = grid.mesh
-    vp = evaluate_vortex(params.profile_plus, X, Y, center=(params.d, 0.0))
-    vm = evaluate_vortex(params.profile_minus, X, Y, center=(-params.d, 0.0))
-    gpx, _ = vortex_gradient(params.profile_plus, X, Y, center=(params.d, 0.0))
-    gmx, _ = vortex_gradient(params.profile_minus, X, Y, center=(-params.d, 0.0))
-    return ComplexField(grid, -gpx * vm + vp * gmx)
-
-
-def rotate_wave(Q: ComplexField, alpha: float,
-                crop_margin: float | None = None) -> ComplexField:
-    """Bilinear resample of Q composed with the rotation by -alpha.
-
-    Rotated sample points falling outside the grid by less than
-    ``crop_margin`` (default two grid spacings) are clamped to the edge;
-    a larger excursion is an excessive crop and raises.
-    """
-    g = Q.grid
-    X, Y = g.mesh
-    ca, sa = np.cos(-alpha), np.sin(-alpha)
-    Xr = ca * X - sa * Y
-    Yr = sa * X + ca * Y
-    if crop_margin is None:
-        crop_margin = 2.0 * max(g.hx, g.hy)
-    xr = np.clip(Xr, g.x[0], g.x[-1])
-    yr = np.clip(Yr, g.y[0], g.y[-1])
-    crop = max(float(np.max(np.abs(xr - Xr))), float(np.max(np.abs(yr - Yr))))
-    if crop > crop_margin:
-        raise ValueError(f"rotation crops sample points by {crop:.3g} "
-                         f"(> margin {crop_margin:.3g})")
-    vals = bilinear_sample(Q, xr.ravel(), yr.ravel(), check_inside=False)
-    return ComplexField(g, vals.reshape(g.nx, g.ny))

@@ -157,12 +157,10 @@ def cmd_branch(cfg: RunConfig, args) -> int:
 def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
     from .spectral import assemble, constrained_coercivity, kernel_and_negative
 
-    profiles = _profiles(cfg.out_dir)
     idx = branch.index_of(c)
-    dirs = build_directions(branch, idx)
     e = branch.entries[idx]
-    handle = assemble(e.field, e.c, R=cfg.r_ball, directions=dirs,
-                      profiles=profiles)
+    handle = assemble(e.field, e.c, R=cfg.r_ball,
+                      directions=build_directions(branch, idx))
     report = kernel_and_negative(handle)
     checks = {}
     for name in cfg.constraint_sets:
@@ -224,10 +222,9 @@ def cmd_stability(cfg: RunConfig, args) -> int:
     _require_main_speed(cfg, "stability_speed")
     os.makedirs(cfg.out_dir, exist_ok=True)
     branch, idx = _stability_branch(cfg, _main_branch(cfg))
-    profiles = _profiles(cfg.out_dir)
     e = branch.entries[idx]
     handle = assemble(e.field, e.c, R=cfg.r_ball,
-                      directions=build_directions(branch, idx), profiles=profiles)
+                      directions=build_directions(branch, idx))
     g = e.field.grid
     mx, my = g.nx - 2, g.ny - 2
     X, Y = np.meshgrid(g.x[1:-1], g.y[1:-1], indexing="ij")
@@ -284,7 +281,8 @@ def cmd_uniqueness(cfg: RunConfig, args) -> int:
 
 def cmd_report(cfg: RunConfig, args) -> int:
     """Aggregate the stored outputs into ``summary.json``; exit 1 when a
-    stored output records a failed check (``"ok": false``)."""
+    stored output records a failed check (``"ok": false``) or a constraint
+    set whose minimum did not converge (``coercivity_check``)."""
     if not os.path.isdir(cfg.out_dir):
         raise ValueError(f"output directory {cfg.out_dir} does not exist")
     hashes = set()
@@ -315,8 +313,13 @@ def cmd_report(cfg: RunConfig, args) -> int:
     for section, payload in summary["sections"].items():
         print(f"[{section}]")
         print(json.dumps(payload, indent=2, sort_keys=True)[:600])
-        if isinstance(payload, dict) and payload.get("ok") is False:
+        if not isinstance(payload, dict):
+            continue
+        if payload.get("ok") is False:
             failed.append(section)
+        failed += [f"{section} {name} unconverged"
+                   for name, check in payload.get("coercivity_check", {}).items()
+                   if not check["converged"]]
     if failed:
         print(f"[numeric-check FAIL] stored checks failed: {', '.join(failed)}")
     return EXIT_NUMERIC if failed else EXIT_OK

@@ -1,14 +1,14 @@
 """2-D complex fields on uniform rectangular grids.
 
 Discrete differential operators (2nd-order centered, one-sided at the
-boundary), weighted inner products and the three norms used throughout
-(energy norm, coercivity seminorm, expanded energy norm), smooth cutoff
-functions around the vortex zeros, and the angular-harmonic
-decomposition with per-half-plane removal of the 0-harmonic.
+boundary), the trapezoidal real pairing and the grid L2 norm, the
+symmetrization onto fields even in x1 and conjugate-even in x2, the
+floored ratio psi = phi/Q behind the multiplicative norms, the smooth
+cutoff around the vortex zeros, bilinear sampling on points and
+circles, and the checksummed binary field files.
 
-All multiplicative (psi = phi/Q) expressions are rewritten in terms of
-phi, Q and grad Q with a modulus floor at the zeros; the ratio field is
-never formed where |Q| is below the floor.
+The norms themselves are discretized once, as the Gram matrices of
+``spectral``.
 """
 
 from __future__ import annotations
@@ -113,20 +113,6 @@ class ComplexField:
         return ComplexField(self.grid, self.values.copy())
 
 
-def crop_field(f: ComplexField, lx: float, ly: float | None = None) -> ComplexField:
-    """Restriction of a field to the largest centered sub-box with
-    half-widths at most (lx, ly); node-aligned, keeps parity."""
-    ly = lx if ly is None else ly
-    g = f.grid
-    cx, cy = (g.nx - 1) // 2, (g.ny - 1) // 2
-    kx = min(int(np.floor(lx / g.hx)), cx)
-    ky = min(int(np.floor(ly / g.hy)), cy)
-    sub = f.values[cx - kx:cx + kx + 1, cy - ky:cy + ky + 1]
-    grid = Grid(kx * g.hx, ky * g.hy, 2 * kx + 1, 2 * ky + 1,
-                sym_even_x1=g.sym_even_x1, sym_conj_x2=g.sym_conj_x2)
-    return ComplexField(grid, sub.copy())
-
-
 def symmetrize(f: ComplexField) -> ComplexField:
     """Average over the symmetry images selected by the grid flags."""
     v = f.values
@@ -135,15 +121,6 @@ def symmetrize(f: ComplexField) -> ComplexField:
     if f.grid.sym_conj_x2:
         v = 0.5 * (v + np.conj(v[:, ::-1]))
     return ComplexField(f.grid, v)
-
-
-def symmetry_defect(f: ComplexField) -> float:
-    d = 0.0
-    if f.grid.sym_even_x1:
-        d = max(d, float(np.max(np.abs(f.values - f.values[::-1, :]))))
-    if f.grid.sym_conj_x2:
-        d = max(d, float(np.max(np.abs(f.values - np.conj(f.values[:, ::-1])))))
-    return d
 
 
 # ----------------------------------------------------------------------
@@ -203,78 +180,6 @@ def mult_ratio(phi: np.ndarray, Q: np.ndarray, floor: float = MODULUS_FLOOR):
     return psi, q2 > floor**2
 
 
-def _ratio_gradient(phi, Q, psi, mask, grid: Grid):
-    """grad psi rewritten as (grad phi - psi grad Q)/Q; zero where masked out."""
-    out = []
-    for axis, h in ((0, grid.hx), (1, grid.hy)):
-        dphi = np.gradient(phi, h, axis=axis, edge_order=2)
-        dQ = np.gradient(Q, h, axis=axis, edge_order=2)
-        num = dphi - psi * dQ
-        hat = np.zeros_like(num)
-        np.divide(num, Q, out=hat, where=mask)
-        out.append(hat)
-    return out
-
-
-# ----------------------------------------------------------------------
-# norms
-
-def energy_norm(phi: ComplexField, Q: ComplexField) -> float:
-    """Weighted H1-type norm: |grad phi|^2 + |1-|Q|^2| |phi|^2 + Re^2(conj(Q) phi)."""
-    _check_same_grid(phi, Q)
-    w = phi.grid.trapezoid_weights
-    gx, gy = fd_gradient(phi)
-    q2 = Q.values.real**2 + Q.values.imag**2
-    dens = (np.abs(gx.values) ** 2 + np.abs(gy.values) ** 2
-            + np.abs(1.0 - q2) * np.abs(phi.values) ** 2
-            + (np.conj(Q.values) * phi.values).real ** 2)
-    return float(np.sqrt(np.sum(dens * w)))
-
-
-def coercivity_seminorm(phi: ComplexField, Q: ComplexField) -> float:
-    """Seminorm |grad psi|^2 |Q|^4 + Re^2(psi) |Q|^4 with phi = Q psi.
-
-    Vanishes exactly on the phase direction i Q.  The psi expressions
-    are rewritten via phi, Q, grad Q; the integrand is set to zero on
-    nodes where |Q| is below the modulus floor.
-    """
-    _check_same_grid(phi, Q)
-    w = phi.grid.trapezoid_weights
-    psi, mask = mult_ratio(phi.values, Q.values, resolution_floor(phi.grid))
-    q2 = Q.values.real**2 + Q.values.imag**2
-    hx_, hy_ = _ratio_gradient(phi.values, Q.values, psi, mask, phi.grid)
-    dens = (np.abs(hx_) ** 2 + np.abs(hy_) ** 2) * q2 * q2 \
-        + (np.conj(Q.values) * phi.values).real ** 2
-    return float(np.sqrt(np.sum(dens * w)))
-
-
-def expanded_energy_norm(phi: ComplexField, Q: ComplexField, zeros) -> float:
-    """H1 norm within distance 10 of either zero plus the far-field
-    multiplicative norm |grad psi|^2 + Re^2(psi) + |psi|^2/(r^2 ln^2 r)
-    over distance >= 5; finite for phi = i Q."""
-    _check_same_grid(phi, Q)
-    g = phi.grid
-    X, Y = g.mesh
-    rt = np.minimum(np.hypot(X - zeros[0][0], Y - zeros[0][1]),
-                    np.hypot(X - zeros[1][0], Y - zeros[1][1]))
-    w = g.trapezoid_weights
-
-    gx, gy = fd_gradient(phi)
-    near = rt <= 10.0
-    h1 = np.sum(((np.abs(phi.values) ** 2
-                  + np.abs(gx.values) ** 2 + np.abs(gy.values) ** 2) * w)[near])
-
-    psi, mask = mult_ratio(phi.values, Q.values, resolution_floor(g))
-    hx_, hy_ = _ratio_gradient(phi.values, Q.values, psi, mask, g)
-    far = rt >= 5.0
-    lr = np.ones_like(rt)
-    np.log(rt, out=lr, where=far)
-    dens = (np.abs(hx_) ** 2 + np.abs(hy_) ** 2 + psi.real**2
-            + np.abs(psi) ** 2 / np.maximum(rt, 1e-30) ** 2 / lr**2)
-    tail = np.sum((dens * w)[far])
-    return float(np.sqrt(h1 + tail))
-
-
 # ----------------------------------------------------------------------
 # cutoff
 
@@ -304,7 +209,7 @@ class CutoffEta:
 
 
 # ----------------------------------------------------------------------
-# bilinear sampling and angular harmonics
+# bilinear sampling
 
 def bilinear_sample(f: ComplexField, xs, ys, check_inside: bool = True) -> np.ndarray:
     g = f.grid
@@ -331,66 +236,6 @@ def circle_samples(f: ComplexField, center, radius: float, n: int = 256):
     xs = center[0] + radius * np.cos(theta)
     ys = center[1] + radius * np.sin(theta)
     return theta, bilinear_sample(f, xs, ys)
-
-
-@dataclass
-class HarmonicSlice:
-    """Angular Fourier coefficient of a field around a center, per radius."""
-
-    center: tuple
-    j: int
-    radii: np.ndarray
-    coeffs: np.ndarray
-
-
-def harmonic_project(f: ComplexField, center, j: int, radii,
-                     n_samples: int = 256) -> HarmonicSlice:
-    """j-harmonic (1/2pi) int psi e^{-ij theta} dtheta on the given circles.
-
-    Periodic trapezoid quadrature over >= 256 samples per circle with
-    bilinear interpolation of the field.
-    """
-    n = max(int(n_samples), 256)
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    coeffs = np.empty(radii.size, dtype=complex)
-    for k, r in enumerate(radii):
-        theta, vals = circle_samples(f, center, r, n)
-        coeffs[k] = np.mean(vals * np.exp(-1j * j * theta))
-    return HarmonicSlice(center=tuple(center), j=j, radii=radii, coeffs=coeffs)
-
-
-def _zero_harmonic_table(f: ComplexField, center, dr: float, n_samples: int = 256):
-    g = f.grid
-    r_room = min(g.x[-1] - abs(center[0]), g.y[-1] - abs(center[1]))
-    r_top = max(r_room - max(g.hx, g.hy), 2.0 * dr)
-    radii = np.arange(0.0, r_top + dr, dr)
-    coeffs = np.empty(radii.size, dtype=complex)
-    coeffs[0] = bilinear_sample(f, np.array([center[0]]), np.array([center[1]]))[0]
-    for k in range(1, radii.size):
-        _, vals = circle_samples(f, center, radii[k], n_samples)
-        coeffs[k] = np.mean(vals)
-    return radii, coeffs
-
-
-def remove_zero_harmonic(f: ComplexField, zeros) -> ComplexField:
-    """Subtract the angular 0-harmonic about the nearest of the two
-    centers, split by half-plane at x1 = 0 (x1 >= 0 uses the right
-    center).  Beyond the largest tabulated circle the outermost
-    coefficient is used."""
-    g = f.grid
-    X, Y = g.mesh
-    dr = 0.5 * min(g.hx, g.hy)
-    out = f.values.copy()
-    right = X >= 0.0
-    z0, z1 = zeros
-    right_center, left_center = (z0, z1) if z0[0] >= z1[0] else (z1, z0)
-    for center, mask in ((right_center, right), (left_center, ~right)):
-        radii, coeffs = _zero_harmonic_table(f, center, dr)
-        rt = np.hypot(X - center[0], Y - center[1])
-        rt = np.clip(rt, 0.0, radii[-1])
-        out[mask] -= (np.interp(rt[mask], radii, coeffs.real)
-                      + 1j * np.interp(rt[mask], radii, coeffs.imag))
-    return ComplexField(g, out)
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,7 @@ def apply_L(phi: ComplexField, Q: ComplexField, c: float) -> ComplexField:
 
 
 # ----------------------------------------------------------------------
-# quadratic forms
+# quadratic form
 
 def quadratic_form_B(phi: ComplexField, Q: ComplexField, c: float) -> float:
     """Quadratic form of the linearized operator: the interior pairing
@@ -59,24 +59,6 @@ def quadratic_form_B(phi: ComplexField, Q: ComplexField, c: float) -> float:
     inner = np.s_[1:-1, 1:-1]
     Lphi = apply_L(phi, Q, c).values[inner]
     return float(np.sum((np.conj(phi.values[inner]) * Lphi).real) * g.hx * g.hy)
-
-
-def quadratic_form_naive(phi: ComplexField, Q: ComplexField, c: float) -> float:
-    """Plain discrete form |grad phi|^2 - (1-|Q|^2)|phi|^2
-    + 2 Re^2(conj(Q) phi) - Re(ic d2 phi conj(phi)); the gradient energy
-    is the stencil-edge sum so that the value matches <L phi, phi> exactly
-    on fields vanishing at the boundary."""
-    g = phi.grid
-    w = g.hx * g.hy
-    pv, qv = phi.values, Q.values
-    gsum = (np.sum(np.abs(np.diff(pv, axis=0)) ** 2) / g.hx**2
-            + np.sum(np.abs(np.diff(pv, axis=1)) ** 2) / g.hy**2)
-    q2 = qv.real**2 + qv.imag**2
-    pot = np.sum(-(1.0 - q2) * np.abs(pv) ** 2
-                 + 2.0 * (np.conj(qv) * pv).real ** 2)
-    d2phi = np.gradient(pv, g.hy, axis=1, edge_order=2)
-    tr = -c * np.sum((1j * d2phi * np.conj(pv)).real)
-    return float((gsum + pot + tr) * w)
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .ansatz import AnsatzParams, d_derivative
 from .field_core import (
     MODULUS_FLOOR,
     ComplexField,
@@ -52,6 +51,7 @@ CONSTRAINT_SETS = {
     "four": ("tx1", "tx2", "tc", "trot"),
     "phase4": ("tx1", "tx2", "tc", "phase0"),
     "sym3": ("sym_c", "sym_x2", "sym_phase"),
+    "idx2": ("idx2",),
 }
 
 
@@ -288,7 +288,7 @@ def _ball_harmonic_chain(Q: ComplexField, center, R: float, n_theta: int = 256):
 
 
 def _constraint_vector_nonzero_harmonic(Q: ComplexField, A_field: np.ndarray,
-                                        R: float, chains) -> np.ndarray:
+                                        chains) -> np.ndarray:
     """Real dof vector of phi -> Re int_balls A conj(Q psi^{neq 0}).
 
     Uses the adjoint of the chain phi -> psi -> (psi minus its angular
@@ -314,17 +314,16 @@ def _constraint_vector_direct(Q: ComplexField, B_field: np.ndarray,
     return _complex_to_real_vec(v.astype(complex))
 
 
-def assemble(Q: ComplexField, c: float, grid: Grid | None = None,
-             R: float = 10.0, directions: DirectionSet | None = None,
-             profiles: dict | None = None) -> OperatorHandle:
-    """Assemble the operator matrix, Gram matrices, and the localized
-    orthogonality constraint vectors at a converged wave.
+def assemble(Q: ComplexField, c: float, directions: DirectionSet,
+             R: float = 10.0) -> OperatorHandle:
+    """Assemble the operator matrix, Gram matrices, and the orthogonality
+    constraint vectors at a converged wave: the localized ones on the
+    balls of radius ``R`` and the whole-box row i d2 Q of the corollary.
 
-    The speed-derivative constraint uses the separation derivative of
-    the two-vortex product when ``profiles`` is given and no branch
-    directions are supplied (the two are interchangeable in the
-    orthogonality conditions to leading order)."""
-    grid = grid or Q.grid
+    The speed-derivative constraints pair with the branch direction
+    ``directions.dc``, the centered difference over the neighbouring
+    branch entries."""
+    grid = Q.grid
     if R <= 5.0:
         raise ValueError("orthogonality ball radius must exceed 5")
     zeros = locate_zeros(Q)
@@ -345,28 +344,22 @@ def assemble(Q: ComplexField, c: float, grid: Grid | None = None,
     gx = ComplexField(grid, _grad4(Q.values, grid.hx, 0))
     gy = ComplexField(grid, _grad4(Q.values, grid.hy, 1))
     drot = rotation_direction(Q)
-    if directions is not None:
-        dc_vals = directions.dc.values
-    elif profiles is not None:
-        d_tilde = 0.5 * (zeros[0][0] - zeros[1][0])
-        dc_vals = -d_derivative(AnsatzParams(d_tilde, profiles[1], profiles[-1]),
-                                grid).values / c**2
-    else:
-        raise ValueError("need either branch directions or vortex profiles "
-                         "for the speed-derivative constraint")
+    dc_vals = directions.dc.values
 
     chains = [_ball_harmonic_chain(Q, z, R) for z in zeros]
     ball_mask = chains[0][1] | chains[1][1]
     iQ = 1j * Q.values
 
     constraints = {
-        "tx1": _constraint_vector_nonzero_harmonic(Q, gx.values, R, chains),
-        "tx2": _constraint_vector_nonzero_harmonic(Q, gy.values, R, chains),
-        "tc": _constraint_vector_nonzero_harmonic(Q, dc_vals, R, chains),
-        "trot": _constraint_vector_nonzero_harmonic(Q, drot.values, R, chains),
+        "tx1": _constraint_vector_nonzero_harmonic(Q, gx.values, chains),
+        "tx2": _constraint_vector_nonzero_harmonic(Q, gy.values, chains),
+        "tc": _constraint_vector_nonzero_harmonic(Q, dc_vals, chains),
+        "trot": _constraint_vector_nonzero_harmonic(Q, drot.values, chains),
         "sym_c": _constraint_vector_direct(Q, dc_vals, ball_mask),
         "sym_x2": _constraint_vector_direct(Q, gy.values, ball_mask),
         "sym_phase": _constraint_vector_direct(Q, iQ, ball_mask),
+        # the corollary's plain real pairing with i d2 Q over the interior
+        "idx2": _complex_to_real_vec(_interior_diag(1j * gy.values)),
     }
     # phase condition on the central ball
     mx, my = grid.nx - 2, grid.ny - 2
@@ -400,7 +393,7 @@ def assemble(Q: ComplexField, c: float, grid: Grid | None = None,
 # constrained coercivity by shared-subspace Rayleigh-Ritz
 
 def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
-               seed: int = 0, sigma: float | None = None) -> np.ndarray:
+               seed: int = 0) -> np.ndarray:
     """Shared shift-inverted subspace-iteration basis for the pencil
     (A, G_norm), seeded with the direction fields.
 
@@ -414,10 +407,9 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
         return handle._basis.Z
     handle._basis = None
     G = handle.G_C if norm == "C" else handle.G_exp
-    if sigma is None:
-        dc = handle.directions["dc"]
-        ray_dc = float(dc @ (handle.A @ dc)) / float(dc @ (G @ dc))
-        sigma = -max(3.0 * abs(ray_dc), 1e-4)
+    dc = handle.directions["dc"]
+    ray_dc = float(dc @ (handle.A @ dc)) / float(dc @ (G @ dc))
+    sigma = -max(3.0 * abs(ray_dc), 1e-4)
     lu = spla.splu((handle.A - sigma * G).tocsc())
     rng = np.random.default_rng(seed)
     n = handle.A.shape[0]
@@ -618,40 +610,6 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
         coercivity={},
         sectors=sectors,
     )
-
-
-def corollary_positivity_check(handle: OperatorHandle, n_samples: int = 200,
-                               seed: int = 0) -> dict:
-    """Form values on random compact fields projected orthogonal to
-    i d2 Q (plain real pairing); the form should stay nonnegative."""
-    from scipy.ndimage import gaussian_filter
-
-    g = handle.grid
-    mx, my = g.nx - 2, g.ny - 2
-    rng = np.random.default_rng(seed)
-    m = mx * my
-    dx2 = handle.directions["dx2"]
-    # i d2 Q in real dofs: (Re, Im) -> (-Im, Re)
-    gvec = np.concatenate([-dx2[m:], dx2[:m]])
-    gnorm = float(gvec @ gvec)
-    X, Y = np.meshgrid(g.x[1:-1], g.y[1:-1], indexing="ij")
-    env = np.exp(-(X**2 + Y**2) / (0.35 * min(g.lx, g.ly)) ** 2)
-    values, scales = [], []
-    for _ in range(n_samples):
-        re = gaussian_filter(rng.standard_normal((mx, my)), 2.0)
-        im = gaussian_filter(rng.standard_normal((mx, my)), 2.0)
-        x = np.concatenate([(re * env).ravel(), (im * env).ravel()])
-        x = x - (x @ gvec) / gnorm * gvec
-        b = float(x @ (handle.A @ x))
-        values.append(b)
-        scales.append(abs(b))
-    return {
-        "min_B": float(np.min(values)),
-        "scale": float(np.max(scales)),
-        "B_dc": handle.b_dc_form,
-        "B_dx1": handle.b_dx1_form,
-        "n_samples": n_samples,
-    }
 
 
 def evolve_linearized(handle: OperatorHandle, u0: np.ndarray, T: float,

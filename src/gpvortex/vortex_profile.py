@@ -7,9 +7,9 @@ Solves the degree-n radial equation
 
 by Newton relaxation on a graded mesh (dense near the origin, geometric
 stretching outward), with the two-term far-field law 1 - 1/(2 r^2) as the
-truncation boundary condition.  Evaluation of the vortex field
-V_n = rho(r) e^{i n theta} and its gradient is exposed for arbitrary
-points, switching to the far-field law beyond the truncation radius.
+truncation boundary condition.  The vortex field V_n = rho(r) e^{i n theta}
+and the modulus slope rho' are evaluated at arbitrary points, switching to
+the far-field law beyond the truncation radius.
 """
 
 from __future__ import annotations
@@ -294,28 +294,3 @@ def evaluate_vortex(profile: RadialProfile, x, y, center=(0.0, 0.0)) -> np.ndarr
         phase = np.conj(phase)
     out[nz] = profile.modulus(r[nz]) * phase[nz]
     return out
-
-
-def vortex_gradient(profile: RadialProfile, x, y, center=(0.0, 0.0)):
-    """(d/dx1 V_n, d/dx2 V_n) by the chain rule from the tabulated rho, rho'."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = x - center[0]
-    dy = y - center[1]
-    r = np.hypot(dx, dy)
-    n = profile.degree
-    shape = np.broadcast(dx, dy).shape
-    gx = np.empty(shape, dtype=complex)
-    gy = np.empty(shape, dtype=complex)
-    nz = r > 1e-12
-    rs, dxs, dys = r[nz], np.broadcast_to(dx, shape)[nz], np.broadcast_to(dy, shape)[nz]
-    ct, st = dxs / rs, dys / rs
-    rho = profile.modulus(rs)
-    drho = profile.modulus_slope(rs)
-    ph = (ct + 1j * st) if n == 1 else (ct - 1j * st)
-    gx[nz] = (drho * ct - 1j * n * rho * st / rs) * ph
-    gy[nz] = (drho * st + 1j * n * rho * ct / rs) * ph
-    # limit at the center: V_1 ~ kappa (x1 + i x2), V_-1 its conjugate
-    gx[~nz] = profile.kappa
-    gy[~nz] = 1j * n * profile.kappa
-    return gx, gy

@@ -1,5 +1,7 @@
 """Shared fixtures: the radial profiles and the two converged branches
-(spectral-scale and diagnostics-scale boxes), solved once per session."""
+(spectral-scale and diagnostics-scale boxes), solved once per session;
+test fields, and the plain discrete form and the analytic vortex
+gradient as oracles."""
 
 from __future__ import annotations
 
@@ -7,9 +9,10 @@ import numpy as np
 import pytest
 
 from gpvortex.config import RunConfig
+from gpvortex.field_core import ComplexField
 from gpvortex.linearization import build_directions
 from gpvortex.tw_solver import SolverConfig, continue_branch, default_grid_rule
-from gpvortex.vortex_profile import solve_vortex_ode
+from gpvortex.vortex_profile import RadialProfile, solve_vortex_ode
 
 # kernel/index operating point of ``kernel_handle``
 KERNEL_SPEED = 0.05
@@ -63,14 +66,13 @@ def dirs01(branch_spec):
 
 
 @pytest.fixture(scope="session")
-def handle01(branch_spec, entry01, dirs01, profiles):
+def handle01(branch_spec, entry01, dirs01):
     from gpvortex.spectral import assemble
-    return assemble(entry01.field, entry01.c, directions=dirs01,
-                    profiles=profiles)
+    return assemble(entry01.field, entry01.c, directions=dirs01)
 
 
 @pytest.fixture(scope="session")
-def spec_handles(branch_spec, profiles, run_cfg):
+def spec_handles(branch_spec, run_cfg):
     """Operator handles at the three main speeds on the spectral branch."""
     from gpvortex.spectral import assemble
     out = {}
@@ -78,8 +80,7 @@ def spec_handles(branch_spec, profiles, run_cfg):
         idx = branch_spec.index_of(c)
         e = branch_spec.entries[idx]
         out[c] = assemble(e.field, e.c, R=run_cfg.r_ball,
-                          directions=build_directions(branch_spec, idx),
-                          profiles=profiles)
+                          directions=build_directions(branch_spec, idx))
     return out
 
 
@@ -95,12 +96,11 @@ def kernel_handle(profiles, run_cfg, solver_cfg):
     br = continue_branch(run_cfg.neighbor_triple(c0), solver_cfg, profiles,
                          grid_rule=rule)
     return assemble(br.entries[1].field, c0, R=run_cfg.r_ball,
-                    directions=build_directions(br, 1), profiles=profiles)
+                    directions=build_directions(br, 1))
 
 
 def compact_test_field(grid, seed=0, center=(4.0, 3.0), width=3.0, collar=2):
     """Random band-limited compact field vanishing on a boundary collar."""
-    from gpvortex.field_core import ComplexField
     X, Y = grid.mesh
     rng = np.random.default_rng(seed)
     co = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -121,3 +121,46 @@ def edge_gradient_energy(phi):
     return float((np.sum(np.abs(np.diff(v, axis=0)) ** 2) / g.hx**2
                   + np.sum(np.abs(np.diff(v, axis=1)) ** 2) / g.hy**2)
                  * g.hx * g.hy)
+
+
+def quadratic_form_naive(phi: ComplexField, Q: ComplexField, c: float) -> float:
+    """Plain discrete form |grad phi|^2 - (1-|Q|^2)|phi|^2
+    + 2 Re^2(conj(Q) phi) - Re(ic d2 phi conj(phi)); the gradient energy
+    is the stencil-edge sum so that the value matches <L phi, phi> exactly
+    on fields vanishing at the boundary."""
+    g = phi.grid
+    w = g.hx * g.hy
+    pv, qv = phi.values, Q.values
+    gsum = (np.sum(np.abs(np.diff(pv, axis=0)) ** 2) / g.hx**2
+            + np.sum(np.abs(np.diff(pv, axis=1)) ** 2) / g.hy**2)
+    q2 = qv.real**2 + qv.imag**2
+    pot = np.sum(-(1.0 - q2) * np.abs(pv) ** 2
+                 + 2.0 * (np.conj(qv) * pv).real ** 2)
+    d2phi = np.gradient(pv, g.hy, axis=1, edge_order=2)
+    tr = -c * np.sum((1j * d2phi * np.conj(pv)).real)
+    return float((gsum + pot + tr) * w)
+
+
+def vortex_gradient(profile: RadialProfile, x, y, center=(0.0, 0.0)):
+    """(d/dx1 V_n, d/dx2 V_n) by the chain rule from the tabulated rho, rho'."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - center[0]
+    dy = y - center[1]
+    r = np.hypot(dx, dy)
+    n = profile.degree
+    shape = np.broadcast(dx, dy).shape
+    gx = np.empty(shape, dtype=complex)
+    gy = np.empty(shape, dtype=complex)
+    nz = r > 1e-12
+    rs, dxs, dys = r[nz], np.broadcast_to(dx, shape)[nz], np.broadcast_to(dy, shape)[nz]
+    ct, st = dxs / rs, dys / rs
+    rho = profile.modulus(rs)
+    drho = profile.modulus_slope(rs)
+    ph = (ct + 1j * st) if n == 1 else (ct - 1j * st)
+    gx[nz] = (drho * ct - 1j * n * rho * st / rs) * ph
+    gy[nz] = (drho * st + 1j * n * rho * ct / rs) * ph
+    # limit at the center: V_1 ~ kappa (x1 + i x2), V_-1 its conjugate
+    gx[~nz] = profile.kappa
+    gy[~nz] = 1j * n * profile.kappa
+    return gx, gy

@@ -7,7 +7,7 @@ Desk scale: grids <= 1024^2, speeds {0.1, 0.05, 0.03}.
 import numpy as np
 import pytest
 
-from conftest import compact_test_field, edge_gradient_energy
+from conftest import compact_test_field, edge_gradient_energy, quadratic_form_naive
 from gpvortex.field_core import ComplexField, grid_l2
 from gpvortex.linearization import (
     apply_L,
@@ -15,7 +15,6 @@ from gpvortex.linearization import (
     fd_gradient,
     prop12_report,
     quadratic_form_B,
-    quadratic_form_naive,
 )
 from gpvortex.operators import interior_to_real
 from gpvortex.spectral import constrained_coercivity, kernel_and_negative

@@ -1,12 +1,13 @@
-"""Two-vortex product, separation derivative, and wave rotation."""
+"""Two-vortex product and its rotation direction."""
 
 import numpy as np
 import pytest
 
-from gpvortex.ansatz import AnsatzParams, build_two_vortex, d_derivative, rotate_wave
-from gpvortex.field_core import ComplexField, Grid, bilinear_sample
+from gpvortex.ansatz import AnsatzParams, build_two_vortex
+from gpvortex.field_core import Grid
 from gpvortex.linearization import rotation_direction
 from gpvortex.tw_solver import locate_zeros
+from gpvortex.vortex_profile import evaluate_vortex
 
 
 @pytest.fixture(scope="module")
@@ -56,49 +57,23 @@ def test_symmetries_exact(pair):
     assert np.max(np.abs(v - np.conj(v[:, ::-1]))) < 1e-12
 
 
-def test_d_derivative_symmetry_and_core_value(params, grid, profiles):
-    dv = d_derivative(params, grid)
-    v = dv.values
-    # conjugate-even in x2, and even in x1: every member of the
-    # separation family is even in x1, so its d-derivative is too
-    assert np.max(np.abs(v - np.conj(v[:, ::-1]))) < 1e-12
-    assert np.max(np.abs(v - v[::-1, :])) < 1e-12
-    val = bilinear_sample(dv, np.array([params.d]), np.array([0.0]))[0]
-    kappa = profiles[1].kappa
-    assert abs(abs(val) - kappa) <= 0.1 * kappa
-
-
-def test_d_derivative_matches_difference_quotient(params, grid, profiles):
-    dv = d_derivative(params, grid).values
-    delta = 1e-4
-    plus = build_two_vortex(AnsatzParams(params.d + delta, profiles[1],
-                                         profiles[-1]), grid).values
-    minus = build_two_vortex(AnsatzParams(params.d - delta, profiles[1],
-                                          profiles[-1]), grid).values
-    fd = (plus - minus) / (2 * delta)
-    assert np.max(np.abs(fd - dv)) < 5e-6   # O(delta^2) + interpolation
-
-
-def test_rotate_identity_and_pi(pair):
-    same = rotate_wave(pair, 0.0)
-    assert np.max(np.abs(same.values - pair.values)) < 1e-13
-    flipped = rotate_wave(pair, np.pi)
-    assert np.max(np.abs(flipped.values - np.conj(pair.values))) < 1e-10
-
-
-def test_rotate_small_angle_matches_rotation_direction(pair):
+def test_rotate_small_angle_matches_rotation_direction(pair, params):
+    # centered difference in alpha of the product evaluated on the points
+    # rotated by -alpha, against the stencil rotation direction
     alpha = 1e-4
-    diff = (rotate_wave(pair, alpha).values - rotate_wave(pair, -alpha).values) \
-        / (2 * alpha)
-    exact = rotation_direction(pair).values
-    # interior comparison: the boundary ring is clamp-extended
     g = pair.grid
     X, Y = g.mesh
+
+    def rotated(a):
+        Xr = np.cos(a) * X + np.sin(a) * Y
+        Yr = -np.sin(a) * X + np.cos(a) * Y
+        return (evaluate_vortex(params.profile_plus, Xr, Yr, center=(params.d, 0.0))
+                * evaluate_vortex(params.profile_minus, Xr, Yr,
+                                  center=(-params.d, 0.0)))
+
+    diff = (rotated(alpha) - rotated(-alpha)) / (2 * alpha)
+    exact = rotation_direction(pair).values
+    # interior comparison, as for the one-sided edge stencils
     inner = (np.abs(X) < 0.8 * g.lx) & (np.abs(Y) < 0.8 * g.ly)
     scale = np.max(np.abs(exact[inner]))
     assert np.max(np.abs((diff - exact)[inner])) < 0.02 * scale
-
-
-def test_rotate_excessive_crop(pair):
-    with pytest.raises(ValueError):
-        rotate_wave(pair, 0.5)

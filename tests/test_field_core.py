@@ -1,4 +1,5 @@
-"""Discrete operators, inner products, norms, cutoffs, and harmonics."""
+"""Discrete operators, inner products, the norms on fields, cutoffs, the
+0-harmonic of the orthogonality balls, and field files."""
 
 import os
 import tempfile
@@ -12,24 +13,24 @@ from gpvortex.field_core import (
     ComplexField,
     CutoffEta,
     Grid,
-    HarmonicSlice,
-    bilinear_sample,
-    coercivity_seminorm,
-    crop_field,
-    energy_norm,
-    expanded_energy_norm,
     FieldFileError,
     fd_gradient,
     fd_laplacian,
-    harmonic_project,
     inner_product,
     load_field,
-    remove_zero_harmonic,
+    mult_ratio,
+    resolution_floor,
     save_field,
     symmetrize,
-    symmetry_defect,
 )
-from gpvortex.linearization import fd_gradient as _fd
+from gpvortex.operators import interior_to_real
+from gpvortex.spectral import (
+    _ball_harmonic_chain,
+    _edge_mask,
+    _edge_ops,
+    _gram_C,
+    _gram_exp,
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,65 +139,65 @@ def test_symmetrize(grid):
     f = ComplexField(grid, rng.standard_normal((grid.nx, grid.ny))
                      + 1j * rng.standard_normal((grid.nx, grid.ny)))
     s = symmetrize(f)
-    assert symmetry_defect(s) < 1e-14
-    assert symmetry_defect(f) > 1e-3
+    assert np.max(np.abs(symmetrize(s).values - s.values)) < 1e-14
+    assert np.max(np.abs(symmetrize(f).values - f.values)) > 1e-3
 
 
 # ----------------------------------------------------------------------
-# norms on the converged wave
+# the norms on the converged wave: the Gram matrices of ``spectral``
 
-def test_energy_norm_grows_with_box(entry01):
-    Q = entry01.field
-    iQ = ComplexField(Q.grid, 1j * Q.values)
-    full = energy_norm(iQ, Q)
-    Qc = crop_field(Q, 1.5 / entry01.c)
-    half = energy_norm(ComplexField(Qc.grid, 1j * Qc.values), Qc)
-    # the phase direction is not in the energy space: the norm grows with
-    # the box (the spec's 1.5x factor is not reached at desk scale; the
-    # measured growth over one box doubling is ~10%, see the ledger)
-    assert full > 1.05 * half
-
-
-def test_energy_norm_dx1_stable(entry01, branch_diag):
-    Q = entry01.field
-    gx, _ = fd_gradient(Q)
-    full = energy_norm(gx, Q)
-    # compare against the same field on the big diagnostics box
-    e_big = branch_diag.entries[branch_diag.index_of(entry01.c)]
-    gxb, _ = fd_gradient(e_big.field)
-    big = energy_norm(gxb, e_big.field)
-    assert abs(big - full) <= 0.1 * full
+def gram_norm(G, phi):
+    x = interior_to_real(phi.values)
+    return float(np.sqrt(x @ (G @ x)))
 
 
 def test_expanded_norm_finite_and_stable_for_phase(entry01, branch_diag):
     Q = entry01.field
     iQ = ComplexField(Q.grid, 1j * Q.values)
-    val = expanded_energy_norm(iQ, Q, entry01.zeros)
+    G = _gram_exp(Q, entry01.zeros)
+    val = gram_norm(G, iQ)
     assert np.isfinite(val) and val > 0
     e_big = branch_diag.entries[branch_diag.index_of(entry01.c)]
     iQb = ComplexField(e_big.field.grid, 1j * e_big.field.values)
-    big = expanded_energy_norm(iQb, e_big.field, e_big.zeros)
+    big = gram_norm(_gram_exp(e_big.field, e_big.zeros), iQb)
     assert abs(big - val) <= 0.1 * val
     zero = ComplexField(Q.grid, np.zeros_like(Q.values))
-    assert expanded_energy_norm(zero, Q, entry01.zeros) == 0.0
+    assert gram_norm(G, zero) == 0.0
 
 
 def test_coercivity_seminorm_kills_phase(entry01):
     Q = entry01.field
-    iQ = ComplexField(Q.grid, 1j * Q.values)
-    qnorm = coercivity_seminorm(Q, Q)
-    assert coercivity_seminorm(iQ, Q) <= 1e-5 * qnorm
-    w = Q.grid.trapezoid_weights
-    target = float(np.sum(np.abs(Q.values) ** 4 * w))
-    assert qnorm**2 == pytest.approx(target, rel=1e-10)
+    g = Q.grid
+    G = _gram_C(Q)
+    qnorm = gram_norm(G, Q)
+    iQ = ComplexField(g, 1j * Q.values)
+    # Re^2(conj(Q) phi) gives Q the interior sum of |Q|^4 and i Q nothing,
+    # and the gradient terms are the same on both
+    target = float(np.sum(np.abs(Q.values[1:-1, 1:-1]) ** 4)) * g.hx * g.hy
+    assert qnorm**2 - gram_norm(G, iQ) ** 2 == pytest.approx(target, rel=1e-10)
+    # the gradient terms vanish on i Q on every edge between nodes above
+    # the resolution floor, where psi = phi/Q is resolved.  An edge leaving
+    # one of the two nodes below it, one next to each zero, keeps
+    # |i Q|_C = 1.8e-3 |Q|_C at c = 0.1.
+    Qi = Q.values[1:-1, 1:-1]
+    pm, resolved = mult_ratio(1.0, Qi, resolution_floor(g))
+    assert np.sum(~resolved) == 2
+    mx, my = Qi.shape
+    kept = 0.0
+    for axis, (op, q2e) in enumerate(_edge_ops(Qi, g, pm)):
+        both = _edge_mask(resolved.ravel(), mx, my, axis)
+        hat = op @ (1j * Qi.ravel())
+        kept += float(np.sum((np.abs(hat) ** 2 * q2e**2)[both])) * g.hx * g.hy
+    assert np.sqrt(kept) <= 1e-5 * qnorm
 
 
 def test_coercivity_bounded_by_expanded_norm(entry01):
     Q = entry01.field
-    phi = compact_test_field(Q.grid, 7, center=(0.0, 0.0), width=0.4 * Q.grid.lx)
-    c = coercivity_seminorm(phi, Q)
-    h = expanded_energy_norm(phi, Q, entry01.zeros)
-    assert c <= 4.0 * h
+    G_C, G_exp = _gram_C(Q), _gram_exp(Q, entry01.zeros)
+    for seed in (7, 8, 9):
+        phi = compact_test_field(Q.grid, seed, center=(0.0, 0.0),
+                                 width=0.4 * Q.grid.lx)
+        assert gram_norm(G_C, phi) <= 4.0 * gram_norm(G_exp, phi)
 
 
 def test_scaled_direction_seminorms_bounded(branch_spec, run_cfg):
@@ -207,16 +208,15 @@ def test_scaled_direction_seminorms_bounded(branch_spec, run_cfg):
     for c in run_cfg.speeds:
         idx = branch_spec.index_of(c)
         d = build_directions(branch_spec, idx)
-        Q = branch_spec.entries[idx].field
-        totals.append(coercivity_seminorm(d.dx1, Q)
-                      + coercivity_seminorm(d.dx2, Q)
-                      + c * c * coercivity_seminorm(d.dc, Q))
+        G = _gram_C(branch_spec.entries[idx].field)
+        totals.append(gram_norm(G, d.dx1) + gram_norm(G, d.dx2)
+                      + c * c * gram_norm(G, d.dc))
     assert max(totals) < 20.0
     assert max(totals) <= 3.0 * min(totals)
 
 
 # ----------------------------------------------------------------------
-# cutoff and harmonics
+# cutoff, and the 0-harmonic of the orthogonality balls
 
 def test_cutoff_eta_shape():
     eta = CutoffEta(((5.0, 0.0), (-5.0, 0.0)))
@@ -230,80 +230,59 @@ def test_cutoff_eta_shape():
     assert np.all((vals >= 0) & (vals <= 1))
 
 
+def zero_harmonic(f, center, R):
+    """0-harmonic of f about ``center`` on the interior nodes of the ball
+    B(center, R), by the chain the orthogonality constraints use; returns
+    it with the ball mask and the interior distances to ``center``."""
+    M, ball = _ball_harmonic_chain(f, center, R)
+    g = f.grid
+    X, Y = np.meshgrid(g.x[1:-1], g.y[1:-1], indexing="ij")
+    r = np.hypot(X - center[0], Y - center[1]).ravel()
+    return M @ f.values[1:-1, 1:-1].ravel(), ball, r
+
+
 def test_harmonic_project_constant_and_wave(grid):
+    center = (1.0, -0.5)
     const = ComplexField(grid, np.full((grid.nx, grid.ny), 0.7 - 0.2j))
-    sl0 = harmonic_project(const, (1.0, -0.5), 0, [1.0, 2.0])
-    assert np.allclose(sl0.coeffs, 0.7 - 0.2j, atol=1e-12)
-    sl1 = harmonic_project(const, (1.0, -0.5), 1, [1.0, 2.0])
-    assert np.max(np.abs(sl1.coeffs)) < 1e-12
+    h0, ball, r = zero_harmonic(const, center, 3.0)
+    assert np.allclose(h0[ball], 0.7 - 0.2j, rtol=0.0, atol=1e-12)
+    assert np.all(h0[~ball] == 0.0)
 
-    X, Y = grid.mesh
-    theta = np.arctan2(Y + 0.5, X - 1.0)
-    wave = ComplexField(grid, np.exp(1j * theta))
-    s1 = harmonic_project(wave, (1.0, -0.5), 1, [2.0])
-    s2 = harmonic_project(wave, (1.0, -0.5), 2, [2.0])
-    assert abs(s1.coeffs[0] - 1.0) < 5e-3       # bilinear interpolation error
-    assert abs(s2.coeffs[0]) < 5e-3
-
-
-def test_harmonic_parseval(grid):
-    from gpvortex.field_core import circle_samples
-
-    rng = np.random.default_rng(5)
-    center = (0.5, -0.3)
     X, Y = grid.mesh
     theta = np.arctan2(Y - center[1], X - center[0])
-    r = np.hypot(X - center[0], Y - center[1])
-    vals = sum((rng.standard_normal() + 1j * rng.standard_normal())
-               * (0.2 * r) ** abs(j) * np.exp(1j * j * theta)
-               for j in range(-4, 5))
-    f = ComplexField(grid, vals)
-    radius = 2.5
-    _, samples = circle_samples(f, center, radius, 256)
-    bins = np.fft.fft(samples) / samples.size
-    # the projector coefficients are exactly the DFT bins of the samples
-    for j in range(-8, 9):
-        coef = harmonic_project(f, center, j, [radius]).coeffs[0]
-        assert coef == pytest.approx(bins[j % samples.size], abs=1e-12)
-    # Parseval over the full band
-    total = float(np.sum(np.abs(bins) ** 2))
-    mean_sq = float(np.mean(np.abs(samples) ** 2))
-    assert total == pytest.approx(mean_sq, abs=1e-10 * max(mean_sq, 1.0))
+    ring = ball & (r >= 1.0) & (r <= 2.0)
+    for j in (1, 2):
+        wave = ComplexField(grid, np.exp(1j * j * theta))
+        hj, _, _ = zero_harmonic(wave, center, 3.0)
+        assert np.max(np.abs(hj[ring])) < 5e-3      # bilinear interpolation error
 
 
 def test_harmonic_circle_outside_grid(grid):
     with pytest.raises(ValueError):
-        harmonic_project(compact_test_field(grid, 0), (7.0, 0.0), 0, [3.0])
+        _ball_harmonic_chain(compact_test_field(grid, 0), (7.0, 0.0), 3.0)
 
 
 def test_remove_zero_harmonic_radial_and_pure(grid):
-    zeros = ((4.0, 0.0), (-4.0, 0.0))
     X, Y = grid.mesh
     r1 = np.hypot(X - 4.0, Y)
     radial = ComplexField(grid, np.exp(-0.3 * r1) * (1.0 + 0.5j))
-    out = remove_zero_harmonic(radial, zeros)
-    # a radial field about the right zero vanishes on the circles that
-    # fit inside the grid (beyond them the outermost mean extends)
-    inside = (X >= 0) & (r1 <= 3.5)
-    assert np.max(np.abs(out.values[inside])) < 1e-2
+    h0, ball, _ = zero_harmonic(radial, (4.0, 0.0), 3.5)
+    # removing the 0-harmonic leaves almost nothing of a radial field
+    assert np.max(np.abs((radial.values[1:-1, 1:-1].ravel() - h0)[ball])) < 1e-2
 
-    theta1 = np.arctan2(Y, X - 4.0)
-    pure = ComplexField(grid, np.exp(1j * 2 * theta1))
-    out2 = remove_zero_harmonic(pure, zeros)
-    for rad in (1.0, 2.0):
-        sl = harmonic_project(ComplexField(grid,
-                                           pure.values - out2.values),
-                              (4.0, 0.0), 2, [rad])
-        assert abs(sl.coeffs[0]) < 2e-2   # the j=2 content is untouched
+    pure = ComplexField(grid, np.exp(1j * 2 * np.arctan2(Y, X - 4.0)))
+    h2, ball, r = zero_harmonic(pure, (4.0, 0.0), 3.5)
+    ring = ball & (r >= 1.0) & (r <= 2.0)
+    assert np.max(np.abs(h2[ring])) < 2e-2        # the j=2 content is untouched
 
 
 def test_remove_zero_harmonic_kills_mean(grid):
-    zeros = ((4.0, 0.0), (-4.0, 0.0))
     f = compact_test_field(grid, 9, center=(4.0, 0.5), width=2.0)
-    out = remove_zero_harmonic(f, zeros)
-    for rad in (1.0, 2.0, 3.0):
-        sl = harmonic_project(out, (4.0, 0.0), 0, [rad])
-        assert abs(sl.coeffs[0]) < 5e-3
+    h0, ball, r = zero_harmonic(f, (4.0, 0.0), 3.5)
+    removed = f.values.copy()
+    removed[1:-1, 1:-1] -= h0.reshape(grid.nx - 2, grid.ny - 2)
+    again, _, _ = zero_harmonic(ComplexField(grid, removed), (4.0, 0.0), 3.5)
+    assert np.max(np.abs(again[ball & (r <= 3.0)])) < 5e-3
 
 
 def test_poincare_inequality_on_circles(grid):

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import compact_test_field, edge_gradient_energy
+from conftest import (
+    compact_test_field,
+    edge_gradient_energy,
+    quadratic_form_naive,
+    vortex_gradient,
+)
 from gpvortex.field_core import ComplexField, grid_l2, inner_product
 from gpvortex.linearization import (
     apply_L,
@@ -14,12 +19,10 @@ from gpvortex.linearization import (
     momentum,
     prop12_report,
     quadratic_form_B,
-    quadratic_form_naive,
     write_prop12_csv,
     PROP12_COLUMNS,
 )
 from gpvortex.tw_solver import residual
-from gpvortex.vortex_profile import vortex_gradient
 
 
 def test_apply_L_phase_direction_is_residual(entry01):

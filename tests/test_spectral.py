@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from conftest import compact_test_field
+from conftest import compact_test_field, vortex_gradient
 from gpvortex.config import STABILITY_EDGE_MARGIN
 from gpvortex.field_core import ComplexField, Grid
 from gpvortex.linearization import build_directions, quadratic_form_B
@@ -17,12 +17,10 @@ from gpvortex.spectral import (
     OperatorHandle,
     assemble,
     constrained_coercivity,
-    corollary_positivity_check,
     evolve_linearized,
     kernel_and_negative,
 )
 from gpvortex.tw_solver import continue_branch
-from gpvortex.vortex_profile import vortex_gradient
 
 
 def test_assembled_symmetry(handle01):
@@ -105,11 +103,10 @@ def test_coercivity_positive_sets(spec_handles):
         assert constrained_coercivity(h, "sym3", norm="exp") > 0
 
 
-def test_coercivity_ball_radius_stability(entry01, dirs01, profiles):
+def test_coercivity_ball_radius_stability(entry01, dirs01):
     vals = []
     for R in (8.0, 10.0, 12.0):
-        h = assemble(entry01.field, entry01.c, R=R, directions=dirs01,
-                     profiles=profiles)
+        h = assemble(entry01.field, entry01.c, R=R, directions=dirs01)
         vals.append(constrained_coercivity(h, "four", norm="C"))
     assert all(v > 0 for v in vals)
     assert max(vals) <= 3.0 * min(vals)
@@ -196,10 +193,14 @@ def test_spectrum_report_json(kernel_handle, tmp_path):
 
 
 def test_corollary_positivity(handle01):
-    out = corollary_positivity_check(handle01, n_samples=200, seed=3)
-    assert out["min_B"] >= -1e-8 * out["scale"]
-    assert out["B_dc"] < 0                      # control: unprojected speed dir
-    assert abs(out["B_dx1"]) <= 1e-2            # translation is nearly null
+    # the form is positive on the complement of i d2 Q, in the exp norm,
+    # while unconstrained it has a negative direction
+    val, info = constrained_coercivity(handle01, "idx2", norm="exp",
+                                       return_info=True)
+    assert val > 0
+    assert info["converged"]
+    assert handle01.b_dc_form < 0               # control: unprojected speed dir
+    assert abs(handle01.b_dx1_form) <= 1e-2     # translation is nearly null
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +211,7 @@ def stability_handle01(profiles, run_cfg, solver_cfg):
     br = continue_branch(run_cfg.neighbor_triple(0.1), solver_cfg, profiles,
                          grid_rule=run_cfg.stability_grid_rule)
     return assemble(br.entries[1].field, br.entries[1].c, R=run_cfg.r_ball,
-                    directions=build_directions(br, 1), profiles=profiles)
+                    directions=build_directions(br, 1))
 
 
 def test_evolution_kernel_mode(stability_handle01):
@@ -236,19 +237,6 @@ def test_evolution_random_no_growth_and_conservation(handle01):
     assert out["form_drift"] <= 0.01
 
 
-def test_assemble_requires_speed_derivative_source(entry01):
-    with pytest.raises(ValueError):
-        assemble(entry01.field, entry01.c)
-
-
-def test_assemble_profile_proxy_close_to_branch(entry01, dirs01, profiles):
-    ha = assemble(entry01.field, entry01.c, directions=dirs01, profiles=profiles)
-    hb = assemble(entry01.field, entry01.c, profiles=profiles)
-    va = constrained_coercivity(ha, "four", norm="C")
-    vb = constrained_coercivity(hb, "four", norm="C")
-    assert vb == pytest.approx(va, rel=0.25)
-
-
 def test_rebuilt_basis_is_bit_identical(handle01):
     # the handle keeps one Ritz basis: the exp sets drop the C basis, and
     # rebuilding it must reproduce every bit
@@ -266,10 +254,10 @@ def test_rebuilt_basis_is_bit_identical(handle01):
     assert np.array_equal(i2["vector"], i1["vector"])
 
 
-def test_exp_sets_peak_memory(entry01, dirs01, profiles):
+def test_exp_sets_peak_memory(entry01, dirs01):
     # bases, mirrored copies and projections of n x size doubles dominate
     # the traced allocations; one live basis keeps the peak below 3.5 of them
-    h = assemble(entry01.field, entry01.c, directions=dirs01, profiles=profiles)
+    h = assemble(entry01.field, entry01.c, directions=dirs01)
     size = 160
     basis_bytes = h.A.shape[0] * size * 8
     tracemalloc.start()

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import vortex_gradient
 from gpvortex.vortex_profile import (
     RadialProfile,
     evaluate_vortex,
     far_field_modulus,
     load_profile,
     solve_vortex_ode,
-    vortex_gradient,
 )
 
 
