@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -265,14 +266,21 @@ def cmd_uniqueness(cfg: RunConfig, args) -> int:
     base = perturb_and_resolve(entry, 0.0, solver)
     runs.append({"shape": "unperturbed", "X": list(map(float, base["X"])),
                  "mismatch": base["mismatch"]})
-    for shape in shapes:
-        rep = perturb_and_resolve(entry, cfg.uniqueness_delta, solver,
-                                  shape=shape, seed=cfg.seed)
-        runs.append({"shape": shape, "X": list(map(float, rep["X"])),
-                     "mismatch": rep["mismatch"], "gain": rep["gain"],
-                     "violation": rep["uniqueness_violation"]})
-        ok = ok and not rep["uniqueness_violation"] and rep["mismatch"] <= 1e-6
-        print(f"{shape}: |X|={np.hypot(*rep['X']):.2e} mismatch={rep['mismatch']:.2e}")
+    # the re-solves are independent and SuperLU releases the GIL; results
+    # are read in shape order, so the outputs do not depend on the timing
+    workers = min(len(os.sched_getaffinity(0)), len(shapes))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        reports = pool.map(
+            lambda shape: perturb_and_resolve(entry, cfg.uniqueness_delta, solver,
+                                              shape=shape, seed=cfg.seed),
+            shapes)
+        for shape, rep in zip(shapes, reports):
+            runs.append({"shape": shape, "X": list(map(float, rep["X"])),
+                         "mismatch": rep["mismatch"], "gain": rep["gain"],
+                         "violation": rep["uniqueness_violation"]})
+            ok = ok and not rep["uniqueness_violation"] and rep["mismatch"] <= 1e-6
+            print(f"{shape}: |X|={np.hypot(*rep['X']):.2e} "
+                  f"mismatch={rep['mismatch']:.2e}")
     payload = {"config_hash": cfg.config_hash, "c": entry.c,
                "delta": cfg.uniqueness_delta, "runs": runs, "ok": ok}
     _write_json(os.path.join(cfg.out_dir, "uniqueness.json"), payload)

@@ -13,19 +13,26 @@ constraint nesting is exact linear algebra per run.
 
 The kernel/negative-index eigensolve runs per symmetry sector: Q is even
 in x1 and conjugate-even in x2, so the operator is block diagonal in the
-four sectors of ``operators.sector_maps``, and each quarter-size block
-is factored with a minimum-degree ordering (at c = 0.05 each factor has
-about a tenth of the fill of the full matrix under COLAMD).  The Newton
-quarter factorizations and the Ritz-basis factorizations keep the
-default COLAMD ordering, and the Ritz bases stay on the full space: the
-``sym3`` minimum is not converged at the default basis size, so any
-rounding change in those factors moves its printed digits.  They move to
-the sector layout once that value converges.
+four sectors of ``operators.sector_maps``.  The Ritz bases stay on the
+full space.
+
+Every factorization picks its fill-reducing ordering at the call:
+
+- minimum degree on A^T + A (``MMD_AT_PLUS_A``, about half the fill of
+  COLAMD on these symmetric matrices) for the sector blocks and the
+  C-norm pencil, whose rounding no printed reference digit depends on;
+- COLAMD for the exp-norm pencil: the ``sym3`` minimum is not converged
+  at the default basis size and mirrors that basis, so a rounding change
+  there moves its printed digits (minimum degree moved 1.152e-01 to
+  8.520e-02 at c = 0.05, seed 1234);
+- COLAMD for the implicit-midpoint matrix of ``evolve_linearized``: on
+  that unsymmetric matrix at c = 0.05, minimum degree ran out of a 4 GB
+  memory limit at column 47,872 of 178,802, and COLAMD factors it in
+  about 4.5 s.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -37,7 +44,6 @@ from .field_core import (
     MODULUS_FLOOR,
     ComplexField,
     Grid,
-    _atomic_write,
     mult_ratio,
     resolution_floor,
 )
@@ -100,12 +106,6 @@ class SpectrumReport:
     negative_overlap_dc: float
     coercivity: dict
     sectors: dict
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.__dict__, indent=2, sort_keys=True)
-        if path is not None:
-            _atomic_write(path, text + "\n")
-        return text
 
 
 def _real_rep(M: sp.spmatrix) -> sp.csr_matrix:
@@ -401,7 +401,12 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
     before the factorization, and rebuilding a dropped basis gives the
     same bits.  The shift sits a little below the most negative
     direction's Rayleigh quotient so the resolvent separates the bottom
-    of the pencil."""
+    of the pencil.
+
+    The C-norm pencil is factored with a minimum-degree ordering.  The
+    exp-norm pencil keeps COLAMD: the unconverged ``sym3`` minimum is
+    computed in the mirrored exp-norm basis, and its printed digits move
+    with the rounding of this factor."""
     key = (norm, size, seed)
     if handle._basis is not None and handle._basis.key == key:
         return handle._basis.Z
@@ -410,7 +415,8 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
     dc = handle.directions["dc"]
     ray_dc = float(dc @ (handle.A @ dc)) / float(dc @ (G @ dc))
     sigma = -max(3.0 * abs(ray_dc), 1e-4)
-    lu = spla.splu((handle.A - sigma * G).tocsc())
+    order = "MMD_AT_PLUS_A" if norm == "C" else "COLAMD"
+    lu = spla.splu((handle.A - sigma * G).tocsc(), permc_spec=order)
     rng = np.random.default_rng(seed)
     n = handle.A.shape[0]
     seeds = [handle.directions[k] for k in ("dx1", "dx2", "dc", "drot", "iQ")]
@@ -627,7 +633,9 @@ def evolve_linearized(handle: OperatorHandle, u0: np.ndarray, T: float,
         S = sp.vstack([A[m:], -A[:m]]).tocsc()  # J A with J = [[0, I], [-I, 0]]
         M_minus = (sp.identity(n, format="csc") - (0.5 * dt) * S).tocsc()
         M_plus = (sp.identity(n, format="csr") + (0.5 * dt) * S).tocsr()
-        lu = spla.splu(M_minus)
+        # COLAMD: minimum degree's fill on this unsymmetric matrix runs
+        # out of memory at c = 0.05 (see the module docstring)
+        lu = spla.splu(M_minus, permc_spec="COLAMD")
         handle._evolve[key] = (lu, M_plus)
 
     g = handle.grid

@@ -185,10 +185,15 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
         if enforce_symmetry:
             Aq = quarter.reduce(A)
             bq = quarter.reduce_rhs(b)
-            dq = spla.splu(Aq.tocsc()).solve(bq)
+            # COLAMD: every stored branch field comes from this factor, and
+            # the printed spectrum digits of the unconverged sym3 minimum
+            # move with any rounding change in those fields
+            dq = spla.splu(Aq.tocsc(), permc_spec="COLAMD").solve(bq)
             dx = quarter.prolong(dq)
         else:
-            dx = spla.splu(A.tocsc()).solve(b)
+            # only the uniqueness re-solves come here; minimum degree halves
+            # the fill of COLAMD on this symmetric matrix
+            dx = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
         delta = real_to_interior(dx, g)
 
         alpha, accepted = 1.0, False

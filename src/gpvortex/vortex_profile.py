@@ -8,8 +8,8 @@ Solves the degree-n radial equation
 by Newton relaxation on a graded mesh (dense near the origin, geometric
 stretching outward), with the two-term far-field law 1 - 1/(2 r^2) as the
 truncation boundary condition.  The vortex field V_n = rho(r) e^{i n theta}
-and the modulus slope rho' are evaluated at arbitrary points, switching to
-the far-field law beyond the truncation radius.
+is evaluated at arbitrary points, switching to the far-field law beyond
+the truncation radius.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 
 # Below this the far-field law cannot be attached at all.
@@ -34,11 +33,6 @@ def far_field_modulus(r):
     """Two-term modulus law 1 - 1/(2 r^2) of a unit-degree vortex."""
     r = np.asarray(r, dtype=float)
     return 1.0 - 1.0 / (2.0 * r * r)
-
-
-def far_field_modulus_slope(r):
-    r = np.asarray(r, dtype=float)
-    return 1.0 / (r * r * r)
 
 
 @dataclass
@@ -56,13 +50,13 @@ class RadialProfile:
     r_max: float
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
+    def _interp(self):
+        # imported here: the stages that only read stored fields never
+        # build a profile interpolant, and scipy.interpolate is slow to load
+        from scipy.interpolate import PchipInterpolator
+
         # monotone cubic keeps 0 < rho < 1 and rho' > 0 between nodes
         return PchipInterpolator(self.nodes, self.rho, extrapolate=False)
-
-    @cached_property
-    def _interp_slope(self):
-        return self._interp.derivative()
 
     def modulus(self, r):
         """rho(r) for r >= 0, using the far-field law beyond r_max."""
@@ -71,14 +65,6 @@ class RadialProfile:
         inside = r <= self.r_max
         out[inside] = self._interp(np.clip(r[inside], 0.0, self.r_max))
         out[~inside] = far_field_modulus(r[~inside])
-        return out
-
-    def modulus_slope(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        inside = r <= self.r_max
-        out[inside] = self._interp_slope(np.clip(r[inside], 0.0, self.r_max))
-        out[~inside] = far_field_modulus_slope(r[~inside])
         return out
 
     def ode_residual(self) -> np.ndarray:

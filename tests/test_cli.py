@@ -5,7 +5,10 @@ import ast
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -13,11 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpvortex
+from gpvortex import cli
 from gpvortex.ansatz import MAX_SPEED
 from gpvortex.cli import main
 from gpvortex.config import RunConfig, load_config
 from gpvortex.spectral import CONSTRAINT_SETS
-from gpvortex.tw_solver import SolverConfig
+from gpvortex.tw_solver import SolverConfig, load_branch, perturb_and_resolve
 
 FAST = ["--speeds", "0.2,0.17"]
 
@@ -294,6 +298,55 @@ def test_cmd_stability_and_uniqueness(tmp_path):
     payload = json.loads((tmp_path / "out" / "uniqueness.json").read_text())
     deltas = [r for r in payload["runs"] if r["shape"] != "unperturbed"]
     assert all(r["mismatch"] <= 1e-6 for r in deltas)
+
+
+def test_cmd_uniqueness_threads_match_serial_resolves(tmp_path):
+    assert run(["uniqueness"], tmp_path) == 0
+    out = tmp_path / "out"
+    payload = json.loads((out / "uniqueness.json").read_text())
+    cfg = load_config(str(tmp_path / "run.cfg"),
+                      {"out_dir": str(out), "speeds": FAST[1]})
+    branch = load_branch(out / "branch")
+    entry = branch.entries[branch.index_of(cfg.uniqueness_speed)]
+    serial = []
+    for shape in ("bump_re", "bump_im", "phase", "mixed", "random"):
+        rep = perturb_and_resolve(entry, cfg.uniqueness_delta,
+                                  cli._solver_config(cfg), shape=shape,
+                                  seed=cfg.seed)
+        serial.append({"shape": shape, "X": [float(x) for x in rep["X"]],
+                       "mismatch": rep["mismatch"], "gain": rep["gain"],
+                       "violation": rep["uniqueness_violation"]})
+    assert payload["runs"][1:] == serial
+
+
+def test_cmd_uniqueness_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
+    resolve = cli.perturb_and_resolve
+
+    def failing(entry, delta, config, shape="bump_re", seed=0):
+        if shape == "phase":
+            raise RuntimeError("phase re-solve diverged")
+        return resolve(entry, delta, config, shape=shape, seed=seed)
+
+    monkeypatch.setattr(cli, "perturb_and_resolve", failing)
+    before = set(threading.enumerate())
+    assert run(["uniqueness"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: phase re-solve diverged" in err
+    assert "Traceback" not in err
+    assert [t for t in threading.enumerate() if t not in before] == []
+    assert not (tmp_path / "out" / "uniqueness.json").exists()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # only a stage that solves a vortex profile or a branch needs it
+    src = os.path.dirname(os.path.dirname(gpvortex.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gpvortex.cli; print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_cmd_stability_resumes_widened_branch(tmp_path, capsys):

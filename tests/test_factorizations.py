@@ -1,0 +1,92 @@
+"""Fill-reducing orderings of the sparse factorizations.
+
+Minimum degree (``MMD_AT_PLUS_A``) where no printed reference digit
+depends on the rounding of the factor: the unreduced Newton of the
+uniqueness re-solves, the C-norm Ritz pencil and the symmetry-sector
+blocks.  COLAMD where it does: the quarter Newton (every stored branch
+field), the exp-norm Ritz pencil (the unconverged ``sym3`` minimum
+mirrors that basis), and the implicit-midpoint matrix, on which minimum
+degree does not finish."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from gpvortex.field_core import ComplexField, Grid, symmetrize
+from gpvortex.operators import linearized_matrix
+from gpvortex.spectral import (
+    OperatorHandle,
+    evolve_linearized,
+    kernel_and_negative,
+    ritz_basis,
+)
+from gpvortex.tw_solver import SolverConfig, newton_solve
+
+MMD, COLAMD = "MMD_AT_PLUS_A", "COLAMD"
+GRID = Grid(6.0, 5.0, 15, 13)
+SPEED = 0.1
+
+
+def _field() -> ComplexField:
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal((GRID.nx, GRID.ny)) \
+        + 1j * rng.standard_normal((GRID.nx, GRID.ny))
+    return symmetrize(ComplexField(GRID, 1.0 + 0.1 * noise))
+
+
+def _handle() -> OperatorHandle:
+    A_op = linearized_matrix(_field(), SPEED).tocsr()
+    w = GRID.hx * GRID.hy
+    n = A_op.shape[0]
+    rng = np.random.default_rng(1)
+    G = sp.identity(n, format="csr") * w
+    dirs = {k: rng.standard_normal(n) for k in ("dx1", "dx2", "dc", "drot", "iQ")}
+    return OperatorHandle(A=(A_op * w).tocsr(), A_op=A_op, G_C=G, G_exp=G,
+                          constraints={}, directions=dirs, grid=GRID, c=SPEED,
+                          zeros=(), r_ball=10.0, weight=w)
+
+
+def _newton(enforce_symmetry: bool) -> None:
+    # one step is enough to factor; the iteration then stops unconverged
+    with pytest.raises(RuntimeError):
+        newton_solve(_field(), SPEED, SolverConfig(max_iter=1),
+                     enforce_symmetry=enforce_symmetry, check_zeros=False)
+
+
+def _evolve() -> None:
+    h = _handle()
+    u0 = np.random.default_rng(2).standard_normal(h.A.shape[0])
+    evolve_linearized(h, u0, T=0.5, dt=0.5)
+
+
+CASES = {
+    "quarter_newton": (lambda: _newton(True), COLAMD),
+    "unreduced_newton": (lambda: _newton(False), MMD),
+    "ritz_exp": (lambda: ritz_basis(_handle(), norm="exp", size=20), COLAMD),
+    "ritz_C": (lambda: ritz_basis(_handle(), norm="C", size=20), MMD),
+    "evolve": (_evolve, COLAMD),
+    "sectors": (lambda: kernel_and_negative(_handle(), k=4), MMD),
+}
+
+
+@pytest.fixture
+def orderings(monkeypatch):
+    """The ordering of every ``splu`` call, SciPy's default included."""
+    seen = []
+    splu = spla.splu
+
+    def spy(A, **kwargs):
+        seen.append(kwargs.get("permc_spec", COLAMD))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_factorization_ordering(case, orderings):
+    run, want = CASES[case]
+    run()
+    assert orderings
+    assert all(o == want for o in orderings), orderings

@@ -1,6 +1,7 @@
 """Assembled operator, Gram matrices, constraints, coercivity, kernel,
 and the linearized evolution."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from conftest import compact_test_field, vortex_gradient
+from gpvortex.cli import _write_json
 from gpvortex.config import STABILITY_EDGE_MARGIN
 from gpvortex.field_core import ComplexField, Grid
 from gpvortex.linearization import build_directions, quadratic_form_B
@@ -183,11 +185,13 @@ def test_kernel_and_negative_rejects_unsymmetric_field():
 
 
 def test_spectrum_report_json(kernel_handle, tmp_path):
+    # the report's fields as ``cmd_spectrum`` writes them
     rep = kernel_and_negative(kernel_handle)
     rep.coercivity["four"] = 0.25
-    text = rep.to_json(tmp_path / "spectrum.json")
-    import json
-    back = json.loads(text)
+    path = tmp_path / "spectrum.json"
+    _write_json(path, dict(rep.__dict__))
+    back = json.loads(path.read_text())
+    assert back == rep.__dict__
     assert back["negative_count"] == 1
     assert "four" in back["coercivity"]
 
