@@ -11,6 +11,7 @@ a fixed config and seed and every file carries the config hash.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -37,6 +38,20 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+
+def _find_malloc_trim():
+    """glibc's ``int malloc_trim(size_t pad)``, or None where the C
+    library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_malloc_trim = _find_malloc_trim()
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
@@ -162,15 +177,35 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
     e = branch.entries[idx]
     handle = assemble(e.field, e.c, R=cfg.r_ball,
                       directions=build_directions(branch, idx))
-    report = kernel_and_negative(handle)
-    checks = {}
-    for name in cfg.constraint_sets:
-        norm = "C" if name in ("none", "three", "four") else "exp"
-        report.coercivity[name], info = constrained_coercivity(
-            handle, name, norm=norm, size=cfg.basis_size, seed=cfg.seed,
-            return_info=True)
-        checks[name] = {"value_half_basis": info["value_half_basis"],
-                        "converged": bool(info["converged"])}
+
+    def kernel_task():
+        try:
+            return kernel_and_negative(handle)
+        finally:
+            # glibc keeps the freed sector LUs in this thread's malloc
+            # arena, where the main thread's Ritz LUs cannot reuse them;
+            # without the trim the stage's peak RSS rose by 12% at c = 0.05
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+
+    # The sector eigensolve reads only the assembled handle, and SuperLU
+    # releases the GIL in the factorizations and solves that take most of
+    # its time, so it runs on a second core beside the Ritz bases.  The
+    # Ritz factorizations stay on the main thread: building the C-norm
+    # basis on a worker beside the exp-norm one keeps both Ritz LUs alive,
+    # and the peak RSS rose by 39% at c = 0.05.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        kernel = pool.submit(kernel_task)
+        coercivity, checks = {}, {}
+        for name in cfg.constraint_sets:
+            norm = "C" if name in ("none", "three", "four") else "exp"
+            coercivity[name], info = constrained_coercivity(
+                handle, name, norm=norm, size=cfg.basis_size, seed=cfg.seed,
+                return_info=True)
+            checks[name] = {"value_half_basis": info["value_half_basis"],
+                            "converged": bool(info["converged"])}
+        report = kernel.result()
+    report.coercivity = coercivity
     payload = dict(report.__dict__)
     payload["coercivity_check"] = checks
     payload["config_hash"] = cfg.config_hash

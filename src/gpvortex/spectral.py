@@ -16,6 +16,12 @@ in x1 and conjugate-even in x2, so the operator is block diagonal in the
 four sectors of ``operators.sector_maps``.  The Ritz bases stay on the
 full space.
 
+A Ritz basis is stored column-major, so each Gram-Schmidt pass and the
+x1 mirror of ``sym3`` stream contiguous columns.  Its projections
+Z^T A Z and Z^T G Z are formed in panels of ``_PANEL`` columns: a sparse
+matrix times a column-major block ravels the block into a row-major
+copy, which for the whole basis would be one more n x size array.
+
 Every factorization picks its fill-reducing ordering at the call:
 
 - minimum degree on A^T + A (``MMD_AT_PLUS_A``, about half the fill of
@@ -59,6 +65,8 @@ CONSTRAINT_SETS = {
     "sym3": ("sym_c", "sym_x2", "sym_phase"),
     "idx2": ("idx2",),
 }
+
+_PANEL = 16                     # basis columns per projection product
 
 
 @dataclass
@@ -423,7 +431,7 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
     seeds.append(rng.standard_normal(n))
     block, _ = np.linalg.qr(np.column_stack(
         [s / np.linalg.norm(s) for s in seeds]))
-    Z = np.empty((n, size))
+    Z = np.empty((n, size), order="F")
     k = min(block.shape[1], size)
     Z[:, :k] = block[:, :k]
     while k < size:
@@ -439,20 +447,20 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
         Z[:, k:k + j] = block[:, :j]
         k += j
     if k < size:
-        Z = np.ascontiguousarray(Z[:, :k])
+        Z = Z[:, :k].copy(order="F")
     handle._basis = _RitzBasis(key, Z)
     return Z
 
 
 def _mirror_x1(Z: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fortran-ordered x1-even parts (phi(x) + phi(-x1, x2))/2 of the
-    columns of Z."""
+    """Column-major x1-even parts (phi(x) + phi(-x1, x2))/2 of the
+    columns of the column-major Z."""
     mx, my = grid.nx - 2, grid.ny - 2
     n, size = Z.shape
     M = np.empty((n, size), order="F")
-    src = Z.reshape(2, mx, my, size)
-    dst = M.T.reshape(size, 2, mx, my).transpose(1, 2, 3, 0)
-    np.add(src, src[:, ::-1], out=dst)
+    src = Z.T.reshape(size, 2, mx, my)
+    dst = M.T.reshape(size, 2, mx, my)
+    np.add(src, src[:, :, ::-1], out=dst)
     dst *= 0.5
     return M
 
@@ -472,6 +480,14 @@ def _sym3_basis(handle: OperatorHandle, norm: str, size: int,
         keep = np.abs(np.diag(r)) > 1e-10
         handle._basis = _RitzBasis(key, q[:, keep])
     return handle._basis
+
+
+def _project(Z: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
+    """Z^T M Z, one panel of columns of M Z at a time."""
+    out = np.empty((Z.shape[1], Z.shape[1]))
+    for j in range(0, Z.shape[1], _PANEL):
+        out[:, j:j + _PANEL] = Z.T @ (M @ Z[:, j:j + _PANEL])
+    return out
 
 
 def constrained_coercivity(handle: OperatorHandle, constraint_set="four",
@@ -494,8 +510,7 @@ def constrained_coercivity(handle: OperatorHandle, constraint_set="four",
     Z = basis.Z
     if basis.Ah is None:
         G = handle.G_C if norm == "C" else handle.G_exp
-        basis.Ah = Z.T @ (handle.A @ Z)
-        basis.Gh = Z.T @ (G @ Z)
+        basis.Ah, basis.Gh = _project(Z, handle.A), _project(Z, G)
     # the C seminorm vanishes on the (interior) phase direction; quotient
     # it out of every C-norm minimization so the reduced Gram stays
     # definite.  The same extra row in every set keeps the nesting exact.
@@ -541,24 +556,37 @@ def constrained_coercivity(handle: OperatorHandle, constraint_set="four",
     return (val, info) if return_info else val
 
 
+def _sector_eigs(B: sp.csc_matrix, k: int):
+    """The k eigenpairs of the sector block B nearest 0: B is factored
+    with a minimum-degree ordering and handed to a shift-invert ``eigsh``
+    as its inverse."""
+    ns = B.shape[0]
+    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A")
+    inv = spla.LinearOperator(B.shape, matvec=lu.solve, dtype=float)
+    return spla.eigsh(B, k=k, sigma=0.0, which="LM",
+                      v0=np.full(ns, 1.0 / np.sqrt(ns)), OPinv=inv)
+
+
 def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
                         k: int = 12) -> SpectrumReport:
     """Lowest eigenvalues of the operator against the plain mass matrix;
     counts below -tol_zero and the principal angles of the near-zero
     cluster to the discrete translation span.
 
-    The eigenproblem is solved per symmetry sector: each block
-    B_s = P_s^T A P_s (``operators.sector_maps``) is factored once with a
-    minimum-degree ordering and handed to a shift-invert ``eigsh`` as its
-    inverse, and the k eigenvalues of the union nearest 0 are kept, which
-    is the set a shift-invert solve on the full matrix returns.  A field
-    that breaks the symmetry couples the sectors and is refused with
+    The eigenproblem is solved per symmetry sector on the blocks
+    B_s = P_s^T A P_s (``operators.sector_maps``), and the k eigenvalues
+    of the union nearest 0 are kept, which is the set a shift-invert solve
+    on the full matrix returns.  Each sector is first asked for
+    ceil(k/4) + 1 eigenpairs; a sector is widened (and refactored) only
+    while its farthest computed |lambda| lies below the k-th kept one, so
+    that no eigenvalue it has not computed could enter the kept set.  A
+    field that breaks the symmetry couples the sectors and is refused with
     ``RuntimeError``.  The report lists the kept eigenvalues and their
     counts per sector."""
     A = handle.A_op
     bound = 1e-12 * abs(A).max()
     maps = sector_maps(handle.grid)
-    found = []                  # (eigenvalue, sector label, sector vector)
+    blocks = {}
     for label, P in maps.items():
         AP = (A @ P).tocsr()
         B = (P.T @ AP).tocsc()
@@ -566,13 +594,25 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
         if defect > bound:
             raise RuntimeError(f"operator couples symmetry sector {label} to "
                                f"the others: defect {defect:.3e}")
-        ns = B.shape[0]
-        lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A")
-        inv = spla.LinearOperator(B.shape, matvec=lu.solve, dtype=float)
-        vals, vecs = spla.eigsh(B, k=min(k, ns - 1), sigma=0.0, which="LM",
-                                v0=np.full(ns, 1.0 / np.sqrt(ns)), OPinv=inv)
-        del lu, inv
-        found += [(v, label, vecs[:, j]) for j, v in enumerate(vals)]
+        blocks[label] = B
+    cap = {label: B.shape[0] - 1 for label, B in blocks.items()}
+    want = {label: min(-(-k // len(maps)) + 1, cap[label]) for label in blocks}
+    solved = {}                 # label -> (eigenvalues, sector vectors)
+    while True:
+        for label, B in blocks.items():
+            if label not in solved or solved[label][0].size < want[label]:
+                solved[label] = _sector_eigs(B, want[label])
+        mags = np.sort(np.concatenate([np.abs(v) for v, _ in solved.values()]))
+        kth = mags[k - 1] if mags.size >= k else np.inf
+        short = [label for label, (v, _) in solved.items()
+                 if np.abs(v).max() < kth and want[label] < cap[label]]
+        if not short:
+            break
+        for label in short:
+            want[label] = min(2 * want[label], cap[label])
+    # (eigenvalue, sector label, sector vector), sectors in map order
+    found = [(v, label, vecs[:, j]) for label, (vals, vecs) in solved.items()
+             for j, v in enumerate(vals)]
     found.sort(key=lambda t: abs(t[0]))
     kept = sorted(found[:k], key=lambda t: t[0])
     vals = np.array([t[0] for t in kept])

@@ -173,13 +173,13 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
         quarter = QuarterMaps(g)
 
     history = []
-    rn = grid_l2(residual(Q, c), g)
+    F = residual(Q, c)
+    rn = grid_l2(F, g)
     steps = 0
     for it in range(config.max_iter):
         history.append(rn)
         if rn <= config.newton_tol:
             break
-        F = residual(Q, c)
         A = linearized_matrix(Q, c)
         b = -interior_to_real(F.values)
         if enforce_symmetry:
@@ -199,9 +199,10 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
         alpha, accepted = 1.0, False
         for _ in range(config.max_halvings + 1):
             trial = ComplexField(g, Q.values + alpha * delta)
-            rn_trial = grid_l2(residual(trial, c), g)
+            F_trial = residual(trial, c)
+            rn_trial = grid_l2(F_trial, g)
             if rn_trial < rn:
-                Q, rn, accepted = trial, rn_trial, True
+                Q, F, rn, accepted = trial, F_trial, rn_trial, True
                 break
             alpha *= 0.5
         steps += 1

@@ -1,12 +1,14 @@
 """Shared fixtures: the radial profiles and the two converged branches
 (spectral-scale and diagnostics-scale boxes), solved once per session;
-test fields, and the plain discrete form and the analytic vortex
-gradient (with the modulus slope it reads) as oracles."""
+test fields, and as oracles the plain discrete form, the analytic vortex
+gradient (with the modulus slope it reads) and the row-major Ritz basis
+build."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField
@@ -97,6 +99,39 @@ def kernel_handle(profiles, run_cfg, solver_cfg):
                          grid_rule=rule)
     return assemble(br.entries[1].field, c0, R=run_cfg.r_ball,
                     directions=build_directions(br, 1))
+
+
+def ritz_basis_c_order(handle, norm="exp", size=160, seed=0):
+    """Oracle: the Ritz basis of ``spectral.ritz_basis``, built in a
+    row-major array."""
+    G = handle.G_C if norm == "C" else handle.G_exp
+    dc = handle.directions["dc"]
+    ray_dc = float(dc @ (handle.A @ dc)) / float(dc @ (G @ dc))
+    sigma = -max(3.0 * abs(ray_dc), 1e-4)
+    order = "MMD_AT_PLUS_A" if norm == "C" else "COLAMD"
+    lu = spla.splu((handle.A - sigma * G).tocsc(), permc_spec=order)
+    rng = np.random.default_rng(seed)
+    n = handle.A.shape[0]
+    seeds = [handle.directions[k] for k in ("dx1", "dx2", "dc", "drot", "iQ")]
+    seeds.append(rng.standard_normal(n))
+    block, _ = np.linalg.qr(np.column_stack(
+        [s / np.linalg.norm(s) for s in seeds]))
+    Z = np.empty((n, size))
+    k = min(block.shape[1], size)
+    Z[:, :k] = block[:, :k]
+    while k < size:
+        W = lu.solve(np.asarray(G @ block))
+        for _ in range(2):
+            W -= Z[:, :k] @ (Z[:, :k].T @ W)
+        block, rdiag = np.linalg.qr(W)
+        keep = np.abs(np.diag(rdiag)) > 1e-12 * max(1.0, abs(rdiag[0, 0]))
+        if not np.any(keep):
+            break
+        block = block[:, keep]
+        j = min(block.shape[1], size - k)
+        Z[:, k:k + j] = block[:, :j]
+        k += j
+    return Z[:, :k]
 
 
 def compact_test_field(grid, seed=0, center=(4.0, 3.0), width=3.0, collar=2):

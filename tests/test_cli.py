@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from concurrent.futures import Future
 from dataclasses import fields
 
 import numpy as np
@@ -138,14 +139,29 @@ def test_every_config_field_is_read():
     assert unread == []
 
 
+def _refs(node):
+    """Nodes under ``node``, without the bodies of the methods of a class:
+    a method is walked only once something names it."""
+    todo = [node]
+    while todo:
+        cur = todo.pop()
+        yield cur
+        for child in ast.iter_child_nodes(cur):
+            if not (isinstance(cur, ast.ClassDef)
+                    and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))):
+                todo.append(child)
+
+
 def _unreached_definitions() -> set:
     """Top-level functions and classes of the package modules (all but
-    ``__init__``) that no chain of name or attribute references reaches
-    from ``main``, ``console_main`` and the module-level statements.
-    References match by name across modules, and a reached class reaches
-    everything its body names."""
+    ``__init__``), and methods of the classes, that no chain of name or
+    attribute references reaches from ``main``, ``console_main`` and the
+    module-level statements.  References match by name across modules.
+    A reached class reaches its decorators, bases and class-level
+    statements, and its dunder methods; any other method is reached when
+    reached code names it as an attribute."""
     pkg = os.path.dirname(gpvortex.__file__)
-    defs, roots = {}, []
+    defs, methods, roots = {}, {}, []
     for name in sorted(os.listdir(pkg)):
         if not name.endswith(".py") or name == "__init__.py":
             continue
@@ -157,19 +173,34 @@ def _unreached_definitions() -> set:
             else:
                 roots.append(node)
     reached = {"main", "console_main"}
+    attrs = set()               # attribute names that reached code reads
     todo = roots + defs["main"] + defs["console_main"]
     while todo:
-        for ref in ast.walk(todo.pop()):
+        for ref in _refs(todo.pop()):
+            if isinstance(ref, ast.ClassDef):
+                for fn in ref.body:
+                    if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        continue
+                    if fn.name.startswith("__") and fn.name.endswith("__"):
+                        todo.append(fn)
+                    else:
+                        methods[f"{ref.name}.{fn.name}"] = fn
+                continue
             if isinstance(ref, ast.Name) and isinstance(ref.ctx, ast.Load):
                 ident = ref.id
             elif isinstance(ref, ast.Attribute) and isinstance(ref.ctx, ast.Load):
                 ident = ref.attr
+                attrs.add(ident)
             else:
                 continue
             if ident in defs and ident not in reached:
                 reached.add(ident)
                 todo += defs[ident]
-    return set(defs) - reached
+        for qual, fn in list(methods.items()):
+            if fn.name in attrs and qual not in reached:
+                reached.add(qual)
+                todo.append(fn)
+    return (set(defs) | set(methods)) - reached
 
 
 def test_every_definition_is_reached_from_the_cli():
@@ -335,6 +366,67 @@ def test_cmd_uniqueness_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
     assert [t for t in threading.enumerate() if t not in before] == []
     assert not (tmp_path / "out" / "uniqueness.json").exists()
+
+
+class _InlineExecutor:
+    """Stand-in for ``ThreadPoolExecutor`` that runs each task at submit."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture(scope="module")
+def threaded_spectrum(tmp_path_factory):
+    """A spectrum run with the sector eigensolve on the worker thread:
+    its directory and the bytes of its ``spectrum_c0.2.json``."""
+    tmp = tmp_path_factory.mktemp("spectrum")
+    assert run(["spectrum"], tmp) == 0
+    return tmp, (tmp / "out" / "spectrum_c0.2.json").read_bytes()
+
+
+def test_cmd_spectrum_worker_matches_inline_eigensolve(threaded_spectrum,
+                                                       monkeypatch):
+    tmp, threaded = threaded_spectrum
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _InlineExecutor)
+    assert run(["spectrum"], tmp) == 0
+    assert (tmp / "out" / "spectrum_c0.2.json").read_bytes() == threaded
+
+
+def test_cmd_spectrum_without_malloc_trim(threaded_spectrum, monkeypatch):
+    tmp, threaded = threaded_spectrum
+    monkeypatch.setattr(cli, "_malloc_trim", None)
+    assert run(["spectrum"], tmp) == 0
+    assert (tmp / "out" / "spectrum_c0.2.json").read_bytes() == threaded
+
+
+def test_cmd_spectrum_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from gpvortex import spectral
+
+    def failing(handle, tol_zero=None, k=12):
+        raise RuntimeError("sector eigensolve diverged")
+
+    monkeypatch.setattr(spectral, "kernel_and_negative", failing)
+    before = set(threading.enumerate())
+    assert run(["spectrum"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: sector eigensolve diverged" in err
+    assert "Traceback" not in err
+    assert [t for t in threading.enumerate() if t not in before] == []
+    assert list((tmp_path / "out").glob("spectrum_c*.json")) == []
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():

@@ -8,19 +8,22 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
-from conftest import compact_test_field, vortex_gradient
+from conftest import compact_test_field, ritz_basis_c_order, vortex_gradient
 from gpvortex.cli import _write_json
 from gpvortex.config import STABILITY_EDGE_MARGIN
 from gpvortex.field_core import ComplexField, Grid
 from gpvortex.linearization import build_directions, quadratic_form_B
-from gpvortex.operators import interior_to_real, linearized_matrix
+from gpvortex.operators import interior_to_real, linearized_matrix, sector_maps
 from gpvortex.spectral import (
     OperatorHandle,
+    _mirror_x1,
     assemble,
     constrained_coercivity,
     evolve_linearized,
     kernel_and_negative,
+    ritz_basis,
 )
 from gpvortex.tw_solver import continue_branch
 
@@ -170,6 +173,37 @@ def test_modes_lie_in_predicted_sectors(fixture, request):
         == rep.eigenvalues
 
 
+def _per_sector_k_kernel(handle, k=12):
+    """Oracle: k eigenpairs from every sector, the k of the union nearest
+    0 kept; returns the kept (eigenvalue, sector label) pairs in order."""
+    found = []
+    for label, P in sector_maps(handle.grid).items():
+        B = (P.T @ (handle.A_op @ P)).tocsc()
+        ns = B.shape[0]
+        vals = spla.eigsh(B, k=min(k, ns - 1), sigma=0.0, which="LM",
+                          v0=np.full(ns, 1.0 / np.sqrt(ns)),
+                          return_eigenvectors=False)
+        found += [(float(v), label) for v in vals]
+    found.sort(key=lambda t: abs(t[0]))
+    return sorted(found[:k])
+
+
+@pytest.mark.parametrize("fixture", ["handle01", "kernel_handle"])
+def test_widened_sectors_keep_the_per_sector_k_set(fixture, request):
+    handle = request.getfixturevalue(fixture)
+    rep = kernel_and_negative(handle)
+    ref = _per_sector_k_kernel(handle)
+    got = sorted((v, label) for label, s in rep.sectors.items()
+                 for v in s["eigenvalues"])
+    assert [label for _, label in got] == [label for _, label in ref]
+    np.testing.assert_allclose([v for v, _ in got], [v for v, _ in ref],
+                               rtol=1e-10, atol=0.0)
+    vals = np.array([v for v, _ in ref])
+    tol_zero = abs(vals[0]) / 3.0
+    assert (rep.negative_count, rep.near_zero_count) \
+        == (int(np.sum(vals < -tol_zero)), int(np.sum(np.abs(vals) <= tol_zero)))
+
+
 def test_kernel_and_negative_rejects_unsymmetric_field():
     g = Grid(6.0, 5.0, 15, 13)
     rng = np.random.default_rng(0)
@@ -256,6 +290,31 @@ def test_rebuilt_basis_is_bit_identical(handle01):
     assert v2 == v1
     assert i2["value_half_basis"] == i1["value_half_basis"]
     assert np.array_equal(i2["vector"], i1["vector"])
+
+
+def test_ritz_basis_is_column_major_and_matches_row_major_build(handle01):
+    # the layout changes the memory order only: every bit of the exp-norm
+    # basis equals the row-major build
+    Z = ritz_basis(handle01, norm="exp", size=160, seed=0)
+    assert Z.flags.f_contiguous
+    assert np.array_equal(Z, ritz_basis_c_order(handle01, "exp", 160, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mx=st.integers(2, 12), my=st.integers(2, 12), size=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_mirror_x1_is_the_x1_even_part(mx, my, size, seed):
+    # odd node counts: the mirror x1 -> -x1 maps the interior onto itself
+    grid = Grid(3.0, 2.0, 2 * mx + 1, 2 * my + 1)
+    m = (grid.nx - 2) * (grid.ny - 2)
+    Z = np.asfortranarray(
+        np.random.default_rng(seed).standard_normal((2 * m, size)))
+    M = _mirror_x1(Z, grid)
+    assert M.flags.f_contiguous
+    for j in range(size):
+        phi = Z[:, j].reshape(2, grid.nx - 2, grid.ny - 2)
+        even = (phi + phi[:, ::-1, :]) / 2
+        assert np.array_equal(M[:, j], even.ravel())
 
 
 def test_exp_sets_peak_memory(entry01, dirs01):
