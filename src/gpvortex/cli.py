@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -170,44 +171,82 @@ def cmd_branch(cfg: RunConfig, args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
+def _trimmed(task, *args):
+    """``task(*args)``, then glibc ``malloc_trim(0)``: freed factors stay
+    in the calling thread's malloc arena, where the other thread cannot
+    reuse them; without the trim after the sector eigensolve the stage's
+    peak RSS rose by 12% at c = 0.05."""
+    try:
+        return task(*args)
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+
+
 def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
-    from .spectral import assemble, constrained_coercivity, kernel_and_negative
+    from .spectral import (
+        assemble,
+        constrained_coercivity,
+        kernel_and_negative,
+        ritz_basis,
+    )
 
     idx = branch.index_of(c)
     e = branch.entries[idx]
     handle = assemble(e.field, e.c, R=cfg.r_ball,
                       directions=build_directions(branch, idx))
+    groups = {"C": [], "exp": []}
+    for name in cfg.constraint_sets:
+        groups["C" if name in ("none", "three", "four") else "exp"].append(name)
+    # sym3 consumes the exp basis, so it runs after every other exp set
+    groups["exp"].sort(key=lambda name: name == "sym3")
 
-    def kernel_task():
-        try:
-            return kernel_and_negative(handle)
-        finally:
-            # glibc keeps the freed sector LUs in this thread's malloc
-            # arena, where the main thread's Ritz LUs cannot reuse them;
-            # without the trim the stage's peak RSS rose by 12% at c = 0.05
-            if _malloc_trim is not None:
-                _malloc_trim(0)
-
-    # The sector eigensolve reads only the assembled handle, and SuperLU
-    # releases the GIL in the factorizations and solves that take most of
-    # its time, so it runs on a second core beside the Ritz bases.  The
-    # Ritz factorizations stay on the main thread: building the C-norm
-    # basis on a worker beside the exp-norm one keeps both Ritz LUs alive,
-    # and the peak RSS rose by 39% at c = 0.05.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        kernel = pool.submit(kernel_task)
-        coercivity, checks = {}, {}
-        for name in cfg.constraint_sets:
-            norm = "C" if name in ("none", "three", "four") else "exp"
-            coercivity[name], info = constrained_coercivity(
-                handle, name, norm=norm, size=cfg.basis_size, seed=cfg.seed,
+    def run_group(view, norm):
+        """The sets of one norm on ``view``; the values, the checks and
+        the account of the last basis, which is then dropped."""
+        results = {}
+        for name in groups[norm]:
+            val, info = constrained_coercivity(
+                view, name, norm=norm, size=cfg.basis_size, seed=cfg.seed,
                 return_info=True)
-            checks[name] = {"value_half_basis": info["value_half_basis"],
-                            "converged": bool(info["converged"])}
-        report = kernel.result()
-    report.coercivity = coercivity
+            results[name] = (val, {"value_half_basis": info["value_half_basis"],
+                                   "converged": bool(info["converged"])})
+        basis, view._basis = view._basis, None
+        return results, None if basis is None else basis.account
+
+    # Two memory phases on one worker, so that no two Ritz LUs are alive
+    # at once.  Phase 1: the worker runs the sector eigensolve (it reads
+    # only the handle, and SuperLU releases the GIL in its factorizations
+    # and solves) while the main thread builds the exp-norm basis; its LU
+    # is freed when ``ritz_basis`` returns.  This phase holds the stage's
+    # peak, so it comes first.  Phase 2: the worker builds the C-norm
+    # basis and runs its sets while the main thread runs the exp sets.
+    # Each worker task ends with a trim.  Each group reads the handle
+    # through its own view, so the one-basis slot of a handle is never
+    # shared between threads.
+    exp_view = dataclasses.replace(handle, _basis=None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        futures = [pool.submit(_trimmed, kernel_and_negative, handle)]
+        try:
+            if groups["exp"]:
+                ritz_basis(exp_view, norm="exp", size=cfg.basis_size, seed=cfg.seed)
+            if futures[0].done():
+                futures[0].result()     # a failed eigensolve stops the stage here
+            futures.append(pool.submit(_trimmed, run_group,
+                                       dataclasses.replace(handle, _basis=None), "C"))
+            exp_results, exp_account = run_group(exp_view, "exp")
+            report = futures[0].result()
+            c_results, c_account = futures[1].result()
+        finally:
+            for future in futures:
+                future.cancel()         # only what has not started
+    results = {**c_results, **exp_results}
+    report.coercivity = {name: results[name][0] for name in cfg.constraint_sets}
     payload = dict(report.__dict__)
-    payload["coercivity_check"] = checks
+    payload["coercivity_check"] = {name: results[name][1]
+                                   for name in cfg.constraint_sets}
+    payload["ritz"] = {norm: account for norm, account
+                       in (("C", c_account), ("exp", exp_account)) if account}
     payload["config_hash"] = cfg.config_hash
     payload["r_ball"] = cfg.r_ball
     return payload

@@ -13,14 +13,17 @@ constraint nesting is exact linear algebra per run.
 
 The kernel/negative-index eigensolve runs per symmetry sector: Q is even
 in x1 and conjugate-even in x2, so the operator is block diagonal in the
-four sectors of ``operators.sector_maps``.  The Ritz bases stay on the
+four sectors of ``operators.sector_maps``.  The Ritz bases are on the
 full space.
 
 A Ritz basis is stored column-major, so each Gram-Schmidt pass and the
-x1 mirror of ``sym3`` stream contiguous columns.  Its projections
-Z^T A Z and Z^T G Z are formed in panels of ``_PANEL`` columns: a sparse
-matrix times a column-major block ravels the block into a row-major
-copy, which for the whole basis would be one more n x size array.
+x1 mirror of ``sym3`` stream contiguous columns.  The ``sym3`` basis is
+built in the buffer of the exp-norm basis: the mirror, the QR and the
+dropping of rank-deficient columns all work in place, so no second
+n x size array is allocated.  The projections Z^T A Z and Z^T G Z are
+formed in panels of ``_PANEL`` columns: a sparse matrix times a
+column-major block ravels the block into a row-major copy, which for the
+whole basis would be one more n x size array.
 
 Every factorization picks its fill-reducing ordering at the call:
 
@@ -99,6 +102,7 @@ class _RitzBasis:
 
     key: tuple                  # (norm, size, seed), plus "sym3" if mirrored
     Z: np.ndarray
+    account: dict               # integer sizes: columns, LU fill, sym3 columns
     Ah: np.ndarray | None = None
     Gh: np.ndarray | None = None
 
@@ -448,37 +452,49 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
         k += j
     if k < size:
         Z = Z[:, :k].copy(order="F")
-    handle._basis = _RitzBasis(key, Z)
+    handle._basis = _RitzBasis(key, Z, {"columns": k, "lu_fill": int(lu.nnz)})
     return Z
 
 
-def _mirror_x1(Z: np.ndarray, grid: Grid) -> np.ndarray:
-    """Column-major x1-even parts (phi(x) + phi(-x1, x2))/2 of the
-    columns of the column-major Z."""
+def _mirror_x1_in_place(Z: np.ndarray, grid: Grid) -> None:
+    """Replace each column phi of the column-major Z by its x1-even part
+    (phi(x) + phi(-x1, x2))/2."""
     mx, my = grid.nx - 2, grid.ny - 2
-    n, size = Z.shape
-    M = np.empty((n, size), order="F")
-    src = Z.T.reshape(size, 2, mx, my)
-    dst = M.T.reshape(size, 2, mx, my)
-    np.add(src, src[:, :, ::-1], out=dst)
-    dst *= 0.5
-    return M
+    for j in range(Z.shape[1]):
+        phi = Z[:, j].reshape(2, mx, my)
+        phi += phi[:, ::-1].copy()
+        phi *= 0.5
+
+
+def _compact_columns(Z: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``Z[:, keep]`` for increasing indices ``keep``, moved to the leading
+    columns of Z in place; returns that view of Z."""
+    for t, j in enumerate(keep):
+        if t != j:
+            Z[:, t] = Z[:, j]
+    return Z[:, :keep.size]
 
 
 def _sym3_basis(handle: OperatorHandle, norm: str, size: int,
                 seed: int) -> _RitzBasis:
     """Orthonormal basis of the x1-even parts of the Ritz basis; it
-    replaces the plain basis as the handle's live one."""
+    replaces the plain basis as the handle's live one.
+
+    It consumes the live plain basis: the handle drops it, and the mirror,
+    the QR and the column selection overwrite its buffer, so an array
+    returned earlier by ``ritz_basis`` for this pencil no longer holds the
+    plain basis afterwards."""
     key = (norm, size, seed, "sym3")
     if handle._basis is None or handle._basis.key != key:
-        Z = ritz_basis(handle, norm=norm, size=size, seed=seed)
+        ritz_basis(handle, norm=norm, size=size, seed=seed)
+        Z, account = handle._basis.Z, handle._basis.account
         handle._basis = None
-        M = _mirror_x1(Z, handle.grid)
+        _mirror_x1_in_place(Z, handle.grid)
+        q, r = sla.qr(Z, mode="economic", overwrite_a=True, check_finite=False)
         del Z
-        q, r = sla.qr(M, mode="economic", overwrite_a=True, check_finite=False)
-        del M
-        keep = np.abs(np.diag(r)) > 1e-10
-        handle._basis = _RitzBasis(key, q[:, keep])
+        keep = np.flatnonzero(np.abs(np.diag(r)) > 1e-10)
+        handle._basis = _RitzBasis(key, _compact_columns(q, keep),
+                                   {**account, "sym3_columns": keep.size})
     return handle._basis
 
 

@@ -319,6 +319,15 @@ def test_cmd_spectrum(tmp_path, capsys):
         assert set(entry) == {"value_half_basis", "converged"}
         assert isinstance(entry["converged"], bool)
         assert isinstance(entry["value_half_basis"], float)
+    # the Ritz account: basis columns and LU fill per norm, and the
+    # mirrored exp-norm columns the sym3 basis keeps
+    ritz = payload["ritz"]
+    assert set(ritz) == {"C", "exp"}
+    assert set(ritz["C"]) == {"columns", "lu_fill"}
+    assert set(ritz["exp"]) == {"columns", "lu_fill", "sym3_columns"}
+    assert all(type(v) is int for a in ritz.values() for v in a.values())
+    assert ritz["C"]["columns"] == ritz["exp"]["columns"] == 60
+    assert 0 < ritz["exp"]["sym3_columns"] < 60
 
 
 def test_cmd_stability_and_uniqueness(tmp_path):
@@ -403,7 +412,9 @@ def test_cmd_spectrum_worker_matches_inline_eigensolve(threaded_spectrum,
     tmp, threaded = threaded_spectrum
     monkeypatch.setattr(cli, "ThreadPoolExecutor", _InlineExecutor)
     assert run(["spectrum"], tmp) == 0
-    assert (tmp / "out" / "spectrum_c0.2.json").read_bytes() == threaded
+    inline = (tmp / "out" / "spectrum_c0.2.json").read_bytes()
+    assert inline == threaded
+    assert json.loads(inline)["ritz"] == json.loads(threaded)["ritz"]
 
 
 def test_cmd_spectrum_without_malloc_trim(threaded_spectrum, monkeypatch):
@@ -419,11 +430,44 @@ def test_cmd_spectrum_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
     def failing(handle, tol_zero=None, k=12):
         raise RuntimeError("sector eigensolve diverged")
 
+    coercivity = spectral.constrained_coercivity
+    norms = []
+
+    def spy(handle, constraint_set, norm="C", **kwargs):
+        norms.append(norm)
+        return coercivity(handle, constraint_set, norm=norm, **kwargs)
+
     monkeypatch.setattr(spectral, "kernel_and_negative", failing)
+    monkeypatch.setattr(spectral, "constrained_coercivity", spy)
     before = set(threading.enumerate())
     assert run(["spectrum"], tmp_path) == 3
     err = capsys.readouterr().err
     assert "solver failure: sector eigensolve diverged" in err
+    assert "Traceback" not in err
+    assert [t for t in threading.enumerate() if t not in before] == []
+    assert list((tmp_path / "out").glob("spectrum_c*.json")) == []
+    # the eigensolve failed while the exp basis was built: the C-norm
+    # group is never submitted, and no set runs
+    assert norms == []
+
+
+@pytest.mark.parametrize("where", ["C", "exp"])
+def test_cmd_spectrum_set_failure_exits_3(tmp_path, capsys, monkeypatch, where):
+    # a failing C-norm set on the worker, or exp-norm set on the main thread
+    from gpvortex import spectral
+
+    coercivity = spectral.constrained_coercivity
+
+    def failing(handle, constraint_set, norm="C", **kwargs):
+        if norm == where:
+            raise RuntimeError(f"{norm}-norm Ritz solve diverged")
+        return coercivity(handle, constraint_set, norm=norm, **kwargs)
+
+    monkeypatch.setattr(spectral, "constrained_coercivity", failing)
+    before = set(threading.enumerate())
+    assert run(["spectrum"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert f"solver failure: {where}-norm Ritz solve diverged" in err
     assert "Traceback" not in err
     assert [t for t in threading.enumerate() if t not in before] == []
     assert list((tmp_path / "out").glob("spectrum_c*.json")) == []

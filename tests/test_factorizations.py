@@ -6,13 +6,19 @@ uniqueness re-solves, the C-norm Ritz pencil and the symmetry-sector
 blocks.  COLAMD where it does: the quarter Newton (every stored branch
 field), the exp-norm Ritz pencil (the unconverged ``sym3`` minimum
 mirrors that basis), and the implicit-midpoint matrix, on which minimum
-degree does not finish."""
+degree does not finish.  The spectrum stage factors each Ritz pencil
+once, whatever the order of its constraint sets."""
+
+import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from gpvortex.cli import _spectrum_one
+from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField, Grid, symmetrize
 from gpvortex.operators import linearized_matrix
 from gpvortex.spectral import (
@@ -21,7 +27,7 @@ from gpvortex.spectral import (
     kernel_and_negative,
     ritz_basis,
 )
-from gpvortex.tw_solver import SolverConfig, newton_solve
+from gpvortex.tw_solver import SolverConfig, continue_branch, newton_solve
 
 MMD, COLAMD = "MMD_AT_PLUS_A", "COLAMD"
 GRID = Grid(6.0, 5.0, 15, 13)
@@ -90,3 +96,42 @@ def test_factorization_ordering(case, orderings):
     run()
     assert orderings
     assert all(o == want for o in orderings), orderings
+
+
+@pytest.fixture(scope="module")
+def branch02(profiles):
+    """The c = 0.2 branch triple of the CLI tests' fast configuration."""
+    cfg = RunConfig(speeds=(0.2,), max_nx=201, newton_tol=1e-10, basis_size=60)
+    branch = continue_branch(cfg.speeds_with_neighbors()[0],
+                             SolverConfig(newton_tol=cfg.newton_tol), profiles,
+                             grid_rule=cfg.grid_rule)
+    return cfg, branch
+
+
+def test_spectrum_factors_each_ritz_pencil_once(branch02, monkeypatch):
+    # sym3 consumes the exp basis, so the stage runs it last in any order;
+    # an order that rebuilt the exp basis would show a second COLAMD LU
+    cfg, branch = branch02
+    g = branch.entries[branch.index_of(0.2)].field.grid
+    n = 2 * (g.nx - 2) * (g.ny - 2)
+    splu = spla.splu
+    payloads = {}
+    for order in (cfg.constraint_sets, ("sym3", "phase4", "none")):
+        seen = []
+
+        def spy(A, **kwargs):
+            seen.append((kwargs.get("permc_spec", COLAMD), A.shape[0]))
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        payloads[order] = _spectrum_one(
+            dataclasses.replace(cfg, constraint_sets=order), branch, 0.2)
+        counts = Counter(seen)
+        assert counts.pop((COLAMD, n)) == 1
+        assert counts.pop((MMD, n)) == 1
+        assert counts and all(o == MMD and m < n for o, m in counts), seen
+    default, reordered = payloads.values()
+    for name in ("sym3", "phase4", "none"):
+        assert reordered["coercivity"][name] == default["coercivity"][name]
+        assert reordered["coercivity_check"][name] == default["coercivity_check"][name]
+    assert reordered["ritz"] == default["ritz"]

@@ -1,6 +1,7 @@
 """Assembled operator, Gram matrices, constraints, coercivity, kernel,
 and the linearized evolution."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -18,7 +19,8 @@ from gpvortex.linearization import build_directions, quadratic_form_B
 from gpvortex.operators import interior_to_real, linearized_matrix, sector_maps
 from gpvortex.spectral import (
     OperatorHandle,
-    _mirror_x1,
+    _compact_columns,
+    _mirror_x1_in_place,
     assemble,
     constrained_coercivity,
     evolve_linearized,
@@ -309,17 +311,43 @@ def test_mirror_x1_is_the_x1_even_part(mx, my, size, seed):
     m = (grid.nx - 2) * (grid.ny - 2)
     Z = np.asfortranarray(
         np.random.default_rng(seed).standard_normal((2 * m, size)))
-    M = _mirror_x1(Z, grid)
-    assert M.flags.f_contiguous
+    M = Z.copy(order="F")
+    _mirror_x1_in_place(M, grid)
     for j in range(size):
         phi = Z[:, j].reshape(2, grid.nx - 2, grid.ny - 2)
         even = (phi + phi[:, ::-1, :]) / 2
         assert np.array_equal(M[:, j], even.ravel())
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), keep=st.lists(st.booleans(), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_compact_columns_is_the_column_selection(n, keep, seed):
+    q = np.asfortranarray(
+        np.random.default_rng(seed).standard_normal((n, len(keep))))
+    idx = np.flatnonzero(keep)
+    want = q[:, idx]
+    out = _compact_columns(q, idx)
+    assert idx.size == 0 or np.shares_memory(out, q)
+    assert out.flags.f_contiguous
+    assert np.array_equal(out, want)
+
+
+def test_sym3_basis_reuses_the_exp_basis_buffer(handle01):
+    # the mirror, the QR and the column selection overwrite the live exp
+    # basis; the sym3 basis is a view of that buffer
+    h = dataclasses.replace(handle01, _basis=None)
+    Z = ritz_basis(h, norm="exp", size=40, seed=0)
+    constrained_coercivity(h, "sym3", norm="exp", size=40)
+    basis = h._basis
+    assert basis.key == ("exp", 40, 0, "sym3")
+    assert np.shares_memory(basis.Z, Z)
+    assert basis.account["sym3_columns"] == basis.Z.shape[1] < 40
+
+
 def test_exp_sets_peak_memory(entry01, dirs01):
-    # bases, mirrored copies and projections of n x size doubles dominate
-    # the traced allocations; one live basis keeps the peak below 3.5 of them
+    # a basis is n x size doubles; with one live basis, mirrored in place,
+    # the traced peak stays below 1.75 bases
     h = assemble(entry01.field, entry01.c, directions=dirs01)
     size = 160
     basis_bytes = h.A.shape[0] * size * 8
@@ -330,4 +358,4 @@ def test_exp_sets_peak_memory(entry01, dirs01):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * basis_bytes
+    assert peak < 1.75 * basis_bytes
