@@ -26,6 +26,7 @@ from .tw_solver import (
     newton_solve,
     continue_branch,
     locate_zeros,
+    linearized_lu,
     perturb_and_resolve,
 )
 from .linearization import (

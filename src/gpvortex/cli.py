@@ -29,6 +29,7 @@ from .linearization import build_directions, prop12_report, write_prop12_csv
 from .tw_solver import (
     SolverConfig,
     continue_branch,
+    linearized_lu,
     load_branch,
     perturb_and_resolve,
     save_branch,
@@ -334,29 +335,28 @@ def cmd_uniqueness(cfg: RunConfig, args) -> int:
     branch = _main_branch(cfg)
     entry = branch.entries[branch.index_of(cfg.uniqueness_speed)]
     solver = _solver_config(cfg)
-    shapes = ("bump_re", "bump_im", "phase", "mixed", "random")
-    runs = []
+    # every re-solve iterates with this one factorization at the wave
+    lu = linearized_lu(entry.field, entry.c)
+
+    def account(shape, rep):
+        return {"shape": shape, "X": list(map(float, rep["X"])),
+                "mismatch": rep["mismatch"], "steps": rep["steps"],
+                "residual_history": rep["residual_history"]}
+
+    runs = [account("unperturbed", perturb_and_resolve(entry, 0.0, solver, lu))]
     ok = True
-    base = perturb_and_resolve(entry, 0.0, solver)
-    runs.append({"shape": "unperturbed", "X": list(map(float, base["X"])),
-                 "mismatch": base["mismatch"]})
-    # the re-solves are independent and SuperLU releases the GIL; results
-    # are read in shape order, so the outputs do not depend on the timing
-    workers = min(len(os.sched_getaffinity(0)), len(shapes))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = pool.map(
-            lambda shape: perturb_and_resolve(entry, cfg.uniqueness_delta, solver,
-                                              shape=shape, seed=cfg.seed),
-            shapes)
-        for shape, rep in zip(shapes, reports):
-            runs.append({"shape": shape, "X": list(map(float, rep["X"])),
-                         "mismatch": rep["mismatch"], "gain": rep["gain"],
-                         "violation": rep["uniqueness_violation"]})
-            ok = ok and not rep["uniqueness_violation"] and rep["mismatch"] <= 1e-6
-            print(f"{shape}: |X|={np.hypot(*rep['X']):.2e} "
-                  f"mismatch={rep['mismatch']:.2e}")
+    for shape in ("bump_re", "bump_im", "phase", "mixed", "random"):
+        rep = perturb_and_resolve(entry, cfg.uniqueness_delta, solver, lu,
+                                  shape=shape, seed=cfg.seed)
+        runs.append({**account(shape, rep), "gain": rep["gain"],
+                     "violation": rep["uniqueness_violation"]})
+        ok = ok and not rep["uniqueness_violation"] and rep["mismatch"] <= 1e-6
+        print(f"{shape}: |X|={np.hypot(*rep['X']):.2e} "
+              f"mismatch={rep['mismatch']:.2e}")
+    # the fill is SuperLU.nnz: reading lu.L and lu.U would copy the factors
     payload = {"config_hash": cfg.config_hash, "c": entry.c,
-               "delta": cfg.uniqueness_delta, "runs": runs, "ok": ok}
+               "delta": cfg.uniqueness_delta, "lu_fill": int(lu.nnz),
+               "runs": runs, "ok": ok}
     _write_json(os.path.join(cfg.out_dir, "uniqueness.json"), payload)
     return EXIT_OK if ok else EXIT_NUMERIC
 

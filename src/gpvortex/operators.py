@@ -5,6 +5,14 @@ real-symmetric matrix of the linearized operator on the interior
 unknowns (Dirichlet data on the box edge), the index machinery that
 restricts linear solves to the symmetric quarter of the grid, and the
 orthonormal maps onto the four symmetry sectors of that matrix.
+
+The matrix comes from one row formula (``_linearized_rows``) for any
+set of rows: ``linearized_matrix`` takes all of them and
+``QuarterMaps.reduce`` only the quarter's representative rows, so the
+quarter Newton never builds the full matrix.  Each entry is rounded as
+the sum of the Kronecker-product stencil and potential matrices rounds
+it, and exact zeros are not stored, so both are bit-identical to that
+assembly.
 """
 
 from __future__ import annotations
@@ -36,8 +44,60 @@ def _lap_1d(n: int, h: float) -> sp.csr_matrix:
     return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr") / h**2
 
 
-def _d_1d(n: int, h: float) -> sp.csr_matrix:
-    return sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n), format="csr") / (2.0 * h)
+def _stencil(grid: Grid, rows: np.ndarray):
+    """Rows ``rows`` of the interior dofs, the columns of their eight
+    stencil slots in ascending order, and the mask of the slots whose
+    node lies in the interior.
+
+    The slots of a u (Re phi) row at node (i, j) are u(i-1), u(j-1), u,
+    u(j+1), u(i+1), v(j-1), v, v(j+1); those of a v row are u(j-1), u,
+    u(j+1), v(i-1), v(j-1), v, v(j+1), v(i+1)."""
+    mx, my = grid.nx - 2, grid.ny - 2
+    m = mx * my
+    rows = np.asarray(rows)
+    is_v = rows >= m
+    i, j = np.divmod(rows - m * is_v, my)
+    du = np.array([-my, -1, 0, 1, my, m - 1, m, m + 1])
+    dv = np.array([-m - 1, -m, -m + 1, -my, -1, 0, 1, my])
+    cols = rows[:, None] + np.where(is_v[:, None], dv, du)
+    west, east, south, north = i > 0, i < mx - 1, j > 0, j < my - 1
+    on = np.ones_like(west)
+    valid = np.where(is_v[:, None],
+                     np.stack([south, on, north, west, south, on, north, east], 1),
+                     np.stack([west, south, on, north, east, south, on, north], 1))
+    return rows, cols, valid
+
+
+def _linearized_rows(Q: ComplexField, c: float, stencil) -> sp.csr_matrix:
+    """The rows of ``stencil`` (see ``_stencil``) of the linearized matrix,
+    as a CSR matrix over all 2m columns; exact zeros are not stored.
+
+    The entries are -lap - (1 - |Q|^2) plus 2 a^2 (u rows) or 2 b^2 (v
+    rows) on the diagonal, the 5-point -lap off it, 2ab on the diagonal
+    of the coupling block and the centered transport c d2 (u rows) or
+    -c d2 (v rows), with Q = a + ib."""
+    rows, cols, valid = stencil
+    g = Q.grid
+    m = (g.nx - 2) * (g.ny - 2)
+    is_v = rows >= m
+    q = Q.values[1:-1, 1:-1].ravel()[rows - m * is_v]
+    a, b = q.real, q.imag
+    ox, oy = 1.0 / g.hx**2, 1.0 / g.hy**2
+    # the operations and their order are those of the sparse sum
+    # -lap - (1 - |Q|^2) + 2a^2: the stored branch fields and the printed
+    # spectrum digits depend on every bit of this matrix
+    base = (2.0 * ox + 2.0 * oy) - (1.0 - (a * a + b * b))
+    diag = base + np.where(is_v, 2.0 * b * b, 2.0 * a * a)
+    ab = 2.0 * a * b
+    t = np.full_like(a, c * (1.0 / (2.0 * g.hy)))
+    lx, ly = np.full_like(a, -ox), np.full_like(a, -oy)
+    vals = np.where(is_v[:, None],
+                    np.stack([t, ab, -t, lx, ly, diag, ly, lx], 1),
+                    np.stack([lx, ly, diag, ly, lx, -t, ab, t], 1))
+    keep = valid & (vals != 0.0)
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(rows.size, 2 * m))
 
 
 def linearized_matrix(Q: ComplexField, c: float) -> sp.csr_matrix:
@@ -48,20 +108,7 @@ def linearized_matrix(Q: ComplexField, c: float) -> sp.csr_matrix:
     weights) because the centered transport block is antisymmetric.
     """
     g = Q.grid
-    mx, my = g.nx - 2, g.ny - 2
-    lap = sp.kron(_lap_1d(mx, g.hx), sp.identity(my, format="csr")) \
-        + sp.kron(sp.identity(mx, format="csr"), _lap_1d(my, g.hy))
-    d2 = sp.kron(sp.identity(mx, format="csr"), _d_1d(my, g.hy))
-
-    q = Q.values[1:-1, 1:-1].ravel()
-    a, b = q.real, q.imag
-    w = 1.0 - (a * a + b * b)
-    base = -lap - sp.diags(w)
-    A = sp.bmat(
-        [[base + sp.diags(2.0 * a * a), c * d2 + sp.diags(2.0 * a * b)],
-         [-c * d2 + sp.diags(2.0 * a * b), base + sp.diags(2.0 * b * b)]],
-        format="csr")
-    return A
+    return _linearized_rows(Q, c, _stencil(g, np.arange(2 * (g.nx - 2) * (g.ny - 2))))
 
 
 def interior_to_real(values: np.ndarray) -> np.ndarray:
@@ -80,7 +127,9 @@ def real_to_interior(x: np.ndarray, grid: Grid) -> np.ndarray:
 
 class QuarterMaps:
     """Prolongation/restriction between full interior dofs and the
-    symmetric quarter (even in x1, conjugate-even in x2)."""
+    symmetric quarter (even in x1, conjugate-even in x2), and the stencil
+    slots of the representative rows, from which ``reduce`` assembles the
+    quarter matrix."""
 
     def __init__(self, grid: Grid):
         nx, ny = grid.nx, grid.ny
@@ -123,11 +172,14 @@ class QuarterMaps:
         keep[self.pinned] = 0.0
         self._keep = sp.diags(keep, format="csr")
         self._pin = sp.diags(1.0 - keep, format="csr")
+        self._stencil = _stencil(grid, self.rep_rows)
 
-    def reduce(self, A: sp.csr_matrix) -> sp.csr_matrix:
-        """Restrict the full linearized matrix to the symmetric subspace;
-        each pinned row becomes the identity row."""
-        Aq = self._keep @ (A[self.rep_rows, :] @ self.P) + self._pin
+    def reduce(self, Q: ComplexField, c: float) -> sp.csr_matrix:
+        """The linearized matrix at (Q, c) restricted to the symmetric
+        subspace, built from its representative rows alone; each pinned
+        row becomes the identity row."""
+        rows = _linearized_rows(Q, c, self._stencil)
+        Aq = self._keep @ (rows @ self.P) + self._pin
         Aq.sort_indices()
         return Aq
 

@@ -1,6 +1,16 @@
 """Newton solver for the travelling-wave equation with symmetry
 reduction, branch continuation in the speed, zero location, branch
 persistence, and the perturb-and-resolve local-uniqueness experiment.
+
+The branch Newton assembles, at each step, only the rows of the
+linearized matrix that its symmetric quarter keeps
+(``QuarterMaps.reduce``).  The uniqueness re-solves run without symmetry
+on the full grid by the chord method: all of them iterate with one
+factorization of the linearized operator L_Q at the unperturbed wave,
+invertible by the paper's non-degeneracy of L_Q.  Each re-solve
+converges back to (a translate of) that wave, where the frozen Jacobian
+is the true one up to the size of the translate, so a chord step gains
+as much as a Newton step.
 """
 
 from __future__ import annotations
@@ -155,22 +165,40 @@ def locate_zeros(Q: ComplexField):
     return zeros[0], zeros[1]
 
 
+def linearized_lu(Q: ComplexField, c: float):
+    """Sparse LU of the full interior linearized matrix at (Q, c), the
+    frozen Jacobian of the chord re-solves in ``perturb_and_resolve``."""
+    # minimum degree halves the fill of COLAMD on this symmetric matrix,
+    # and no printed reference digit depends on its rounding
+    return spla.splu(linearized_matrix(Q, c).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
 def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
-                 enforce_symmetry: bool = True, check_zeros: bool = True,
-                 quarter: QuarterMaps | None = None):
+                 quarter: QuarterMaps | None = None, lu=None):
     """Damped Newton iteration on the travelling-wave residual.
 
-    With symmetry enforcement the linear solves run on the symmetric
-    quarter of the grid and the update is mirrored; without it the full
-    interior system is factorized (used by the uniqueness experiment).
-    Returns (field, info) with the residual history in ``info``.
+    Without ``lu`` the iterate is symmetrized, and each step solves the
+    linearized matrix at the iterate on the symmetric quarter of the grid
+    (``quarter``, built here when not given) and mirrors the update.
+    With ``lu``, a factorization of the full interior linearized matrix
+    at a solution (``linearized_lu``), it runs the chord method on the
+    full grid without symmetry (Kelley 1995, sec. 5.4): every step solves
+    with that frozen Jacobian.  The chord step contracts the error by a
+    factor of the order of the distance from the iterate to the frozen
+    point, so an iteration that converges to (a small translate of) that
+    solution converges as fast as Newton's.  Both take the same damping
+    rule, tolerance and step limit.  Returns (field, info) with the step
+    count and the residual history in ``info``.
     """
     if not (0.0 < c <= MAX_SOLVE_SPEED):
         raise ValueError(f"speed {c} outside (0, {MAX_SOLVE_SPEED:g}]")
     g = Q0.grid
-    Q = symmetrize(Q0) if enforce_symmetry else Q0.copy()
-    if enforce_symmetry and quarter is None:
-        quarter = QuarterMaps(g)
+    if lu is not None:
+        Q = Q0.copy()
+    else:
+        Q = symmetrize(Q0)
+        if quarter is None:
+            quarter = QuarterMaps(g)
 
     history = []
     F = residual(Q, c)
@@ -180,20 +208,16 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
         history.append(rn)
         if rn <= config.newton_tol:
             break
-        A = linearized_matrix(Q, c)
         b = -interior_to_real(F.values)
-        if enforce_symmetry:
-            Aq = quarter.reduce(A)
-            bq = quarter.reduce_rhs(b)
+        if lu is not None:
+            dx = lu.solve(b)
+        else:
             # COLAMD: every stored branch field comes from this factor, and
             # the printed spectrum digits of the unconverged sym3 minimum
             # move with any rounding change in those fields
-            dq = spla.splu(Aq.tocsc(), permc_spec="COLAMD").solve(bq)
+            Aq = quarter.reduce(Q, c)
+            dq = spla.splu(Aq.tocsc(), permc_spec="COLAMD").solve(quarter.reduce_rhs(b))
             dx = quarter.prolong(dq)
-        else:
-            # only the uniqueness re-solves come here; minimum degree halves
-            # the fill of COLAMD on this symmetric matrix
-            dx = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
         delta = real_to_interior(dx, g)
 
         alpha, accepted = 1.0, False
@@ -215,8 +239,7 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
             f"Newton did not reach tol {config.newton_tol:.1e} in "
             f"{config.max_iter} steps (residual {rn:.3e})")
 
-    if check_zeros:
-        locate_zeros(Q)
+    locate_zeros(Q)
     info = {"steps": steps, "history": history, "residual": rn}
     return Q, info
 
@@ -391,12 +414,15 @@ def _perturbation(entry: BranchEntry, shape: str, rng) -> np.ndarray:
 
 
 def perturb_and_resolve(entry: BranchEntry, delta: float, config: SolverConfig,
-                        shape: str = "bump_re", seed: int = 0):
+                        lu, shape: str = "bump_re", seed: int = 0):
     """Perturb a converged wave, re-solve without symmetry enforcement,
     and fit the result to a translate of the original.
 
+    The re-solve is the chord iteration of ``newton_solve`` on ``lu``,
+    the factorization of the linearized operator at the unperturbed wave
+    (``linearized_lu``), which every re-solve around that wave shares.
     Reports the recovered translation X, the final mismatch to the
-    fitted translate, and the Newton residual history.
+    fitted translate, and the Newton step count and residual history.
     """
     if delta > 1e-2:
         raise ValueError("perturbation scale must stay at or below 1e-2")
@@ -408,12 +434,13 @@ def perturb_and_resolve(entry: BranchEntry, delta: float, config: SolverConfig,
         pert = _perturbation(entry, shape, rng)
         pert[0, :] = pert[-1, :] = pert[:, 0] = pert[:, -1] = 0.0
         Z0 = ComplexField(Q.grid, Q.values + delta * pert)
-    W, info = newton_solve(Z0, entry.c, config, enforce_symmetry=False)
+    W, info = newton_solve(Z0, entry.c, config, lu=lu)
     X, mism = fit_translation(W, Q)
     floor = 10.0 * delta**2 + 100.0 * config.newton_tol
     report = {
         "X": X,
         "mismatch": mism,
+        "steps": info["steps"],
         "residual_history": info["history"],
         "gain": float(np.hypot(*X)) / delta if delta > 0 else 0.0,
         "uniqueness_violation": bool(mism > floor),

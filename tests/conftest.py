@@ -1,13 +1,14 @@
 """Shared fixtures: the radial profiles and the two converged branches
 (spectral-scale and diagnostics-scale boxes), solved once per session;
 test fields, and as oracles the plain discrete form, the analytic vortex
-gradient (with the modulus slope it reads) and the row-major Ritz basis
-build."""
+gradient (with the modulus slope it reads), the row-major Ritz basis
+build and the Kronecker-product assembly of the linearized matrix."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gpvortex.config import RunConfig
@@ -132,6 +133,32 @@ def ritz_basis_c_order(handle, norm="exp", size=160, seed=0):
         Z[:, k:k + j] = block[:, :j]
         k += j
     return Z[:, :k]
+
+
+def linearized_matrix_reference(Q: ComplexField, c: float) -> sp.csr_matrix:
+    """Oracle: ``operators.linearized_matrix`` assembled from the 1-D
+    stencil matrices by Kronecker products and a 2 x 2 block matrix."""
+    g = Q.grid
+    mx, my = g.nx - 2, g.ny - 2
+
+    def lap_1d(n, h):
+        return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr") / h**2
+
+    def d_1d(n, h):
+        return sp.diags([-1.0, 1.0], [-1, 1], shape=(n, n), format="csr") / (2.0 * h)
+
+    lap = sp.kron(lap_1d(mx, g.hx), sp.identity(my, format="csr")) \
+        + sp.kron(sp.identity(mx, format="csr"), lap_1d(my, g.hy))
+    d2 = sp.kron(sp.identity(mx, format="csr"), d_1d(my, g.hy))
+
+    q = Q.values[1:-1, 1:-1].ravel()
+    a, b = q.real, q.imag
+    w = 1.0 - (a * a + b * b)
+    base = -lap - sp.diags(w)
+    return sp.bmat(
+        [[base + sp.diags(2.0 * a * a), c * d2 + sp.diags(2.0 * a * b)],
+         [-c * d2 + sp.diags(2.0 * a * b), base + sp.diags(2.0 * b * b)]],
+        format="csr")
 
 
 def compact_test_field(grid, seed=0, center=(4.0, 3.0), width=3.0, collar=2):

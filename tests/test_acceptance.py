@@ -22,6 +22,7 @@ from gpvortex.tw_solver import (
     SolverConfig,
     continue_branch,
     default_grid_rule,
+    linearized_lu,
     locate_zeros,
     perturb_and_resolve,
     winding_number,
@@ -210,8 +211,9 @@ def test_criterion_8_local_uniqueness(branch_spec, solver_cfg):
     delta = 1e-3
     shapes = ("bump_re", "bump_im", "phase", "mixed", "random")
     mism, gains = [], []
+    lu = linearized_lu(entry.field, entry.c)
     for shape in shapes:
-        rep = perturb_and_resolve(entry, delta, solver_cfg, shape=shape, seed=7)
+        rep = perturb_and_resolve(entry, delta, solver_cfg, lu, shape=shape, seed=7)
         mism.append(rep["mismatch"])
         gains.append(rep["gain"])
     check("8a re-converges to a translate with mismatch <= 1e-6",

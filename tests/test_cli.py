@@ -22,7 +22,12 @@ from gpvortex.ansatz import MAX_SPEED
 from gpvortex.cli import main
 from gpvortex.config import RunConfig, load_config
 from gpvortex.spectral import CONSTRAINT_SETS
-from gpvortex.tw_solver import SolverConfig, load_branch, perturb_and_resolve
+from gpvortex.tw_solver import (
+    SolverConfig,
+    linearized_lu,
+    load_branch,
+    perturb_and_resolve,
+)
 
 FAST = ["--speeds", "0.2,0.17"]
 
@@ -338,34 +343,88 @@ def test_cmd_stability_and_uniqueness(tmp_path):
     payload = json.loads((tmp_path / "out" / "uniqueness.json").read_text())
     deltas = [r for r in payload["runs"] if r["shape"] != "unperturbed"]
     assert all(r["mismatch"] <= 1e-6 for r in deltas)
+    # the Newton account of every run and the fill of the shared factor
+    assert type(payload["lu_fill"]) is int and payload["lu_fill"] > 0
+    assert len(payload["runs"]) == 6
+    for r in payload["runs"]:
+        assert type(r["steps"]) is int
+        assert r["steps"] == len(r["residual_history"]) - 1
+        assert r["residual_history"][-1] <= 1e-10
+    assert all(r["steps"] >= 1 for r in deltas)
 
 
-def test_cmd_uniqueness_threads_match_serial_resolves(tmp_path):
-    assert run(["uniqueness"], tmp_path) == 0
-    out = tmp_path / "out"
+@pytest.fixture(scope="module")
+def uniqueness_run(tmp_path_factory):
+    """The branch stage, then the uniqueness stage, of one output
+    directory: the directory, the speed of every ``linearized_matrix``
+    call during the branch stage, and the ordering of every ``splu``
+    call during the uniqueness stage."""
+    import scipy.sparse.linalg as spla
+
+    from gpvortex import operators
+
+    tmp = tmp_path_factory.mktemp("uniqueness")
+    assemble, splu = operators.linearized_matrix, spla.splu
+    calls, orderings = [], []
+
+    def counted(Q, c):
+        calls.append(c)
+        return assemble(Q, c)
+
+    def spy(A, **kwargs):
+        orderings.append(kwargs.get("permc_spec", "COLAMD"))
+        return splu(A, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gpvortex") and getattr(module, "linearized_matrix",
+                                                       None) is assemble:
+                mp.setattr(module, "linearized_matrix", counted)
+        assert run(["branch"], tmp) == 0
+        branch_calls = list(calls)
+        mp.setattr(spla, "splu", spy)
+        assert run(["uniqueness"], tmp) == 0
+    return tmp, branch_calls, orderings
+
+
+def test_uniqueness_factors_once_and_branch_assembles_quarter_rows(uniqueness_run):
+    # the branch Newton never assembles the full matrix; the re-solves
+    # share one minimum-degree factorization at the wave
+    _, branch_calls, orderings = uniqueness_run
+    assert branch_calls == []
+    assert orderings == ["MMD_AT_PLUS_A"]
+
+
+def test_cmd_uniqueness_matches_resolves_on_one_factorization(uniqueness_run):
+    tmp, _, _ = uniqueness_run
+    out = tmp / "out"
     payload = json.loads((out / "uniqueness.json").read_text())
-    cfg = load_config(str(tmp_path / "run.cfg"),
-                      {"out_dir": str(out), "speeds": FAST[1]})
+    cfg = load_config(str(tmp / "run.cfg"), {"out_dir": str(out), "speeds": FAST[1]})
     branch = load_branch(out / "branch")
     entry = branch.entries[branch.index_of(cfg.uniqueness_speed)]
-    serial = []
-    for shape in ("bump_re", "bump_im", "phase", "mixed", "random"):
-        rep = perturb_and_resolve(entry, cfg.uniqueness_delta,
-                                  cli._solver_config(cfg), shape=shape,
-                                  seed=cfg.seed)
-        serial.append({"shape": shape, "X": [float(x) for x in rep["X"]],
-                       "mismatch": rep["mismatch"], "gain": rep["gain"],
-                       "violation": rep["uniqueness_violation"]})
-    assert payload["runs"][1:] == serial
+    lu = linearized_lu(entry.field, entry.c)
+    runs = []
+    for shape in ("unperturbed", "bump_re", "bump_im", "phase", "mixed", "random"):
+        delta = 0.0 if shape == "unperturbed" else cfg.uniqueness_delta
+        rep = perturb_and_resolve(entry, delta, cli._solver_config(cfg), lu,
+                                  shape=shape, seed=cfg.seed)
+        run_ = {"shape": shape, "X": [float(x) for x in rep["X"]],
+                "mismatch": rep["mismatch"], "steps": rep["steps"],
+                "residual_history": rep["residual_history"]}
+        if delta:
+            run_.update(gain=rep["gain"], violation=rep["uniqueness_violation"])
+        runs.append(run_)
+    assert payload["runs"] == runs
+    assert payload["lu_fill"] == lu.nnz
 
 
 def test_cmd_uniqueness_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
     resolve = cli.perturb_and_resolve
 
-    def failing(entry, delta, config, shape="bump_re", seed=0):
+    def failing(entry, delta, config, lu, shape="bump_re", seed=0):
         if shape == "phase":
             raise RuntimeError("phase re-solve diverged")
-        return resolve(entry, delta, config, shape=shape, seed=seed)
+        return resolve(entry, delta, config, lu, shape=shape, seed=seed)
 
     monkeypatch.setattr(cli, "perturb_and_resolve", failing)
     before = set(threading.enumerate())

@@ -1,13 +1,15 @@
 """Fill-reducing orderings of the sparse factorizations.
 
 Minimum degree (``MMD_AT_PLUS_A``) where no printed reference digit
-depends on the rounding of the factor: the unreduced Newton of the
-uniqueness re-solves, the C-norm Ritz pencil and the symmetry-sector
-blocks.  COLAMD where it does: the quarter Newton (every stored branch
-field), the exp-norm Ritz pencil (the unconverged ``sym3`` minimum
-mirrors that basis), and the implicit-midpoint matrix, on which minimum
-degree does not finish.  The spectrum stage factors each Ritz pencil
-once, whatever the order of its constraint sets."""
+depends on the rounding of the factor: the full-grid linearized matrix
+that the chord iteration of the uniqueness re-solves freezes (one
+factorization at the wave, shared by every re-solve), the C-norm Ritz
+pencil and the symmetry-sector blocks.  COLAMD where it does: the
+quarter Newton (every stored branch field; its matrix is assembled from
+the quarter's rows alone), the exp-norm Ritz pencil (the unconverged
+``sym3`` minimum mirrors that basis), and the implicit-midpoint matrix,
+on which minimum degree does not finish.  The spectrum stage factors
+each Ritz pencil once, whatever the order of its constraint sets."""
 
 import dataclasses
 from collections import Counter
@@ -27,7 +29,12 @@ from gpvortex.spectral import (
     kernel_and_negative,
     ritz_basis,
 )
-from gpvortex.tw_solver import SolverConfig, continue_branch, newton_solve
+from gpvortex.tw_solver import (
+    SolverConfig,
+    continue_branch,
+    linearized_lu,
+    newton_solve,
+)
 
 MMD, COLAMD = "MMD_AT_PLUS_A", "COLAMD"
 GRID = Grid(6.0, 5.0, 15, 13)
@@ -53,11 +60,12 @@ def _handle() -> OperatorHandle:
                           zeros=(), r_ball=10.0, weight=w)
 
 
-def _newton(enforce_symmetry: bool) -> None:
+def _newton(chord: bool) -> None:
     # one step is enough to factor; the iteration then stops unconverged
+    Q = _field()
+    lu = linearized_lu(Q, SPEED) if chord else None
     with pytest.raises(RuntimeError):
-        newton_solve(_field(), SPEED, SolverConfig(max_iter=1),
-                     enforce_symmetry=enforce_symmetry, check_zeros=False)
+        newton_solve(Q, SPEED, SolverConfig(max_iter=1), lu=lu)
 
 
 def _evolve() -> None:
@@ -67,8 +75,8 @@ def _evolve() -> None:
 
 
 CASES = {
-    "quarter_newton": (lambda: _newton(True), COLAMD),
-    "unreduced_newton": (lambda: _newton(False), MMD),
+    "quarter_newton": (lambda: _newton(False), COLAMD),
+    "unreduced_newton": (lambda: _newton(True), MMD),
     "ritz_exp": (lambda: ritz_basis(_handle(), norm="exp", size=20), COLAMD),
     "ritz_C": (lambda: ritz_basis(_handle(), norm="C", size=20), MMD),
     "evolve": (_evolve, COLAMD),

@@ -1,12 +1,16 @@
-"""Sparse operators: the quarter reduction against its row-by-row
-construction, the quarter round trip, the symmetry of the linearized
-matrix, its agreement with the quadratic form, and its block
+"""Sparse operators: the linearized matrix against its Kronecker-product
+assembly, the quarter rows against the restriction of the full matrix
+(and their peak memory), the quarter round trip, the symmetry of the
+linearized matrix, its agreement with the quadratic form, and its block
 diagonalization by the symmetry-sector maps."""
+
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from conftest import linearized_matrix_reference
 from gpvortex.field_core import ComplexField, Grid, symmetrize
 from gpvortex.linearization import quadratic_form_B
 from gpvortex.operators import (
@@ -31,7 +35,7 @@ def _assert_same_csr(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
+    assert a.data.tobytes() == b.data.tobytes()
 
 
 odd = st.integers(2, 9).map(lambda k: 2 * k + 1)
@@ -43,26 +47,52 @@ def _random_field(g: Grid, rng) -> ComplexField:
                         + 1j * rng.standard_normal((g.nx, g.ny)))
 
 
+def _test_field(g: Grid, rng, symmetric: bool) -> ComplexField:
+    Q = _random_field(g, rng)
+    return symmetrize(Q) if symmetric else Q
+
+
 @settings(max_examples=40, deadline=None)
-@given(nx=odd, ny=odd, density=st.floats(0.02, 0.5), seed=st.integers(0, 2**32 - 1))
-def test_quarter_reduce_matches_row_construction_random(nx, ny, density, seed):
-    q = QuarterMaps(Grid(5.0, 4.0, nx, ny))
-    n = 2 * q.m
-    A = sp.random(n, n, density=density, format="csr",
-                  random_state=np.random.default_rng(seed))
-    _assert_same_csr(q.reduce(A), _reduce_by_rows(q, A))
-
-
-@settings(max_examples=20, deadline=None)
-@given(nx=odd, ny=odd, c=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
-def test_quarter_reduce_matches_row_construction_linearized(nx, ny, c, seed):
-    g = Grid(6.0, 6.0, nx, ny)
-    rng = np.random.default_rng(seed)
-    Q = ComplexField(g, rng.standard_normal((nx, ny))
-                     + 1j * rng.standard_normal((nx, ny)))
+@given(nx=odd, ny=odd, lx=st.floats(1.0, 20.0), ly=st.floats(1.0, 20.0),
+       c=st.floats(0.0, 0.5), symmetric=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_quarter_reduce_matches_row_construction(nx, ny, lx, ly, c, symmetric, seed):
+    # the quarter rows assembled alone are the rows of the full matrix
+    # that the restriction keeps, with the same exact zeros left out
+    g = Grid(lx, ly, nx, ny)
+    Q = _test_field(g, np.random.default_rng(seed), symmetric)
     q = QuarterMaps(g)
-    A = linearized_matrix(Q, c)
-    _assert_same_csr(q.reduce(A), _reduce_by_rows(q, A))
+    _assert_same_csr(q.reduce(Q, c), _reduce_by_rows(q, linearized_matrix(Q, c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=odd, ny=odd, lx=st.floats(1.0, 20.0), ly=st.floats(1.0, 20.0),
+       c=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5), symmetric=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_linearized_matrix_matches_kronecker_assembly(nx, ny, lx, ly, c, symmetric, seed):
+    g = Grid(lx, ly, nx, ny)
+    Q = _test_field(g, np.random.default_rng(seed), symmetric)
+    A, ref = linearized_matrix(Q, c), linearized_matrix_reference(Q, c)
+    _assert_same_csr(A, ref)
+    assert A.indptr.dtype == ref.indptr.dtype and A.indices.dtype == ref.indices.dtype
+
+
+def test_quarter_reduce_peak_memory():
+    # the rows the quarter keeps, assembled alone, against the full
+    # matrix restricted afterwards; the maps are built once per grid
+    g = Grid(24.0, 24.0, 121, 121)
+    Q = _test_field(g, np.random.default_rng(3), True)
+    q = QuarterMaps(g)
+    peaks = []
+    for assemble in (lambda: q.reduce(Q, 0.1),
+                     lambda: q._keep @ (linearized_matrix(Q, 0.1)[q.rep_rows, :] @ q.P)
+                     + q._pin):
+        tracemalloc.start()
+        try:
+            assemble()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.5 * peaks[1], peaks
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,7 @@ from gpvortex.tw_solver import (
     continue_branch,
     default_grid_rule,
     fit_translation,
+    linearized_lu,
     load_branch,
     locate_zeros,
     newton_solve,
@@ -127,20 +128,25 @@ def test_fit_translation_recovers_shift(entry01):
     assert abs(X[1]) <= h * h
 
 
-def test_perturb_and_resolve_zero_delta(entry01, solver_cfg):
-    rep = perturb_and_resolve(entry01, 0.0, solver_cfg)
+@pytest.fixture(scope="module")
+def lu01(entry01):
+    return linearized_lu(entry01.field, entry01.c)
+
+
+def test_perturb_and_resolve_zero_delta(entry01, solver_cfg, lu01):
+    rep = perturb_and_resolve(entry01, 0.0, solver_cfg, lu01)
     assert np.hypot(*rep["X"]) < 1e-10
     assert rep["mismatch"] < 1e-9
 
 
-def test_perturb_and_resolve_bump(entry01, solver_cfg):
-    rep = perturb_and_resolve(entry01, 1e-3, solver_cfg, shape="bump_re")
+def test_perturb_and_resolve_bump(entry01, solver_cfg, lu01):
+    rep = perturb_and_resolve(entry01, 1e-3, solver_cfg, lu01, shape="bump_re")
     assert rep["mismatch"] <= 1e-6
     assert np.hypot(*rep["X"]) <= 5.0 * 1e-3
     assert not rep["uniqueness_violation"]
     assert rep["residual_history"][-1] <= solver_cfg.newton_tol
 
 
-def test_perturb_scale_limit(entry01, solver_cfg):
+def test_perturb_scale_limit(entry01, solver_cfg, lu01):
     with pytest.raises(ValueError):
-        perturb_and_resolve(entry01, 0.05, solver_cfg)
+        perturb_and_resolve(entry01, 0.05, solver_cfg, lu01)
