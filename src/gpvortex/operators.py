@@ -178,7 +178,12 @@ class QuarterMaps:
         """The linearized matrix at (Q, c) restricted to the symmetric
         subspace, built from its representative rows alone; each pinned
         row becomes the identity row."""
-        rows = _linearized_rows(Q, c, self._stencil)
+        return self.restrict(_linearized_rows(Q, c, self._stencil))
+
+    def restrict(self, rows: sp.csr_matrix) -> sp.csr_matrix:
+        """The quarter matrix of a full matrix given by its representative
+        rows (``A[rep_rows, :]``); each pinned row becomes the identity
+        row."""
         Aq = self._keep @ (rows @ self.P) + self._pin
         Aq.sort_indices()
         return Aq

@@ -1,6 +1,7 @@
 """Sparse operators: the linearized matrix against its Kronecker-product
-assembly, the quarter rows against the restriction of the full matrix
-(and their peak memory), the quarter round trip, the symmetry of the
+assembly, the quarter restriction against its row-by-row construction
+(on random matrices and on the quarter rows assembled alone, and the
+peak memory of the latter), the quarter round trip, the symmetry of the
 linearized matrix, its agreement with the quadratic form, and its block
 diagonalization by the symmetry-sector maps."""
 
@@ -53,9 +54,21 @@ def _test_field(g: Grid, rng, symmetric: bool) -> ComplexField:
 
 
 @settings(max_examples=40, deadline=None)
+@given(nx=odd, ny=odd, density=st.floats(0.02, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_quarter_reduce_matches_row_construction_random(nx, ny, density, seed):
+    # the restriction of the representative rows of any sparse matrix
+    q = QuarterMaps(Grid(5.0, 4.0, nx, ny))
+    n = 2 * q.m
+    A = sp.random(n, n, density=density, format="csr",
+                  random_state=np.random.default_rng(seed))
+    _assert_same_csr(q.restrict(A[q.rep_rows, :]), _reduce_by_rows(q, A))
+
+
+@settings(max_examples=40, deadline=None)
 @given(nx=odd, ny=odd, lx=st.floats(1.0, 20.0), ly=st.floats(1.0, 20.0),
        c=st.floats(0.0, 0.5), symmetric=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_quarter_reduce_matches_row_construction(nx, ny, lx, ly, c, symmetric, seed):
+def test_quarter_reduce_matches_row_construction_linearized(nx, ny, lx, ly, c, symmetric,
+                                                            seed):
     # the quarter rows assembled alone are the rows of the full matrix
     # that the restriction keeps, with the same exact zeros left out
     g = Grid(lx, ly, nx, ny)
@@ -84,8 +97,7 @@ def test_quarter_reduce_peak_memory():
     q = QuarterMaps(g)
     peaks = []
     for assemble in (lambda: q.reduce(Q, 0.1),
-                     lambda: q._keep @ (linearized_matrix(Q, 0.1)[q.rep_rows, :] @ q.P)
-                     + q._pin):
+                     lambda: q.restrict(linearized_matrix(Q, 0.1)[q.rep_rows, :])):
         tracemalloc.start()
         try:
             assemble()
