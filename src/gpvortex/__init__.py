@@ -13,7 +13,6 @@ from .field_core import (
     ComplexField,
     CutoffEta,
     fd_gradient,
-    fd_laplacian,
     inner_product,
     grid_l2,
 )

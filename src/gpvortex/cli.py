@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import json
 import math
 import os
@@ -190,6 +189,7 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
         constrained_coercivity,
         kernel_and_negative,
         ritz_basis,
+        sym3_basis,
     )
 
     idx = branch.index_of(c)
@@ -199,21 +199,22 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
     groups = {"C": [], "exp": []}
     for name in cfg.constraint_sets:
         groups["C" if name in ("none", "three", "four") else "exp"].append(name)
-    # sym3 consumes the exp basis, so it runs after every other exp set
-    groups["exp"].sort(key=lambda name: name == "sym3")
 
-    def run_group(view, norm):
-        """The sets of one norm on ``view``; the values, the checks and
-        the account of the last basis, which is then dropped."""
+    def run_sets(basis, names):
+        """The value and the checks of each set in ``names`` on ``basis``."""
         results = {}
-        for name in groups[norm]:
-            val, info = constrained_coercivity(
-                view, name, norm=norm, size=cfg.basis_size, seed=cfg.seed,
-                return_info=True)
+        for name in names:
+            val, info = constrained_coercivity(handle, basis, name, return_info=True)
             results[name] = (val, {"value_half_basis": info["value_half_basis"],
                                    "converged": bool(info["converged"])})
-        basis, view._basis = view._basis, None
-        return results, None if basis is None else basis.account
+        return results
+
+    def run_c_sets():
+        """The C-norm sets and the account of their basis."""
+        if not groups["C"]:
+            return {}, None
+        basis = ritz_basis(handle, "C", cfg.basis_size, cfg.seed)
+        return run_sets(basis, groups["C"]), basis.account
 
     # Two memory phases on one worker, so that no two Ritz LUs are alive
     # at once.  Phase 1: the worker runs the sector eigensolve (it reads
@@ -221,21 +222,23 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
     # and solves) while the main thread builds the exp-norm basis; its LU
     # is freed when ``ritz_basis`` returns.  This phase holds the stage's
     # peak, so it comes first.  Phase 2: the worker builds the C-norm
-    # basis and runs its sets while the main thread runs the exp sets.
-    # Each worker task ends with a trim.  Each group reads the handle
-    # through its own view, so the one-basis slot of a handle is never
-    # shared between threads.
-    exp_view = dataclasses.replace(handle, _basis=None)
+    # basis and runs its sets while the main thread runs the plain exp
+    # sets and then sym3, whose basis consumes the plain one.  Each worker
+    # task ends with a trim.  Each thread holds only its own basis.
     with ThreadPoolExecutor(max_workers=1) as pool:
         futures = [pool.submit(_trimmed, kernel_and_negative, handle)]
         try:
-            if groups["exp"]:
-                ritz_basis(exp_view, norm="exp", size=cfg.basis_size, seed=cfg.seed)
+            exp = (ritz_basis(handle, "exp", cfg.basis_size, cfg.seed)
+                   if groups["exp"] else None)
             if futures[0].done():
                 futures[0].result()     # a failed eigensolve stops the stage here
-            futures.append(pool.submit(_trimmed, run_group,
-                                       dataclasses.replace(handle, _basis=None), "C"))
-            exp_results, exp_account = run_group(exp_view, "exp")
+            futures.append(pool.submit(_trimmed, run_c_sets))
+            exp_results = run_sets(exp, [n for n in groups["exp"] if n != "sym3"])
+            if "sym3" in groups["exp"]:
+                exp = sym3_basis(handle, exp)
+                exp_results.update(run_sets(exp, ["sym3"]))
+            exp_account = exp.account if exp else None
+            exp = None                  # freed before the wait for the worker
             report = futures[0].result()
             c_results, c_account = futures[1].result()
         finally:

@@ -1,11 +1,12 @@
 """2-D complex fields on uniform rectangular grids.
 
-Discrete differential operators (2nd-order centered, one-sided at the
-boundary), the trapezoidal real pairing and the grid L2 norm, the
-symmetrization onto fields even in x1 and conjugate-even in x2, the
-floored ratio psi = phi/Q behind the multiplicative norms, the smooth
-cutoff around the vortex zeros, bilinear sampling on points and
-circles, and the checksummed binary field files.
+The 2nd-order centered gradient (one-sided at the boundary), the
+trapezoidal real pairing and the grid L2 norm, the symmetrization onto
+fields even in x1 and conjugate-even in x2, the floored ratio
+psi = phi/Q behind the multiplicative norms, the smooth cutoff around
+the vortex zeros, bilinear sampling on points and circles, and the
+checksummed binary field files.  The Laplacian lives with the other
+interior stencils in ``operators``.
 
 The norms themselves are discretized once, as the Gram matrices of
 ``spectral``.
@@ -46,16 +47,13 @@ class FieldFileError(Exception):
 class Grid:
     """Uniform rectangular grid over [-lx, lx] x [-ly, ly].
 
-    Node counts are odd so both axes lie on nodes.  Symmetry flags mark
-    fields that are even in x1 and conjugate-even in x2.
+    Node counts are odd so both axes lie on nodes.
     """
 
     lx: float
     ly: float
     nx: int
     ny: int
-    sym_even_x1: bool = True
-    sym_conj_x2: bool = True
 
     def __post_init__(self):
         if self.nx % 2 == 0 or self.ny % 2 == 0:
@@ -114,41 +112,21 @@ class ComplexField:
 
 
 def symmetrize(f: ComplexField) -> ComplexField:
-    """Average over the symmetry images selected by the grid flags."""
-    v = f.values
-    if f.grid.sym_even_x1:
-        v = 0.5 * (v + v[::-1, :])
-    if f.grid.sym_conj_x2:
-        v = 0.5 * (v + np.conj(v[:, ::-1]))
+    """Average over the images x1 -> -x1 and conj(x2 -> -x2), in that
+    order: the result is even in x1 and conjugate-even in x2."""
+    v = 0.5 * (f.values + f.values[::-1, :])
+    v = 0.5 * (v + np.conj(v[:, ::-1]))
     return ComplexField(f.grid, v)
 
 
 # ----------------------------------------------------------------------
 # discrete differential operators
 
-def _second_derivative(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    v = np.moveaxis(v, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2])
-    out[0] = 2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]
-    out[-1] = 2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]
-    out /= h * h
-    return np.moveaxis(out, 0, axis)
-
-
 def fd_gradient(f: ComplexField) -> tuple[ComplexField, ComplexField]:
     """Second-order centered differences, one-sided at the boundary."""
     gx = np.gradient(f.values, f.grid.hx, axis=0, edge_order=2)
     gy = np.gradient(f.values, f.grid.hy, axis=1, edge_order=2)
     return ComplexField(f.grid, gx), ComplexField(f.grid, gy)
-
-
-def fd_laplacian(f: ComplexField) -> ComplexField:
-    """5-point stencil in the interior, one-sided second differences at
-    the boundary; exact on quadratics."""
-    v = f.values
-    lap = _second_derivative(v, f.grid.hx, 0) + _second_derivative(v, f.grid.hy, 1)
-    return ComplexField(f.grid, lap)
 
 
 def _check_same_grid(f: ComplexField, g: ComplexField) -> None:
@@ -272,7 +250,6 @@ def save_field(f: ComplexField, path, c: float = float("nan"),
         f"sha256 = {digest}",
         f"nx = {g.nx}", f"ny = {g.ny}",
         f"lx = {g.lx!r}", f"ly = {g.ly!r}", f"c = {c!r}",
-        f"sym_even_x1 = {g.sym_even_x1}", f"sym_conj_x2 = {g.sym_conj_x2}",
     ]
     for key, val in (extra or {}).items():
         lines.append(f"{key} = {val}")
@@ -280,7 +257,7 @@ def save_field(f: ComplexField, path, c: float = float("nan"),
     _atomic_write(path + ".meta", "\n".join(lines) + "\n")
 
 
-def load_field(path, verify: bool = True):
+def load_field(path):
     path = str(path)
     with open(path, "rb") as fh:
         payload = fh.read()
@@ -297,16 +274,10 @@ def load_field(path, verify: bool = True):
                 if _:
                     meta[key.strip()] = val.strip()
     except FileNotFoundError:
-        if verify:
-            raise FieldFileError(f"{path}: missing sidecar")
-    if verify:
-        digest = hashlib.sha256(payload).hexdigest()
-        if meta.get("sha256") != digest:
-            raise FieldFileError(f"{path}: checksum mismatch")
+        raise FieldFileError(f"{path}: missing sidecar")
+    if meta.get("sha256") != hashlib.sha256(payload).hexdigest():
+        raise FieldFileError(f"{path}: checksum mismatch")
     data = np.frombuffer(payload[_HEADER.size:], dtype=np.complex128)
     if data.size != nx * ny:
         raise FieldFileError(f"{path}: payload size mismatch")
-    sym1 = meta.get("sym_even_x1", "True") == "True"
-    sym2 = meta.get("sym_conj_x2", "True") == "True"
-    grid = Grid(lx, ly, nx, ny, sym_even_x1=sym1, sym_conj_x2=sym2)
-    return ComplexField(grid, data.reshape(nx, ny).copy()), c, meta
+    return ComplexField(Grid(lx, ly, nx, ny), data.reshape(nx, ny).copy()), c, meta

@@ -20,12 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_core import (
-    ComplexField,
-    _atomic_write,
-    fd_gradient,
-    fd_laplacian,
-)
+from .field_core import ComplexField, _atomic_write, fd_gradient, grid_l2
+from .operators import _transport_laplacian
 
 PROP12_COLUMNS = (
     "c", "energy", "p2", "dE_dc", "dP2_dc", "rel_dE_identity",
@@ -36,14 +32,17 @@ PROP12_COLUMNS = (
 
 
 def apply_L(phi: ComplexField, Q: ComplexField, c: float) -> ComplexField:
-    """-lap phi - ic d2 phi - (1-|Q|^2) phi + 2 Re(conj(Q) phi) Q."""
+    """-lap phi - ic d2 phi - (1-|Q|^2) phi + 2 Re(conj(Q) phi) Q on the
+    interior nodes, with the boundary ring of phi as Dirichlet data (the
+    stencils of the travelling-wave residual); the ring of the result is
+    zero."""
     if phi.grid != Q.grid:
         raise ValueError("fields live on different grids")
-    lap = fd_laplacian(phi).values
-    d2 = np.gradient(phi.values, phi.grid.hy, axis=1, edge_order=2)
-    q2 = Q.values.real**2 + Q.values.imag**2
-    out = (-lap - 1j * c * d2 - (1.0 - q2) * phi.values
-           + 2.0 * (np.conj(Q.values) * phi.values).real * Q.values)
+    v, q = phi.values[1:-1, 1:-1], Q.values[1:-1, 1:-1]
+    q2 = q.real**2 + q.imag**2
+    out = np.zeros_like(phi.values)
+    out[1:-1, 1:-1] = (_transport_laplacian(phi.values, phi.grid, c)
+                       - (1.0 - q2) * v + 2.0 * (np.conj(q) * v).real * q)
     return ComplexField(phi.grid, out)
 
 
@@ -94,15 +93,12 @@ def momentum(Q: ComplexField) -> tuple[float, float]:
 @dataclass
 class DirectionSet:
     """Translation, speed-modulus, and rotation directions at one branch
-    entry, with the scalings that keep them order one as c -> 0."""
+    entry (``build_directions``)."""
 
     dx1: ComplexField
     dx2: ComplexField
     dc: ComplexField
     drot: ComplexField
-    scale_c: float
-    scale_rot: float
-    provenance: dict
 
 
 def _grad4(v: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -144,16 +140,8 @@ def build_directions(branch, index: int) -> DirectionSet:
     Q = mid.field
     gx, gy = fd_gradient(Q)
     dc_vals = (hi.field.values - lo.field.values) / (hi.c - lo.c)
-    return DirectionSet(
-        dx1=gx, dx2=gy, dc=ComplexField(Q.grid, dc_vals),
-        drot=rotation_direction(Q), scale_c=c * c, scale_rot=c,
-        provenance={"c": c, "c_lo": lo.c, "c_hi": hi.c})
-
-
-def _interior_l2(field: ComplexField) -> float:
-    v = field.values[1:-1, 1:-1]
-    return float(np.sqrt(np.sum(np.abs(v) ** 2)
-                         * field.grid.hx * field.grid.hy))
+    return DirectionSet(dx1=gx, dx2=gy, dc=ComplexField(Q.grid, dc_vals),
+                        drot=rotation_direction(Q))
 
 
 def direction_identity_residuals(dirs: DirectionSet, Q: ComplexField,
@@ -166,15 +154,17 @@ def direction_identity_residuals(dirs: DirectionSet, Q: ComplexField,
     number is resolution-robust at desk scale).
     """
     g = Q.grid
-    r1 = ComplexField(g, apply_L(dirs.dc, Q, c).values - 1j * dirs.dx2.values)
-    r2 = ComplexField(g, apply_L(dirs.drot, Q, c).values + 1j * c * dirs.dx1.values)
-    n_dx1 = _interior_l2(dirs.dx1)
-    n_dx2 = _interior_l2(dirs.dx2)
+
+    def l2(values):
+        return grid_l2(values[1:-1, 1:-1], g)
+
+    r1 = l2(apply_L(dirs.dc, Q, c).values - 1j * dirs.dx2.values)
+    r2 = l2(apply_L(dirs.drot, Q, c).values + 1j * c * dirs.dx1.values)
     return {
-        "resid_dc_rhs": _interior_l2(r1) / n_dx2,
-        "resid_dc_dir": _interior_l2(r1) / _interior_l2(dirs.dc),
-        "resid_drot_rhs": _interior_l2(r2) / (c * n_dx1),
-        "resid_drot_dir": _interior_l2(r2) / _interior_l2(dirs.drot),
+        "resid_dc_rhs": r1 / l2(dirs.dx2.values),
+        "resid_dc_dir": r1 / l2(dirs.dc.values),
+        "resid_drot_rhs": r2 / (c * l2(dirs.dx1.values)),
+        "resid_drot_dir": r2 / l2(dirs.drot.values),
     }
 
 

@@ -1,6 +1,7 @@
 """Shared discrete operators for the travelling-wave equation.
 
-Interior-node stencils of the travelling-wave residual, the sparse
+Interior-node stencils of the travelling-wave residual (their
+-ic d2 - lap part is shared with ``linearization.apply_L``), the sparse
 real-symmetric matrix of the linearized operator on the interior
 unknowns (Dirichlet data on the box edge), the index machinery that
 restricts linear solves to the symmetric quarter of the grid, and the
@@ -23,6 +24,17 @@ import scipy.sparse as sp
 from .field_core import ComplexField, Grid
 
 
+def _transport_laplacian(v: np.ndarray, grid: Grid, c: float) -> np.ndarray:
+    """-ic d2 v - lap v on the interior nodes of the full-grid array v: the
+    5-point Laplacian and the centered d2 of the linearized matrix, with
+    the boundary ring of v as Dirichlet data."""
+    hx, hy = grid.hx, grid.hy
+    lap = ((v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx**2
+           + (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy**2)
+    d2 = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * hy)
+    return -1j * c * d2 - lap
+
+
 def tw_residual_values(values: np.ndarray, grid: Grid, c: float) -> np.ndarray:
     """-ic d2 v - lap v - (1-|v|^2) v on interior nodes; boundary rows zero.
 
@@ -30,13 +42,9 @@ def tw_residual_values(values: np.ndarray, grid: Grid, c: float) -> np.ndarray:
     Dirichlet data, matching the linearized matrix exactly.
     """
     out = np.zeros_like(values, dtype=complex)
-    v = values
-    hx, hy = grid.hx, grid.hy
-    lap = ((v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx**2
-           + (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy**2)
-    d2 = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * hy)
-    mid = v[1:-1, 1:-1]
-    out[1:-1, 1:-1] = -1j * c * d2 - lap - (1.0 - np.abs(mid) ** 2) * mid
+    mid = values[1:-1, 1:-1]
+    out[1:-1, 1:-1] = (_transport_laplacian(values, grid, c)
+                       - (1.0 - np.abs(mid) ** 2) * mid)
     return out
 
 

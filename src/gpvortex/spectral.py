@@ -16,14 +16,16 @@ in x1 and conjugate-even in x2, so the operator is block diagonal in the
 four sectors of ``operators.sector_maps``.  The Ritz bases are on the
 full space.
 
-A Ritz basis is stored column-major, so each Gram-Schmidt pass and the
-x1 mirror of ``sym3`` stream contiguous columns.  The ``sym3`` basis is
-built in the buffer of the exp-norm basis: the mirror, the QR and the
-dropping of rank-deficient columns all work in place, so no second
-n x size array is allocated.  The projections Z^T A Z and Z^T G Z are
-formed in panels of ``_PANEL`` columns: a sparse matrix times a
-column-major block ravels the block into a row-major copy, which for the
-whole basis would be one more n x size array.
+A Ritz basis is a value: ``ritz_basis`` returns it, and the caller
+hands it to ``constrained_coercivity`` for each constraint set of its
+norm.  It is stored column-major, so each Gram-Schmidt pass and the x1
+mirror of ``sym3`` stream contiguous columns.  ``sym3_basis`` consumes a
+plain exp-norm basis: the mirror, the QR and the dropping of
+rank-deficient columns all work in its buffer, so no second n x size
+array is allocated, and the plain basis is emptied.  The projections
+Z^T A Z and Z^T G Z are formed in panels of ``_PANEL`` columns: a sparse
+matrix times a column-major block ravels the block into a row-major
+copy, which for the whole basis would be one more n x size array.
 
 Every factorization picks its fill-reducing ordering at the call:
 
@@ -56,7 +58,7 @@ from .field_core import (
     mult_ratio,
     resolution_floor,
 )
-from .linearization import DirectionSet, _grad4, quadratic_form_B, rotation_direction
+from .linearization import DirectionSet, _grad4, quadratic_form_B
 from .operators import _lap_1d, linearized_matrix, sector_maps
 from .tw_solver import locate_zeros
 
@@ -85,24 +87,24 @@ class OperatorHandle:
     directions: dict            # name -> real dof vector
     grid: Grid
     c: float
-    zeros: tuple
     r_ball: float
     weight: float
     b_dx1_form: float = 0.0
     b_dc_form: float = 0.0
     dx1_mass: float = 1.0
-    _basis: _RitzBasis | None = None        # the one live Ritz basis
     _evolve: dict = dc_field(default_factory=dict)
 
 
 @dataclass
-class _RitzBasis:
-    """A Ritz basis with the projections Z^T A Z and Z^T G Z, computed by
-    the first constraint set that uses it."""
+class RitzBasis:
+    """A Ritz basis of the pencil (A, G_norm), with the projections
+    Z^T A Z and Z^T G Z, computed by the first constraint set that uses
+    it.  A mirrored basis (``sym3_basis``) serves only ``sym3``."""
 
-    key: tuple                  # (norm, size, seed), plus "sym3" if mirrored
-    Z: np.ndarray
+    norm: str                   # "C" or "exp"
+    Z: np.ndarray | None        # None once ``sym3_basis`` consumed it
     account: dict               # integer sizes: columns, LU fill, sym3 columns
+    mirrored: bool = False
     Ah: np.ndarray | None = None
     Gh: np.ndarray | None = None
 
@@ -169,13 +171,12 @@ def _edge_ops(Qi: np.ndarray, grid: Grid, psi_mult: np.ndarray):
     return ops
 
 
-def _gram_C(Q: ComplexField) -> sp.csr_matrix:
+def _gram_C(Q: ComplexField, pm: np.ndarray) -> sp.csr_matrix:
     """Gram matrix of the coercivity seminorm |grad psi|^2 |Q|^4
-    + Re^2(psi) |Q|^4 on interior dofs."""
+    + Re^2(psi) |Q|^4 on interior dofs, with psi = ``pm`` phi."""
     g = Q.grid
     w = g.hx * g.hy
     Qi = Q.values[1:-1, 1:-1]
-    pm = mult_ratio(1.0, Qi, resolution_floor(g))[0]
     G = None
     for op, q2e in _edge_ops(Qi, g, pm):
         R = _real_rep(op)
@@ -197,10 +198,10 @@ def _edge_mask(mask: np.ndarray, mx: int, my: int, axis: int) -> np.ndarray:
     return (blk[:, :-1] & blk[:, 1:]).ravel()
 
 
-def _gram_exp(Q: ComplexField, zeros) -> sp.csr_matrix:
+def _gram_exp(Q: ComplexField, zeros, pm: np.ndarray) -> sp.csr_matrix:
     """Gram matrix of the expanded energy norm: H1 within distance 10 of
     a zero plus |grad psi|^2 + Re^2(psi) + |psi|^2/(r ln r)^2 outside
-    distance 5 (positive definite)."""
+    distance 5, with psi = ``pm`` phi (positive definite)."""
     g = Q.grid
     w = g.hx * g.hy
     mx, my = g.nx - 2, g.ny - 2
@@ -211,7 +212,6 @@ def _gram_exp(Q: ComplexField, zeros) -> sp.csr_matrix:
     far = rt >= 5.0
 
     Qi = Q.values[1:-1, 1:-1]
-    pm = mult_ratio(1.0, Qi, resolution_floor(g))[0]
 
     # H1 block on the near region
     G = sp.diags(np.tile(np.where(near, w, 0.0), 2)).tocsr()
@@ -300,21 +300,20 @@ def _ball_harmonic_chain(Q: ComplexField, center, R: float, n_theta: int = 256):
 
 
 def _constraint_vector_nonzero_harmonic(Q: ComplexField, A_field: np.ndarray,
-                                        chains) -> np.ndarray:
+                                        chains, pm: np.ndarray) -> np.ndarray:
     """Real dof vector of phi -> Re int_balls A conj(Q psi^{neq 0}).
 
-    Uses the adjoint of the chain phi -> psi -> (psi minus its angular
-    0-harmonic about the ball's center)."""
+    Uses the adjoint of the chain phi -> psi = ``pm`` phi -> (psi minus
+    its angular 0-harmonic about the ball's center)."""
     g = Q.grid
     w = g.hx * g.hy
     Qi = _interior_diag(Q.values)
-    pm = mult_ratio(1.0, Q.values[1:-1, 1:-1], resolution_floor(g))[0].ravel()
     Ai = _interior_diag(A_field)
     v = np.zeros(Qi.size, dtype=complex)
     for (M, ball) in chains:
         b = np.where(ball, w * Ai * np.conj(Qi), 0.0)
         v += b - (M.T @ b)
-    v = np.conj(pm) * v       # adjoint of psi = pm * phi
+    v = np.conj(pm.ravel()) * v       # adjoint of psi = pm * phi
     return _complex_to_real_vec(v)
 
 
@@ -332,9 +331,9 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     constraint vectors at a converged wave: the localized ones on the
     balls of radius ``R`` and the whole-box row i d2 Q of the corollary.
 
-    The speed-derivative constraints pair with the branch direction
-    ``directions.dc``, the centered difference over the neighbouring
-    branch entries."""
+    ``directions`` must be those of Q (``build_directions``): its dc (the
+    centered difference over the neighbouring branch entries), drot and
+    dx1 enter the constraints and the translation floor ``b_dx1_form``."""
     grid = Q.grid
     if R <= 5.0:
         raise ValueError("orthogonality ball radius must exceed 5")
@@ -345,8 +344,10 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     asym = abs(A - A.T).max()
     if asym > 1e-12 * max(1.0, abs(A).max()):
         raise RuntimeError(f"assembled operator not symmetric: defect {asym}")
-    G_C = _gram_C(Q)
-    G_exp = _gram_exp(Q, zeros)
+    # psi = pm phi in both norms and in the localized constraints
+    pm = mult_ratio(1.0, Q.values[1:-1, 1:-1], resolution_floor(grid))[0]
+    G_C = _gram_C(Q, pm)
+    G_exp = _gram_exp(Q, zeros, pm)
 
     # 4th-order translation directions: the constant-coefficient stencil
     # blocks of the operator commute with any centered difference, so the
@@ -355,7 +356,7 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     # kernel-angle and floor diagnostics need.
     gx = ComplexField(grid, _grad4(Q.values, grid.hx, 0))
     gy = ComplexField(grid, _grad4(Q.values, grid.hy, 1))
-    drot = rotation_direction(Q)
+    drot = directions.drot.values
     dc_vals = directions.dc.values
 
     chains = [_ball_harmonic_chain(Q, z, R) for z in zeros]
@@ -363,10 +364,10 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     iQ = 1j * Q.values
 
     constraints = {
-        "tx1": _constraint_vector_nonzero_harmonic(Q, gx.values, chains),
-        "tx2": _constraint_vector_nonzero_harmonic(Q, gy.values, chains),
-        "tc": _constraint_vector_nonzero_harmonic(Q, dc_vals, chains),
-        "trot": _constraint_vector_nonzero_harmonic(Q, drot.values, chains),
+        "tx1": _constraint_vector_nonzero_harmonic(Q, gx.values, chains, pm),
+        "tx2": _constraint_vector_nonzero_harmonic(Q, gy.values, chains, pm),
+        "tc": _constraint_vector_nonzero_harmonic(Q, dc_vals, chains, pm),
+        "trot": _constraint_vector_nonzero_harmonic(Q, drot, chains, pm),
         "sym_c": _constraint_vector_direct(Q, dc_vals, ball_mask),
         "sym_x2": _constraint_vector_direct(Q, gy.values, ball_mask),
         "sym_phase": _constraint_vector_direct(Q, iQ, ball_mask),
@@ -374,29 +375,26 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
         "idx2": _complex_to_real_vec(_interior_diag(1j * gy.values)),
     }
     # phase condition on the central ball
-    mx, my = grid.nx - 2, grid.ny - 2
     X, Y = np.meshgrid(grid.x[1:-1], grid.y[1:-1], indexing="ij")
     ball0 = (np.hypot(X, Y) <= R).ravel()
-    pm = mult_ratio(1.0, Q.values[1:-1, 1:-1], resolution_floor(grid))[0].ravel()
-    v0 = np.conj(pm) * np.where(ball0, -1j * w, 0.0)
+    v0 = np.conj(pm.ravel()) * np.where(ball0, -1j * w, 0.0)
     constraints["phase0"] = _complex_to_real_vec(v0)
 
     dirs = {
         "dx1": _complex_to_real_vec(_interior_diag(gx.values)),
         "dx2": _complex_to_real_vec(_interior_diag(gy.values)),
         "dc": _complex_to_real_vec(_interior_diag(dc_vals)),
-        "drot": _complex_to_real_vec(_interior_diag(drot.values)),
+        "drot": _complex_to_real_vec(_interior_diag(drot)),
         "iQ": _complex_to_real_vec(_interior_diag(iQ)),
     }
     handle = OperatorHandle(A=A, A_op=A_op.tocsr(), G_C=G_C, G_exp=G_exp,
                             constraints=constraints, directions=dirs,
-                            grid=grid, c=c, zeros=zeros, r_ball=R, weight=w)
+                            grid=grid, c=c, r_ball=R, weight=w)
     # discretization floor of the translation identity, evaluated on the
     # operator-matched 2nd-order gradient with its true edge values (the
     # dof vector drops the ring)
-    gx2 = ComplexField(grid, np.gradient(Q.values, grid.hx, axis=0, edge_order=2))
-    handle.b_dx1_form = quadratic_form_B(gx2, Q, c)
-    handle.b_dc_form = quadratic_form_B(ComplexField(grid, dc_vals), Q, c)
+    handle.b_dx1_form = quadratic_form_B(directions.dx1, Q, c)
+    handle.b_dc_form = quadratic_form_B(directions.dc, Q, c)
     handle.dx1_mass = float(np.sum(np.abs(gx.values[1:-1, 1:-1]) ** 2)) * w
     return handle
 
@@ -405,24 +403,21 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
 # constrained coercivity by shared-subspace Rayleigh-Ritz
 
 def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
-               seed: int = 0) -> np.ndarray:
-    """Shared shift-inverted subspace-iteration basis for the pencil
-    (A, G_norm), seeded with the direction fields.
+               seed: int = 0) -> RitzBasis:
+    """Shift-inverted subspace-iteration basis for the pencil
+    (A, G_norm), seeded with the direction fields, shared by every
+    constraint set of that norm.
 
-    The handle keeps one basis: a request for another drops the live one
-    before the factorization, and rebuilding a dropped basis gives the
-    same bits.  The shift sits a little below the most negative
-    direction's Rayleigh quotient so the resolvent separates the bottom
-    of the pencil.
+    The factorization of the pencil is freed on return, so the caller
+    decides how long the basis lives and which bases coexist.  Building
+    it again gives the same bits.  The shift sits a little below the
+    most negative direction's Rayleigh quotient so the resolvent
+    separates the bottom of the pencil.
 
     The C-norm pencil is factored with a minimum-degree ordering.  The
     exp-norm pencil keeps COLAMD: the unconverged ``sym3`` minimum is
     computed in the mirrored exp-norm basis, and its printed digits move
     with the rounding of this factor."""
-    key = (norm, size, seed)
-    if handle._basis is not None and handle._basis.key == key:
-        return handle._basis.Z
-    handle._basis = None
     G = handle.G_C if norm == "C" else handle.G_exp
     dc = handle.directions["dc"]
     ray_dc = float(dc @ (handle.A @ dc)) / float(dc @ (G @ dc))
@@ -452,8 +447,7 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
         k += j
     if k < size:
         Z = Z[:, :k].copy(order="F")
-    handle._basis = _RitzBasis(key, Z, {"columns": k, "lu_fill": int(lu.nnz)})
-    return Z
+    return RitzBasis(norm, Z, {"columns": k, "lu_fill": int(lu.nnz)})
 
 
 def _mirror_x1_in_place(Z: np.ndarray, grid: Grid) -> None:
@@ -475,27 +469,20 @@ def _compact_columns(Z: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return Z[:, :keep.size]
 
 
-def _sym3_basis(handle: OperatorHandle, norm: str, size: int,
-                seed: int) -> _RitzBasis:
-    """Orthonormal basis of the x1-even parts of the Ritz basis; it
-    replaces the plain basis as the handle's live one.
+def sym3_basis(handle: OperatorHandle, basis: RitzBasis) -> RitzBasis:
+    """Orthonormal basis of the x1-even parts of the plain Ritz basis
+    ``basis``, for the ``sym3`` set.
 
-    It consumes the live plain basis: the handle drops it, and the mirror,
-    the QR and the column selection overwrite its buffer, so an array
-    returned earlier by ``ritz_basis`` for this pencil no longer holds the
-    plain basis afterwards."""
-    key = (norm, size, seed, "sym3")
-    if handle._basis is None or handle._basis.key != key:
-        ritz_basis(handle, norm=norm, size=size, seed=seed)
-        Z, account = handle._basis.Z, handle._basis.account
-        handle._basis = None
-        _mirror_x1_in_place(Z, handle.grid)
-        q, r = sla.qr(Z, mode="economic", overwrite_a=True, check_finite=False)
-        del Z
-        keep = np.flatnonzero(np.abs(np.diag(r)) > 1e-10)
-        handle._basis = _RitzBasis(key, _compact_columns(q, keep),
-                                   {**account, "sym3_columns": keep.size})
-    return handle._basis
+    It consumes ``basis``: the mirror, the QR and the column selection
+    overwrite its buffer, which the returned basis keeps, and ``basis``
+    is emptied, so no set can run on it afterwards."""
+    Z, basis.Z, basis.Ah, basis.Gh = basis.Z, None, None, None
+    _mirror_x1_in_place(Z, handle.grid)
+    q, r = sla.qr(Z, mode="economic", overwrite_a=True, check_finite=False)
+    del Z
+    keep = np.flatnonzero(np.abs(np.diag(r)) > 1e-10)
+    return RitzBasis(basis.norm, _compact_columns(q, keep),
+                     {**basis.account, "sym3_columns": keep.size}, mirrored=True)
 
 
 def _project(Z: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
@@ -506,24 +493,26 @@ def _project(Z: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
     return out
 
 
-def constrained_coercivity(handle: OperatorHandle, constraint_set="four",
-                           norm: str = "C", size: int = 160, seed: int = 0,
-                           return_info: bool = False):
-    """Minimal generalized Rayleigh quotient of the form against the
-    chosen norm over the subspace cut out by the constraint set.
+def constrained_coercivity(handle: OperatorHandle, basis: RitzBasis,
+                           constraint_set: str, return_info: bool = False):
+    """Minimal generalized Rayleigh quotient of the form against the norm
+    of ``basis`` over the subspace cut out by the constraint set, in that
+    basis: a plain one from ``ritz_basis``, or for ``"sym3"`` the mirrored
+    one from ``sym3_basis``, which consumes the plain exp-norm basis, so
+    the other exp-norm sets run first.
 
-    All constraint sets of one norm share the Ritz basis and its
-    projections, so nested sets give exactly monotone minima.
-    Convergence is checked against the half-size basis, whose
-    projections are the leading blocks of the full ones."""
-    names = CONSTRAINT_SETS[constraint_set] if isinstance(constraint_set, str) \
-        else tuple(constraint_set)
-    if constraint_set == "sym3":
-        basis = _sym3_basis(handle, norm, size, seed)
-    else:
-        ritz_basis(handle, norm=norm, size=size, seed=seed)
-        basis = handle._basis
-    Z = basis.Z
+    All constraint sets of one norm share the basis and its projections,
+    so nested sets give exactly monotone minima.  ``"sym3"`` runs only on
+    a mirrored basis and every other set only on a plain one; a mismatch,
+    or a consumed basis, is a ``ValueError``.  Convergence is checked against the half-size
+    basis, whose projections are the leading blocks of the full ones."""
+    names = CONSTRAINT_SETS[constraint_set]
+    if basis.Z is None:
+        raise ValueError("the Ritz basis was consumed by sym3_basis")
+    if basis.mirrored != (constraint_set == "sym3"):
+        raise ValueError(f"constraint set {constraint_set!r} does not run on a "
+                         f"{'mirrored' if basis.mirrored else 'plain'} Ritz basis")
+    norm, Z = basis.norm, basis.Z
     if basis.Ah is None:
         G = handle.G_C if norm == "C" else handle.G_exp
         basis.Ah, basis.Gh = _project(Z, handle.A), _project(Z, G)
@@ -559,11 +548,9 @@ def constrained_coercivity(handle: OperatorHandle, constraint_set="four",
     # convergence; positive constrained minima must have stabilized.
     converged = abs(val - val_half) <= 0.05 * max(abs(val), 1e-12)
     info = {
-        "value": val,
         "value_half_basis": val_half,
         "converged": converged,
         "vector": Z @ yred,
-        "constraints": names,
     }
     if val > 0.0 and abs(val - val_half) > 0.25 * val:
         raise RuntimeError(

@@ -46,6 +46,8 @@ from .operators import (
 )
 
 SPURIOUS_ZERO_LEVEL = 0.3
+# step halvings a damped Newton step may take before the solve gives up
+MAX_HALVINGS = 8
 
 
 @dataclass
@@ -54,7 +56,6 @@ class SolverConfig:
 
     newton_tol: float = 1e-9
     max_iter: int = 40
-    max_halvings: int = 8
 
     def __post_init__(self):
         if self.newton_tol <= 0:
@@ -221,7 +222,7 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
         delta = real_to_interior(dx, g)
 
         alpha, accepted = 1.0, False
-        for _ in range(config.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             trial = ComplexField(g, Q.values + alpha * delta)
             F_trial = residual(trial, c)
             rn_trial = grid_l2(F_trial, g)
@@ -288,8 +289,8 @@ def _resample(field: ComplexField, grid: Grid, fill: complex = 0.0) -> ComplexFi
 
 
 def continue_branch(c_values, config: SolverConfig, profiles: dict,
-                    grid_rule=default_grid_rule, config_hash: str = "",
-                    progress=None) -> TravellingWaveBranch:
+                    grid_rule=default_grid_rule,
+                    config_hash: str = "") -> TravellingWaveBranch:
     """Solve the branch at the given (strictly decreasing) speeds.
 
     The first entry starts from the two-vortex ansatz at separation 1/c;
@@ -345,8 +346,6 @@ def continue_branch(c_values, config: SolverConfig, profiles: dict,
             residual_norm=info["residual"], energy=energy(Q),
             p2=momentum(Q)[1], newton_steps=info["steps"]))
         prev = ComplexField(grid, Q.values - base.values)
-        if progress is not None:
-            progress(entries[-1])
     return TravellingWaveBranch(entries, config_hash=config_hash)
 
 
@@ -363,13 +362,14 @@ def shift_resample(Q: ComplexField, X) -> ComplexField:
     return ComplexField(g, vals.reshape(g.nx, g.ny))
 
 
-def fit_translation(W: ComplexField, Q: ComplexField, refine: int = 3):
-    """Best X minimizing the grid-L2 distance between W and Q(. - X)."""
+def fit_translation(W: ComplexField, Q: ComplexField):
+    """Best X minimizing the grid-L2 distance between W and Q(. - X), by
+    at most three Gauss-Newton steps from X = 0."""
     gx, gy = fd_gradient(Q)
     M = np.array([[inner_product(gx, gx), inner_product(gx, gy)],
                   [inner_product(gy, gx), inner_product(gy, gy)]])
     X = np.zeros(2)
-    for _ in range(max(1, refine)):
+    for _ in range(3):
         diff = ComplexField(Q.grid, W.values - shift_resample(Q, X).values)
         rhs = -np.array([inner_product(gx, diff), inner_product(gy, diff)])
         try:
@@ -482,7 +482,7 @@ def save_branch(branch: TravellingWaveBranch, outdir) -> None:
     _atomic_write(os.path.join(outdir, "diagnostics.csv"), "\n".join(rows) + "\n")
 
 
-def load_branch(outdir, verify: bool = True) -> TravellingWaveBranch:
+def load_branch(outdir) -> TravellingWaveBranch:
     outdir = str(outdir)
     manifest = {}
     with open(os.path.join(outdir, "manifest.txt")) as fh:
@@ -493,8 +493,7 @@ def load_branch(outdir, verify: bool = True) -> TravellingWaveBranch:
     n = int(manifest["n_entries"])
     entries = []
     for k in range(n):
-        f, c, meta = load_field(os.path.join(outdir, f"entry_{k:03d}.fld"),
-                                verify=verify)
+        f, c, meta = load_field(os.path.join(outdir, f"entry_{k:03d}.fld"))
         entries.append(BranchEntry(
             c=c, field=f, half_separation=float(meta["d_tilde"]),
             residual_norm=float(meta["residual"]), energy=float(meta["energy"]),

@@ -17,7 +17,7 @@ from gpvortex.linearization import (
     quadratic_form_B,
 )
 from gpvortex.operators import interior_to_real
-from gpvortex.spectral import constrained_coercivity, kernel_and_negative
+from gpvortex.spectral import constrained_coercivity, kernel_and_negative, ritz_basis
 from gpvortex.tw_solver import (
     SolverConfig,
     continue_branch,
@@ -143,12 +143,10 @@ def test_criterion_4_form_values(branch_diag, run_cfg, profiles, solver_cfg):
 def test_criterion_5_coercivity(spec_handles, run_cfg):
     four, three, none = {}, {}, {}
     for c, h in spec_handles.items():
-        none[c] = constrained_coercivity(h, "none", norm="C",
-                                         size=run_cfg.basis_size)
-        three[c] = constrained_coercivity(h, "three", norm="C",
-                                          size=run_cfg.basis_size)
-        four[c] = constrained_coercivity(h, "four", norm="C",
-                                         size=run_cfg.basis_size)
+        basis = ritz_basis(h, norm="C", size=run_cfg.basis_size)
+        none[c] = constrained_coercivity(h, basis, "none")
+        three[c] = constrained_coercivity(h, basis, "three")
+        four[c] = constrained_coercivity(h, basis, "four")
     spread = max(four.values()) / min(four.values())
     check("5a 4-constraint constant positive with <= 3x spread",
           all(v > 0 for v in four.values()) and spread <= 3.0,

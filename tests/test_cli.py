@@ -492,9 +492,9 @@ def test_cmd_spectrum_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
     coercivity = spectral.constrained_coercivity
     norms = []
 
-    def spy(handle, constraint_set, norm="C", **kwargs):
-        norms.append(norm)
-        return coercivity(handle, constraint_set, norm=norm, **kwargs)
+    def spy(handle, basis, constraint_set, **kwargs):
+        norms.append(basis.norm)
+        return coercivity(handle, basis, constraint_set, **kwargs)
 
     monkeypatch.setattr(spectral, "kernel_and_negative", failing)
     monkeypatch.setattr(spectral, "constrained_coercivity", spy)
@@ -517,10 +517,10 @@ def test_cmd_spectrum_set_failure_exits_3(tmp_path, capsys, monkeypatch, where):
 
     coercivity = spectral.constrained_coercivity
 
-    def failing(handle, constraint_set, norm="C", **kwargs):
-        if norm == where:
-            raise RuntimeError(f"{norm}-norm Ritz solve diverged")
-        return coercivity(handle, constraint_set, norm=norm, **kwargs)
+    def failing(handle, basis, constraint_set, **kwargs):
+        if basis.norm == where:
+            raise RuntimeError(f"{basis.norm}-norm Ritz solve diverged")
+        return coercivity(handle, basis, constraint_set, **kwargs)
 
     monkeypatch.setattr(spectral, "constrained_coercivity", failing)
     before = set(threading.enumerate())

@@ -15,7 +15,6 @@ from gpvortex.field_core import (
     Grid,
     FieldFileError,
     fd_gradient,
-    fd_laplacian,
     inner_product,
     load_field,
     mult_ratio,
@@ -23,7 +22,7 @@ from gpvortex.field_core import (
     save_field,
     symmetrize,
 )
-from gpvortex.operators import interior_to_real
+from gpvortex.operators import _transport_laplacian, interior_to_real
 from gpvortex.spectral import (
     _ball_harmonic_chain,
     _edge_mask,
@@ -82,19 +81,27 @@ def test_gradient_wave_error_bound(grid):
     assert err <= bound
 
 
+def laplacian(f):
+    """The 5-point Laplacian of the residual and of L on the interior
+    nodes (zero ring): their shared stencil at c = 0."""
+    out = np.zeros_like(f.values)
+    out[1:-1, 1:-1] = -_transport_laplacian(f.values, f.grid, 0.0)
+    return ComplexField(f.grid, out)
+
+
 def test_laplacian_exact_on_quadratics(grid):
     f = field_of(grid, lambda X, Y: X**2 + Y**2)
-    lap = fd_laplacian(f)
-    assert np.allclose(lap.values, 4.0, atol=1e-9)
+    lap = laplacian(f)
+    assert np.allclose(lap.values[1:-1, 1:-1], 4.0, atol=1e-9)
     f0 = field_of(grid, lambda X, Y: np.full_like(X, 1.3))
-    assert np.max(np.abs(fd_laplacian(f0).values)) < 1e-13
+    assert np.max(np.abs(laplacian(f0).values)) < 1e-13
 
 
 def test_laplacian_wave_second_order(grid):
     k = np.array([0.5, 0.4])
     X, Y = grid.mesh
     f = ComplexField(grid, np.exp(1j * (k[0] * X + k[1] * Y)))
-    lap = fd_laplacian(f)
+    lap = laplacian(f)
     exact = -(k @ k) * f.values
     err = np.max(np.abs(lap.values[1:-1, 1:-1] - exact[1:-1, 1:-1]))
     assert err <= (np.sum(np.abs(k) ** 4) / 12.0) * max(grid.hx, grid.hy) ** 2 * 1.1
@@ -128,9 +135,9 @@ def test_inner_product_grid_mismatch(grid):
 def test_summation_by_parts_collar(grid):
     f = compact_test_field(grid, 3, collar=2)
     g = compact_test_field(grid, 4, collar=2)
-    lhs = inner_product(fd_laplacian(f), g)
-    rhs = inner_product(f, fd_laplacian(g))
-    scale = abs(inner_product(fd_laplacian(f), f)) + 1.0
+    lhs = inner_product(laplacian(f), g)
+    rhs = inner_product(f, laplacian(g))
+    scale = abs(inner_product(laplacian(f), f)) + 1.0
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
@@ -151,15 +158,21 @@ def gram_norm(G, phi):
     return float(np.sqrt(x @ (G @ x)))
 
 
+def psi_mult(Q):
+    """The multiplier of psi = phi/Q that ``spectral.assemble`` passes to
+    the Gram matrices."""
+    return mult_ratio(1.0, Q.values[1:-1, 1:-1], resolution_floor(Q.grid))[0]
+
+
 def test_expanded_norm_finite_and_stable_for_phase(entry01, branch_diag):
     Q = entry01.field
     iQ = ComplexField(Q.grid, 1j * Q.values)
-    G = _gram_exp(Q, entry01.zeros)
+    G = _gram_exp(Q, entry01.zeros, psi_mult(Q))
     val = gram_norm(G, iQ)
     assert np.isfinite(val) and val > 0
     e_big = branch_diag.entries[branch_diag.index_of(entry01.c)]
     iQb = ComplexField(e_big.field.grid, 1j * e_big.field.values)
-    big = gram_norm(_gram_exp(e_big.field, e_big.zeros), iQb)
+    big = gram_norm(_gram_exp(e_big.field, e_big.zeros, psi_mult(e_big.field)), iQb)
     assert abs(big - val) <= 0.1 * val
     zero = ComplexField(Q.grid, np.zeros_like(Q.values))
     assert gram_norm(G, zero) == 0.0
@@ -168,7 +181,7 @@ def test_expanded_norm_finite_and_stable_for_phase(entry01, branch_diag):
 def test_coercivity_seminorm_kills_phase(entry01):
     Q = entry01.field
     g = Q.grid
-    G = _gram_C(Q)
+    G = _gram_C(Q, psi_mult(Q))
     qnorm = gram_norm(G, Q)
     iQ = ComplexField(g, 1j * Q.values)
     # Re^2(conj(Q) phi) gives Q the interior sum of |Q|^4 and i Q nothing,
@@ -193,7 +206,7 @@ def test_coercivity_seminorm_kills_phase(entry01):
 
 def test_coercivity_bounded_by_expanded_norm(entry01):
     Q = entry01.field
-    G_C, G_exp = _gram_C(Q), _gram_exp(Q, entry01.zeros)
+    G_C, G_exp = _gram_C(Q, psi_mult(Q)), _gram_exp(Q, entry01.zeros, psi_mult(Q))
     for seed in (7, 8, 9):
         phi = compact_test_field(Q.grid, seed, center=(0.0, 0.0),
                                  width=0.4 * Q.grid.lx)
@@ -208,7 +221,8 @@ def test_scaled_direction_seminorms_bounded(branch_spec, run_cfg):
     for c in run_cfg.speeds:
         idx = branch_spec.index_of(c)
         d = build_directions(branch_spec, idx)
-        G = _gram_C(branch_spec.entries[idx].field)
+        Q = branch_spec.entries[idx].field
+        G = _gram_C(Q, psi_mult(Q))
         totals.append(gram_norm(G, d.dx1) + gram_norm(G, d.dx2)
                       + c * c * gram_norm(G, d.dc))
     assert max(totals) < 20.0
@@ -317,6 +331,22 @@ def test_field_file_roundtrip(tmp_path, entry01):
     back, c, meta = load_field(path)
     assert c == entry01.c
     assert meta["note"] == "test"
+    assert back.grid == entry01.field.grid
+    assert np.array_equal(back.values, entry01.field.values)
+
+
+def test_field_file_with_grid_flag_lines_loads(tmp_path, entry01):
+    # sidecars written before the grid lost its symmetry flags carry two
+    # more lines; such a file loads as before
+    path = tmp_path / "wave.fld"
+    save_field(entry01.field, path, c=entry01.c)
+    meta = tmp_path / "wave.fld.meta"
+    lines = meta.read_text().splitlines()
+    assert not any(ln.startswith("sym_") for ln in lines)
+    lines[6:6] = ["sym_even_x1 = True", "sym_conj_x2 = True"]
+    meta.write_text("\n".join(lines) + "\n")
+    back, c, _ = load_field(path)
+    assert c == entry01.c
     assert back.grid == entry01.field.grid
     assert np.array_equal(back.values, entry01.field.values)
 

@@ -1,7 +1,11 @@
 """Linearized operator, quadratic forms, directions, and diagnostics."""
 
+import os
+
 import numpy as np
 import pytest
+
+import gpvortex
 
 from conftest import (
     compact_test_field,
@@ -20,7 +24,6 @@ from gpvortex.linearization import (
     prop12_report,
     quadratic_form_B,
     write_prop12_csv,
-    PROP12_COLUMNS,
 )
 from gpvortex.tw_solver import residual
 
@@ -189,5 +192,10 @@ def test_prop12_report_and_csv(branch_diag, run_cfg, tmp_path):
     path = tmp_path / "prop12.csv"
     write_prop12_csv(rows, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(PROP12_COLUMNS)
+    # the header is the frozen schema file, not the tuple that writes it
+    schema = os.path.join(os.path.dirname(gpvortex.__file__), "schema",
+                          "prop12_columns_v1.txt")
+    with open(schema) as fh:
+        frozen = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    assert lines[0] == ",".join(frozen)
     assert len(lines) == 1 + len(rows)

@@ -1,7 +1,6 @@
 """Assembled operator, Gram matrices, constraints, coercivity, kernel,
 and the linearized evolution."""
 
-import dataclasses
 import json
 import tracemalloc
 
@@ -26,6 +25,7 @@ from gpvortex.spectral import (
     evolve_linearized,
     kernel_and_negative,
     ritz_basis,
+    sym3_basis,
 )
 from gpvortex.tw_solver import continue_branch
 
@@ -88,16 +88,17 @@ def test_constraint_cross_terms_small(spec_handles):
 
 def test_coercivity_nesting_monotone(spec_handles, run_cfg):
     for c, h in spec_handles.items():
-        v_none = constrained_coercivity(h, "none", norm="C", size=run_cfg.basis_size)
-        v3 = constrained_coercivity(h, "three", norm="C", size=run_cfg.basis_size)
-        v4 = constrained_coercivity(h, "four", norm="C", size=run_cfg.basis_size)
+        basis = ritz_basis(h, norm="C", size=run_cfg.basis_size)
+        v_none = constrained_coercivity(h, basis, "none")
+        v3 = constrained_coercivity(h, basis, "three")
+        v4 = constrained_coercivity(h, basis, "four")
         assert v_none <= v3 <= v4
         assert v_none < 0 < v4
 
 
 def test_coercivity_scaling_invariance(handle01):
-    val, info = constrained_coercivity(handle01, "four", norm="C",
-                                       return_info=True)
+    val, info = constrained_coercivity(handle01, ritz_basis(handle01, norm="C"),
+                                       "four", return_info=True)
     x = info["vector"]
     for t in (2.0, -3.0):
         ray = (t * x) @ (handle01.A @ (t * x)) / ((t * x) @ (handle01.G_C @ (t * x)))
@@ -106,15 +107,16 @@ def test_coercivity_scaling_invariance(handle01):
 
 def test_coercivity_positive_sets(spec_handles):
     for c, h in spec_handles.items():
-        assert constrained_coercivity(h, "phase4", norm="exp") > 0
-        assert constrained_coercivity(h, "sym3", norm="exp") > 0
+        basis = ritz_basis(h, norm="exp")
+        assert constrained_coercivity(h, basis, "phase4") > 0
+        assert constrained_coercivity(h, sym3_basis(h, basis), "sym3") > 0
 
 
 def test_coercivity_ball_radius_stability(entry01, dirs01):
     vals = []
     for R in (8.0, 10.0, 12.0):
         h = assemble(entry01.field, entry01.c, R=R, directions=dirs01)
-        vals.append(constrained_coercivity(h, "four", norm="C"))
+        vals.append(constrained_coercivity(h, ritz_basis(h, norm="C"), "four"))
     assert all(v > 0 for v in vals)
     assert max(vals) <= 3.0 * min(vals)
 
@@ -215,7 +217,7 @@ def test_kernel_and_negative_rejects_unsymmetric_field():
     w = g.hx * g.hy
     handle = OperatorHandle(A=A_op * w, A_op=A_op, G_C=None, G_exp=None,
                             constraints={}, directions={}, grid=g, c=0.1,
-                            zeros=(), r_ball=10.0, weight=w)
+                            r_ball=10.0, weight=w)
     with pytest.raises(RuntimeError, match="symmetry sector"):
         kernel_and_negative(handle)
 
@@ -235,8 +237,8 @@ def test_spectrum_report_json(kernel_handle, tmp_path):
 def test_corollary_positivity(handle01):
     # the form is positive on the complement of i d2 Q, in the exp norm,
     # while unconstrained it has a negative direction
-    val, info = constrained_coercivity(handle01, "idx2", norm="exp",
-                                       return_info=True)
+    val, info = constrained_coercivity(handle01, ritz_basis(handle01, norm="exp"),
+                                       "idx2", return_info=True)
     assert val > 0
     assert info["converged"]
     assert handle01.b_dc_form < 0               # control: unprojected speed dir
@@ -278,17 +280,18 @@ def test_evolution_random_no_growth_and_conservation(handle01):
 
 
 def test_rebuilt_basis_is_bit_identical(handle01):
-    # the handle keeps one Ritz basis: the exp sets drop the C basis, and
-    # rebuilding it must reproduce every bit
+    # a basis is dropped once its sets have run, so a second build of the
+    # same pencil, after the other norm's bases, must reproduce every bit
     size = 160
-    v1, i1 = constrained_coercivity(handle01, "four", norm="C", size=size,
-                                    return_info=True)
-    constrained_coercivity(handle01, "phase4", norm="exp", size=size)
-    assert handle01._basis.key == ("exp", size, 0)
-    assert handle01._basis.Z.shape == (handle01.A.shape[0], size)
-    constrained_coercivity(handle01, "sym3", norm="exp", size=size)
-    v2, i2 = constrained_coercivity(handle01, "four", norm="C", size=size,
-                                    return_info=True)
+    v1, i1 = constrained_coercivity(handle01, ritz_basis(handle01, "C", size),
+                                    "four", return_info=True)
+    exp = ritz_basis(handle01, "exp", size)
+    constrained_coercivity(handle01, exp, "phase4")
+    assert (exp.norm, exp.mirrored) == ("exp", False)
+    assert exp.Z.shape == (handle01.A.shape[0], size)
+    constrained_coercivity(handle01, sym3_basis(handle01, exp), "sym3")
+    v2, i2 = constrained_coercivity(handle01, ritz_basis(handle01, "C", size),
+                                    "four", return_info=True)
     assert v2 == v1
     assert i2["value_half_basis"] == i1["value_half_basis"]
     assert np.array_equal(i2["vector"], i1["vector"])
@@ -297,7 +300,7 @@ def test_rebuilt_basis_is_bit_identical(handle01):
 def test_ritz_basis_is_column_major_and_matches_row_major_build(handle01):
     # the layout changes the memory order only: every bit of the exp-norm
     # basis equals the row-major build
-    Z = ritz_basis(handle01, norm="exp", size=160, seed=0)
+    Z = ritz_basis(handle01, norm="exp", size=160, seed=0).Z
     assert Z.flags.f_contiguous
     assert np.array_equal(Z, ritz_basis_c_order(handle01, "exp", 160, 0))
 
@@ -334,15 +337,32 @@ def test_compact_columns_is_the_column_selection(n, keep, seed):
 
 
 def test_sym3_basis_reuses_the_exp_basis_buffer(handle01):
-    # the mirror, the QR and the column selection overwrite the live exp
-    # basis; the sym3 basis is a view of that buffer
-    h = dataclasses.replace(handle01, _basis=None)
-    Z = ritz_basis(h, norm="exp", size=40, seed=0)
-    constrained_coercivity(h, "sym3", norm="exp", size=40)
-    basis = h._basis
-    assert basis.key == ("exp", 40, 0, "sym3")
+    # the mirror, the QR and the column selection overwrite the plain exp
+    # basis; the sym3 basis is a view of that buffer, and the plain basis
+    # is emptied
+    plain = ritz_basis(handle01, norm="exp", size=40, seed=0)
+    Z = plain.Z
+    constrained_coercivity(handle01, plain, "phase4")
+    basis = sym3_basis(handle01, plain)
+    constrained_coercivity(handle01, basis, "sym3")
+    assert (basis.norm, basis.mirrored) == ("exp", True)
     assert np.shares_memory(basis.Z, Z)
     assert basis.account["sym3_columns"] == basis.Z.shape[1] < 40
+    assert plain.Z is None and plain.Ah is None and plain.Gh is None
+    with pytest.raises(ValueError, match="consumed"):
+        constrained_coercivity(handle01, plain, "phase4")
+
+
+def test_constraint_set_must_match_its_basis(handle01):
+    # sym3 runs only in the mirrored basis, every other set only in a
+    # plain one
+    plain = ritz_basis(handle01, norm="exp", size=40, seed=0)
+    with pytest.raises(ValueError, match="'sym3' does not run on a plain"):
+        constrained_coercivity(handle01, plain, "sym3")
+    mirrored = sym3_basis(handle01, plain)
+    for name in ("phase4", "idx2", "none"):
+        with pytest.raises(ValueError, match=f"'{name}' does not run on a mirrored"):
+            constrained_coercivity(handle01, mirrored, name)
 
 
 def test_exp_sets_peak_memory(entry01, dirs01):
@@ -353,8 +373,9 @@ def test_exp_sets_peak_memory(entry01, dirs01):
     basis_bytes = h.A.shape[0] * size * 8
     tracemalloc.start()
     try:
-        constrained_coercivity(h, "phase4", norm="exp", size=size)
-        constrained_coercivity(h, "sym3", norm="exp", size=size)
+        basis = ritz_basis(h, norm="exp", size=size)
+        constrained_coercivity(h, basis, "phase4")
+        constrained_coercivity(h, sym3_basis(h, basis), "sym3")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
