@@ -87,7 +87,6 @@ class OperatorHandle:
     directions: dict            # name -> real dof vector
     grid: Grid
     c: float
-    r_ball: float
     weight: float
     b_dx1_form: float = 0.0
     b_dc_form: float = 0.0
@@ -389,7 +388,7 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     }
     handle = OperatorHandle(A=A, A_op=A_op.tocsr(), G_C=G_C, G_exp=G_exp,
                             constraints=constraints, directions=dirs,
-                            grid=grid, c=c, r_ball=R, weight=w)
+                            grid=grid, c=c, weight=w)
     # discretization floor of the translation identity, evaluated on the
     # operator-matched 2nd-order gradient with its true edge values (the
     # dof vector drops the ring)

@@ -2,15 +2,16 @@
 reduction, branch continuation in the speed, zero location, branch
 persistence, and the perturb-and-resolve local-uniqueness experiment.
 
-The branch Newton assembles, at each step, only the rows of the
-linearized matrix that its symmetric quarter keeps
-(``QuarterMaps.reduce``).  The uniqueness re-solves run without symmetry
-on the full grid by the chord method: all of them iterate with one
-factorization of the linearized operator L_Q at the unperturbed wave,
-invertible by the paper's non-degeneracy of L_Q.  Each re-solve
-converges back to (a translate of) that wave, where the frozen Jacobian
-is the true one up to the size of the translate, so a chord step gains
-as much as a Newton step.
+The branch is solved in runs of consecutive speeds on one grid, each
+from the ansatz at its first speed, finest grid first.  The branch
+Newton assembles, at each step, only the rows of the linearized matrix
+that its symmetric quarter keeps (``QuarterMaps.reduce``).  The
+uniqueness re-solves run without symmetry on the full grid by the chord
+method: all of them iterate with one factorization of the linearized
+operator L_Q at the unperturbed wave, invertible by the paper's
+non-degeneracy of L_Q.  Each re-solve converges back to (a translate of)
+that wave, where the frozen Jacobian is the true one up to the size of
+the translate, so a chord step gains as much as a Newton step.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -216,8 +218,9 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
             # COLAMD: every stored branch field comes from this factor, and
             # the printed spectrum digits of the unconverged sym3 minimum
             # move with any rounding change in those fields
-            Aq = quarter.reduce(Q, c)
-            dq = spla.splu(Aq.tocsc(), permc_spec="COLAMD").solve(quarter.reduce_rhs(b))
+            # the CSR quarter matrix is freed before the factorization runs
+            dq = spla.splu(quarter.reduce(Q, c).tocsc(),
+                           permc_spec="COLAMD").solve(quarter.reduce_rhs(b))
             dx = quarter.prolong(dq)
         delta = real_to_interior(dx, g)
 
@@ -277,66 +280,35 @@ def _set_ring(field: ComplexField, data: ComplexField) -> ComplexField:
     return ComplexField(field.grid, v)
 
 
-def _resample(field: ComplexField, grid: Grid, fill: complex = 0.0) -> ComplexField:
-    X, Y = grid.mesh
-    xs = np.clip(X, field.grid.x[0], field.grid.x[-1])
-    ys = np.clip(Y, field.grid.y[0], field.grid.y[-1])
-    vals = bilinear_sample(field, xs.ravel(), ys.ravel(), check_inside=False)
-    vals = vals.reshape(grid.nx, grid.ny)
-    outside = (np.abs(X) > field.grid.x[-1]) | (np.abs(Y) > field.grid.y[-1])
-    vals[outside] = fill
-    return ComplexField(grid, vals)
-
-
-def continue_branch(c_values, config: SolverConfig, profiles: dict,
-                    grid_rule=default_grid_rule,
-                    config_hash: str = "") -> TravellingWaveBranch:
-    """Solve the branch at the given (strictly decreasing) speeds.
-
-    The first entry starts from the two-vortex ansatz at separation 1/c;
-    later entries start from the previous solution (its correction to
-    the ansatz transported to the new speed, resampled when the grid
-    changes).
-    """
+def _solve_run(c_values, grid: Grid, config: SolverConfig, profiles: dict):
+    """The entries of one run of speeds on ``grid`` (see ``continue_branch``);
+    the run's quarter maps and guesses are freed when it returns."""
     from .linearization import energy, momentum
 
-    c_values = list(c_values)
-    if any(not (0 < c <= MAX_SOLVE_SPEED) for c in c_values):
-        raise ValueError(f"speeds must lie in (0, {MAX_SOLVE_SPEED:g}]")
-    if any(b >= a for a, b in zip(c_values, c_values[1:])):
-        raise ValueError("speeds must be strictly decreasing")
-
-    entries = []
-    prev = None          # correction of the last solution to its guess base
-    quarters = {}
+    quarter = QuarterMaps(grid)
+    entries, gamma = [], None   # gamma: last solution minus its ansatz
     for c in c_values:
-        grid = grid_rule(c)
-        key = (grid.nx, grid.ny)
-        if key not in quarters:
-            quarters[key] = QuarterMaps(grid)
         # Dirichlet edge data: the two-vortex far field at speed c.
         # (Pinning the raw vacuum value 1 on a 3/c box distorts the phase
         # by O(1) at the edge and Newton stalls.)
         params = AnsatzParams(1.0 / c, profiles[1], profiles[-1])
         base = build_two_vortex(params, grid)
-        if prev is None:
-            guess = base
-        else:
+        guesses = [base]
+        if gamma is not None:
             # the correction is transported as its smooth far-field part;
-            # near the (moving) cores it is small and resampling or core
-            # drift would smear the steep structure
-            gamma = prev.values if prev.grid == grid else _resample(prev, grid).values
+            # near the (moving) cores it is small and core drift would
+            # smear the steep structure
             gamma = gamma * CutoffEta(((params.d, 0.0), (-params.d, 0.0)),
                                       r_in=3.0, r_out=6.0).on_grid(grid)
-            guess = _set_ring(ComplexField(grid, base.values + gamma), base)
-        try:
-            Q, info = newton_solve(guess, c, config, quarter=quarters[key])
-        except RuntimeError:
+            guesses = [_set_ring(ComplexField(grid, base.values + gamma), base), base]
+        for k, guess in enumerate(guesses):
             try:
-                Q, info = newton_solve(base, c, config, quarter=quarters[key])
+                Q, info = newton_solve(guess, c, config, quarter=quarter)
+                break
             except RuntimeError as exc:
-                raise RuntimeError(
-                    f"branch continuation failed at c = {c}: {exc}") from exc
+                if k + 1 == len(guesses):
+                    raise RuntimeError(
+                        f"branch continuation failed at c = {c}: {exc}") from exc
         zp, zm = locate_zeros(Q)
         if abs(zp[1]) > 2 * grid.hy or abs(zm[1]) > 2 * grid.hy:
             raise RuntimeError(f"zeros left the x1 axis at c = {c}")
@@ -345,7 +317,36 @@ def continue_branch(c_values, config: SolverConfig, profiles: dict,
             c=c, field=Q, half_separation=d_tilde,
             residual_norm=info["residual"], energy=energy(Q),
             p2=momentum(Q)[1], newton_steps=info["steps"]))
-        prev = ComplexField(grid, Q.values - base.values)
+        gamma = Q.values - base.values
+    return entries
+
+
+def continue_branch(c_values, config: SolverConfig, profiles: dict,
+                    grid_rule=default_grid_rule,
+                    config_hash: str = "") -> TravellingWaveBranch:
+    """Solve the branch at the given (strictly decreasing) speeds.
+
+    The speeds split into runs of consecutive speeds on one grid (one
+    derivative triple under every CLI grid rule).  A run starts from the
+    two-vortex ansatz at separation 1/c of its first speed; each later
+    entry starts from the previous solution's correction to its ansatz,
+    transported to the new speed, and falls back once to its own ansatz.
+    So an entry depends on the speeds of its run alone.  The runs are
+    solved finest grid first (node count, stable), so the largest quarter
+    LU, which sets the peak memory, factors before the heap holds the
+    other runs' fields; the entries come back in the given order.
+    """
+    c_values = list(c_values)
+    if any(not (0 < c <= MAX_SOLVE_SPEED) for c in c_values):
+        raise ValueError(f"speeds must lie in (0, {MAX_SOLVE_SPEED:g}]")
+    if any(b >= a for a, b in zip(c_values, c_values[1:])):
+        raise ValueError("speeds must be strictly decreasing")
+
+    runs = [(grid, list(run)) for grid, run in groupby(c_values, key=grid_rule)]
+    entries = []
+    for grid, run in sorted(runs, key=lambda r: -r[0].nx * r[0].ny):
+        entries += _solve_run(run, grid, config, profiles)
+    entries.sort(key=lambda e: -e.c)
     return TravellingWaveBranch(entries, config_hash=config_hash)
 
 

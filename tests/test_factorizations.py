@@ -57,7 +57,7 @@ def _handle() -> OperatorHandle:
     dirs = {k: rng.standard_normal(n) for k in ("dx1", "dx2", "dc", "drot", "iQ")}
     return OperatorHandle(A=(A_op * w).tocsr(), A_op=A_op, G_C=G, G_exp=G,
                           constraints={}, directions=dirs, grid=GRID, c=SPEED,
-                          r_ball=10.0, weight=w)
+                          weight=w)
 
 
 def _newton(chord: bool) -> None:

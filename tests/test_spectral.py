@@ -59,13 +59,13 @@ def test_rayleigh_matches_form(entry01, handle01):
     assert abs(ray - B) <= 1e-8 * abs(B)
 
 
-def test_constraint_grips_its_direction(handle01, entry01, profiles):
+def test_constraint_grips_its_direction(handle01, entry01, profiles, run_cfg):
     val = float(handle01.constraints["tx1"] @ handle01.directions["dx1"])
     assert val > 0
     g = entry01.field.grid
     X, Y = g.mesh
     gx, _ = vortex_gradient(profiles[1], X, Y, center=entry01.zeros[0])
-    ball = np.hypot(X - entry01.zeros[0][0], Y - entry01.zeros[0][1]) <= handle01.r_ball
+    ball = np.hypot(X - entry01.zeros[0][0], Y - entry01.zeros[0][1]) <= run_cfg.r_ball
     ref = 2 * float(np.sum((np.abs(gx) ** 2)[ball]) * g.hx * g.hy)
     assert val == pytest.approx(ref, rel=0.35)
 
@@ -217,7 +217,7 @@ def test_kernel_and_negative_rejects_unsymmetric_field():
     w = g.hx * g.hy
     handle = OperatorHandle(A=A_op * w, A_op=A_op, G_C=None, G_exp=None,
                             constraints={}, directions={}, grid=g, c=0.1,
-                            r_ball=10.0, weight=w)
+                            weight=w)
     with pytest.raises(RuntimeError, match="symmetry sector"):
         kernel_and_negative(handle)
 

@@ -1,10 +1,15 @@
 """Newton solver, continuation, zero location, persistence, and the
 perturb-and-resolve experiment."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gpvortex import tw_solver
 from gpvortex.ansatz import AnsatzParams, build_two_vortex
+from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField, Grid, grid_l2, symmetrize
 from gpvortex.tw_solver import (
     SolverConfig,
@@ -102,6 +107,67 @@ def test_branch_continuity_in_speed(profiles, solver_cfg):
         sups.append(np.max(np.abs(br.entries[0].field.values
                                   - br.entries[1].field.values)))
     assert sups[0] > sups[1] > sups[2]
+
+
+# coarse boxes, one grid per derivative triple of these main speeds
+POOL_CFG = RunConfig(speeds=(0.2, 0.15, 0.12), h_target=0.8, max_nx=61)
+
+
+@pytest.fixture(scope="module")
+def solo_triples():
+    """Main speed -> its triple solved alone, filled as the draws need."""
+    return {}
+
+
+@pytest.mark.parametrize("speeds, calls", [((0.2,), 1), ((0.2, 0.199), 3)])
+def test_branch_fallback_solves_each_guess_once(profiles, solver_cfg, monkeypatch,
+                                                speeds, calls):
+    # a run's first entry starts from its ansatz, so its failure is final;
+    # a continued entry falls back to its own ansatz once
+    grid = POOL_CFG.grid_rule(0.2)
+    real, guesses = newton_solve, []
+
+    def newton(Q0, c, config, quarter=None):
+        guesses.append(Q0)
+        if len(guesses) == 1 and len(speeds) > 1:
+            return real(Q0, c, config, quarter=quarter)
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(tw_solver, "newton_solve", newton)
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"branch continuation failed at c = {speeds[-1]}")):
+        continue_branch(speeds, solver_cfg, profiles, grid_rule=lambda s: grid)
+    assert len(guesses) == calls
+    ansatz = build_two_vortex(AnsatzParams(1.0 / speeds[-1], profiles[1], profiles[-1]),
+                              grid)
+    assert np.array_equal(guesses[-1].values, ansatz.values)
+    if calls > 1:   # the first attempt was the continued guess
+        assert not np.array_equal(guesses[-2].values, ansatz.values)
+
+
+@settings(max_examples=6, deadline=None)
+@given(mains=st.lists(st.sampled_from(POOL_CFG.speeds), min_size=2, max_size=3,
+                      unique=True).map(lambda m: sorted(m, reverse=True)))
+def test_triple_depends_on_its_own_speeds_alone(profiles, solver_cfg, solo_triples, mains):
+    real, nodes = newton_solve, []
+
+    def spy(Q0, c, *args, **kwargs):
+        nodes.append(Q0.grid.nx * Q0.grid.ny)
+        return real(Q0, c, *args, **kwargs)
+
+    speeds = [s for m in mains for s in POOL_CFG.neighbor_triple(m)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tw_solver, "newton_solve", spy)
+        br = continue_branch(speeds, solver_cfg, profiles, grid_rule=POOL_CFG.grid_rule)
+    assert [e.c for e in br.entries] == speeds
+    # finest grid first, one grid per triple
+    assert nodes == sorted(nodes, reverse=True) and len(set(nodes)) == len(mains)
+    for k, m in enumerate(mains):
+        if m not in solo_triples:
+            solo_triples[m] = continue_branch(POOL_CFG.neighbor_triple(m), solver_cfg,
+                                              profiles, grid_rule=POOL_CFG.grid_rule)
+        for a, b in zip(br.entries[3 * k:3 * k + 3], solo_triples[m].entries):
+            assert a.field.values.tobytes() == b.field.values.tobytes()
 
 
 def test_branch_persistence_roundtrip(branch_spec, tmp_path):
