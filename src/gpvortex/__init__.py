@@ -43,6 +43,7 @@ from .spectral import (
     assemble,
     constrained_coercivity,
     kernel_and_negative,
+    midpoint_step,
     evolve_linearized,
 )
 

@@ -25,13 +25,15 @@ from .field_core import ComplexField, Grid
 
 
 def _transport_laplacian(v: np.ndarray, grid: Grid, c: float) -> np.ndarray:
-    """-ic d2 v - lap v on the interior nodes of the full-grid array v: the
-    5-point Laplacian and the centered d2 of the linearized matrix, with
-    the boundary ring of v as Dirichlet data."""
+    """-ic d2 v - lap v on the interior nodes of the full-grid array v (or
+    of each field of a stack v[..., nx, ny]): the 5-point Laplacian and the
+    centered d2 of the linearized matrix, with the boundary ring of v as
+    Dirichlet data."""
     hx, hy = grid.hx, grid.hy
-    lap = ((v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx**2
-           + (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy**2)
-    d2 = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * hy)
+    mid = v[..., 1:-1, 1:-1]
+    lap = ((v[..., 2:, 1:-1] - 2.0 * mid + v[..., :-2, 1:-1]) / hx**2
+           + (v[..., 1:-1, 2:] - 2.0 * mid + v[..., 1:-1, :-2]) / hy**2)
+    d2 = (v[..., 1:-1, 2:] - v[..., 1:-1, :-2]) / (2.0 * hy)
     return -1j * c * d2 - lap
 
 
@@ -46,10 +48,6 @@ def tw_residual_values(values: np.ndarray, grid: Grid, c: float) -> np.ndarray:
     out[1:-1, 1:-1] = (_transport_laplacian(values, grid, c)
                        - (1.0 - np.abs(mid) ** 2) * mid)
     return out
-
-
-def _lap_1d(n: int, h: float) -> sp.csr_matrix:
-    return sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr") / h**2
 
 
 def _stencil(grid: Grid, rows: np.ndarray):

@@ -5,16 +5,25 @@ evolution.
 
 The operator is assembled in the real 2m formulation (the 2 Re(conj(Q)
 phi) Q term is only real-linear); symmetry holds for the plain real
-pairing with uniform cell weights.  Constrained minimal Rayleigh
-quotients are computed by dense Rayleigh-Ritz projection onto a shared
-shift-inverted Krylov subspace: all constraint sets of one norm are
-reduced in the same basis, so the monotonicity of the minima under
-constraint nesting is exact linear algebra per run.
+pairing with uniform cell weights.  The handle keeps one matrix of it,
+the form matrix A = weight L: the eigenvalues of L are those of A
+divided by ``weight``, and the evolution builds its matrices from
+A / weight.  Constrained minimal Rayleigh quotients are computed by
+dense Rayleigh-Ritz projection onto a shared shift-inverted Krylov
+subspace: all constraint sets of one norm are reduced in the same
+basis, so the monotonicity of the minima under constraint nesting is
+exact linear algebra per run.
 
 The kernel/negative-index eigensolve runs per symmetry sector: Q is even
 in x1 and conjugate-even in x2, so the operator is block diagonal in the
 four sectors of ``operators.sector_maps``.  The Ritz bases are on the
 full space.
+
+The linearized evolution takes its propagator as a value:
+``midpoint_step`` factors the implicit-midpoint matrix once, and
+``evolve_linearized`` advances an n x k block of initial data with it,
+one block solve per step, so every run at one step size shares one
+factorization and the handle holds none.
 
 A Ritz basis is a value: ``ritz_basis`` returns it, and the caller
 hands it to ``constrained_coercivity`` for each constraint set of its
@@ -36,7 +45,7 @@ Every factorization picks its fill-reducing ordering at the call:
   at the default basis size and mirrors that basis, so a rounding change
   there moves its printed digits (minimum degree moved 1.152e-01 to
   8.520e-02 at c = 0.05, seed 1234);
-- COLAMD for the implicit-midpoint matrix of ``evolve_linearized``: on
+- COLAMD for the implicit-midpoint matrix of ``midpoint_step``: on
   that unsymmetric matrix at c = 0.05, minimum degree ran out of a 4 GB
   memory limit at column 47,872 of 178,802, and COLAMD factors it in
   about 4.5 s.
@@ -44,7 +53,7 @@ Every factorization picks its fill-reducing ordering at the call:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,7 +68,7 @@ from .field_core import (
     resolution_floor,
 )
 from .linearization import DirectionSet, _grad4, quadratic_form_B
-from .operators import _lap_1d, linearized_matrix, sector_maps
+from .operators import _transport_laplacian, linearized_matrix, sector_maps
 from .tw_solver import locate_zeros
 
 CONSTRAINT_SETS = {
@@ -77,10 +86,10 @@ _PANEL = 16                     # basis columns per projection product
 @dataclass
 class OperatorHandle:
     """Assembled form matrix, Gram matrices, constraint vectors and the
-    direction fields, all over the interior real dofs."""
+    direction fields, all over the interior real dofs.  The operator
+    matrix is ``A / weight``."""
 
-    A: sp.csr_matrix            # weighted form matrix (symmetric)
-    A_op: sp.csr_matrix         # unweighted operator matrix
+    A: sp.csr_matrix            # form matrix, weight * operator (symmetric)
     G_C: sp.csr_matrix
     G_exp: sp.csr_matrix
     constraints: dict
@@ -91,7 +100,6 @@ class OperatorHandle:
     b_dx1_form: float = 0.0
     b_dc_form: float = 0.0
     dx1_mass: float = 1.0
-    _evolve: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -338,8 +346,7 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
         raise ValueError("orthogonality ball radius must exceed 5")
     zeros = locate_zeros(Q)
     w = grid.hx * grid.hy
-    A_op = linearized_matrix(Q, c)
-    A = (A_op * w).tocsr()
+    A = (linearized_matrix(Q, c) * w).tocsr()
     asym = abs(A - A.T).max()
     if asym > 1e-12 * max(1.0, abs(A).max()):
         raise RuntimeError(f"assembled operator not symmetric: defect {asym}")
@@ -386,7 +393,7 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
         "drot": _complex_to_real_vec(_interior_diag(drot)),
         "iQ": _complex_to_real_vec(_interior_diag(iQ)),
     }
-    handle = OperatorHandle(A=A, A_op=A_op.tocsr(), G_C=G_C, G_exp=G_exp,
+    handle = OperatorHandle(A=A, G_C=G_C, G_exp=G_exp,
                             constraints=constraints, directions=dirs,
                             grid=grid, c=c, weight=w)
     # discretization floor of the translation identity, evaluated on the
@@ -576,16 +583,17 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
     cluster to the discrete translation span.
 
     The eigenproblem is solved per symmetry sector on the blocks
-    B_s = P_s^T A P_s (``operators.sector_maps``), and the k eigenvalues
-    of the union nearest 0 are kept, which is the set a shift-invert solve
-    on the full matrix returns.  Each sector is first asked for
-    ceil(k/4) + 1 eigenpairs; a sector is widened (and refactored) only
-    while its farthest computed |lambda| lies below the k-th kept one, so
-    that no eigenvalue it has not computed could enter the kept set.  A
-    field that breaks the symmetry couples the sectors and is refused with
-    ``RuntimeError``.  The report lists the kept eigenvalues and their
-    counts per sector."""
-    A = handle.A_op
+    B_s = P_s^T A P_s (``operators.sector_maps``) of the form matrix,
+    whose eigenvalues divided by ``weight`` are the operator's, and the k
+    eigenvalues of the union nearest 0 are kept, which is the set a
+    shift-invert solve on the full matrix returns.  Each sector is first
+    asked for ceil(k/4) + 1 eigenpairs; a sector is widened (and
+    refactored) only while its farthest computed |lambda| lies below the
+    k-th kept one, so that no eigenvalue it has not computed could enter
+    the kept set.  A field that breaks the symmetry couples the sectors
+    and is refused with ``RuntimeError``.  The report lists the kept
+    eigenvalues and their counts per sector."""
+    A = handle.A
     bound = 1e-12 * abs(A).max()
     maps = sector_maps(handle.grid)
     blocks = {}
@@ -617,7 +625,7 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
              for j, v in enumerate(vals)]
     found.sort(key=lambda t: abs(t[0]))
     kept = sorted(found[:k], key=lambda t: t[0])
-    vals = np.array([t[0] for t in kept])
+    vals = np.array([t[0] for t in kept]) / handle.weight
     labels = np.array([t[1] for t in kept])
     vecs = np.column_stack([maps[t[1]] @ t[2] for t in kept])
 
@@ -660,50 +668,74 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
     )
 
 
-def evolve_linearized(handle: OperatorHandle, u0: np.ndarray, T: float,
-                      dt: float) -> dict:
+@dataclass
+class MidpointStep:
+    """The implicit-midpoint step of du/dt = J L u at step ``dt``:
+    u -> M^{-1} (2I - M) u = 2 M^{-1} u - u with M = I - (dt/2) J L."""
+
+    lu: spla.SuperLU            # factors of M
+    dt: float
+
+
+def midpoint_step(handle: OperatorHandle, dt: float) -> MidpointStep:
+    """The step at ``dt``, with L = A / weight and J = [[0, I], [-I, 0]]; M
+    is factored here, with COLAMD (see the module docstring)."""
+    m = handle.A.shape[0] // 2
+    M = sp.identity(2 * m, format="csc") - (0.5 * dt / handle.weight) * sp.vstack(
+        [handle.A[m:], -handle.A[:m]], format="csc")           # J A, rows swapped
+    return MidpointStep(spla.splu(M, permc_spec="COLAMD"), float(dt))
+
+
+def random_data(grid: Grid, seed: int, count: int) -> np.ndarray:
+    """n x ``count`` block of smooth localized random initial data: per
+    column, Re and then Im phi are standard-normal draws on the interior
+    nodes from ``default_rng(seed)``, Gaussian-filtered (width 2 nodes)
+    and multiplied by exp(-|x|^2 / (0.35 lx)^2)."""
+    from scipy.ndimage import gaussian_filter
+
+    mx, my = grid.nx - 2, grid.ny - 2
+    X, Y = np.meshgrid(grid.x[1:-1], grid.y[1:-1], indexing="ij")
+    env = np.exp(-(X**2 + Y**2) / (0.35 * grid.lx) ** 2)
+    rng = np.random.default_rng(seed)
+    U = np.empty((2 * mx * my, count))
+    for j in range(count):
+        U[:, j] = np.concatenate([
+            (gaussian_filter(rng.standard_normal((mx, my)), 2.0) * env).ravel()
+            for _ in range(2)])
+    return U
+
+
+def evolve_linearized(handle: OperatorHandle, step: MidpointStep,
+                      U0: np.ndarray, T: float) -> dict:
     """Implicit-midpoint integration of i du/dt = L u in the real
-    formulation; returns the gradient-energy series, the fitted
-    exponential rate, and the drift of the conserved quadratic form."""
-    n = handle.A_op.shape[0]
-    m = n // 2
-    key = float(dt)
-    if key in handle._evolve:
-        lu, M_plus = handle._evolve[key]
-    else:
-        A = handle.A_op
-        S = sp.vstack([A[m:], -A[:m]]).tocsc()  # J A with J = [[0, I], [-I, 0]]
-        M_minus = (sp.identity(n, format="csc") - (0.5 * dt) * S).tocsc()
-        M_plus = (sp.identity(n, format="csr") + (0.5 * dt) * S).tocsr()
-        # COLAMD: minimum degree's fill on this unsymmetric matrix runs
-        # out of memory at c = 0.05 (see the module docstring)
-        lu = spla.splu(M_minus, permc_spec="COLAMD")
-        handle._evolve[key] = (lu, M_plus)
-
+    formulation, to time ``T`` on the factored ``step`` (``midpoint_step``),
+    for every column of the n x k block ``U0`` at once (a vector is one
+    column): each step is one block solve.  Returns the step times and,
+    per column, the fitted exponential rate of the gradient energy, the
+    drift of the conserved form u^T A u and the largest relative change
+    of the gradient energy."""
     g = handle.grid
-    lap = sp.kron(-_lap_1d(g.nx - 2, g.hx), sp.identity(g.ny - 2)) \
-        + sp.kron(sp.identity(g.nx - 2), -_lap_1d(g.ny - 2, g.hy))
-    Ggrad = sp.block_diag([lap, lap]).tocsr() * handle.weight
-
-    x = u0.astype(float).copy()
-    steps = int(round(T / dt))
-    times = np.arange(steps + 1) * dt
-    energies = np.empty(steps + 1)
-    bexp = np.empty(steps + 1)
-    energies[0] = x @ (Ggrad @ x)
-    bexp[0] = x @ (handle.A @ x)
-    for k in range(1, steps + 1):
-        x = lu.solve(M_plus @ x)
-        energies[k] = x @ (Ggrad @ x)
-        bexp[k] = x @ (handle.A @ x)
-    rate = float(np.polyfit(times, np.log(np.maximum(energies, 1e-300)), 1)[0])
-    b0 = bexp[0]
-    drift = float(np.max(np.abs(bexp - b0)) / max(abs(b0), 1e-12 * energies[0]))
+    m = handle.A.shape[0] // 2
+    X = np.asarray(U0, dtype=float).reshape(2 * m, -1)
+    phi = np.zeros((X.shape[1], g.nx, g.ny), dtype=complex)   # zero boundary ring
+    inner = phi[:, 1:-1, 1:-1]
+    steps = int(round(T / step.dt))
+    times = np.arange(steps + 1) * step.dt
+    energies = np.empty((steps + 1, X.shape[1]))
+    forms = np.empty_like(energies)
+    for j in range(steps + 1):
+        if j:
+            X = 2.0 * step.lu.solve(X) - X
+        # <-lap phi, phi> with phi = u + iv, on the residual's stencil
+        inner[...] = (X[:m] + 1j * X[m:]).T.reshape(inner.shape)
+        energies[j] = np.sum((inner.conj() * _transport_laplacian(phi, g, 0.0)).real,
+                             axis=(1, 2)) * handle.weight
+        forms[j] = np.einsum("ij,ij->j", X, handle.A @ X)
     return {
         "times": times,
-        "grad_energy": energies,
-        "fitted_rate": rate,
-        "form_drift": drift,
-        "relative_energy_change": float(np.max(np.abs(energies - energies[0]))
-                                        / energies[0]),
+        "fitted_rate": np.polyfit(times, np.log(np.maximum(energies, 1e-300)), 1)[0],
+        "form_drift": np.max(np.abs(forms - forms[0]), axis=0)
+                      / np.maximum(np.abs(forms[0]), 1e-12 * energies[0]),
+        "relative_energy_change": np.max(np.abs(energies - energies[0]), axis=0)
+                                  / energies[0],
     }

@@ -73,6 +73,7 @@ class BranchEntry:
     energy: float
     p2: float
     newton_steps: int = 0
+    newton_history: tuple = ()     # residual norm before each Newton step
 
     @property
     def zeros(self):
@@ -316,7 +317,8 @@ def _solve_run(c_values, grid: Grid, config: SolverConfig, profiles: dict):
         entries.append(BranchEntry(
             c=c, field=Q, half_separation=d_tilde,
             residual_norm=info["residual"], energy=energy(Q),
-            p2=momentum(Q)[1], newton_steps=info["steps"]))
+            p2=momentum(Q)[1], newton_steps=info["steps"],
+            newton_history=tuple(info["history"])))
         gamma = Q.values - base.values
     return entries
 
@@ -456,7 +458,8 @@ _DIAG_COLUMNS = ("c", "d_tilde", "residual", "energy", "p2", "newton_steps")
 
 
 def save_branch(branch: TravellingWaveBranch, outdir) -> None:
-    """Branch directory: manifest + one field file per entry + a CSV of
+    """Branch directory: manifest + one field file per entry (its ``.meta``
+    sidecar keeps the entry's diagnostics and Newton history) + a CSV of
     diagnostics."""
     outdir = str(outdir)
     os.makedirs(outdir, exist_ok=True)
@@ -472,6 +475,8 @@ def save_branch(branch: TravellingWaveBranch, outdir) -> None:
                           "energy": repr(float(e.energy)),
                           "p2": repr(float(e.p2)),
                           "newton_steps": int(e.newton_steps),
+                          "newton_history": " ".join(
+                              repr(float(r)) for r in e.newton_history),
                           "config_hash": branch.config_hash})
     _atomic_write(os.path.join(outdir, "manifest.txt"), "\n".join(lines) + "\n")
     rows = [",".join(_DIAG_COLUMNS)]
@@ -498,5 +503,6 @@ def load_branch(outdir) -> TravellingWaveBranch:
         entries.append(BranchEntry(
             c=c, field=f, half_separation=float(meta["d_tilde"]),
             residual_norm=float(meta["residual"]), energy=float(meta["energy"]),
-            p2=float(meta["p2"]), newton_steps=int(meta.get("newton_steps", 0))))
+            p2=float(meta["p2"]), newton_steps=int(meta.get("newton_steps", 0)),
+            newton_history=tuple(map(float, meta.get("newton_history", "").split()))))
     return TravellingWaveBranch(entries, config_hash=manifest.get("config_hash", ""))

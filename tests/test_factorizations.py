@@ -9,9 +9,11 @@ quarter Newton (every stored branch field; its matrix is assembled from
 the quarter's rows alone), the exp-norm Ritz pencil (the unconverged
 ``sym3`` minimum mirrors that basis), and the implicit-midpoint matrix,
 on which minimum degree does not finish.  The spectrum stage factors
-each Ritz pencil once, whatever the order of its constraint sets."""
+each Ritz pencil once, whatever the order of its constraint sets, and
+the stability stage the midpoint matrix once for all its runs."""
 
 import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
@@ -19,7 +21,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gpvortex.cli import _spectrum_one
+from gpvortex import spectral
+from gpvortex.cli import _spectrum_one, main
 from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField, Grid, symmetrize
 from gpvortex.operators import linearized_matrix
@@ -27,6 +30,7 @@ from gpvortex.spectral import (
     OperatorHandle,
     evolve_linearized,
     kernel_and_negative,
+    midpoint_step,
     ritz_basis,
 )
 from gpvortex.tw_solver import (
@@ -55,7 +59,7 @@ def _handle() -> OperatorHandle:
     rng = np.random.default_rng(1)
     G = sp.identity(n, format="csr") * w
     dirs = {k: rng.standard_normal(n) for k in ("dx1", "dx2", "dc", "drot", "iQ")}
-    return OperatorHandle(A=(A_op * w).tocsr(), A_op=A_op, G_C=G, G_exp=G,
+    return OperatorHandle(A=(A_op * w).tocsr(), G_C=G, G_exp=G,
                           constraints={}, directions=dirs, grid=GRID, c=SPEED,
                           weight=w)
 
@@ -71,7 +75,7 @@ def _newton(chord: bool) -> None:
 def _evolve() -> None:
     h = _handle()
     u0 = np.random.default_rng(2).standard_normal(h.A.shape[0])
-    evolve_linearized(h, u0, T=0.5, dt=0.5)
+    evolve_linearized(h, midpoint_step(h, 0.5), u0, T=0.5)
 
 
 CASES = {
@@ -143,3 +147,38 @@ def test_spectrum_factors_each_ritz_pencil_once(branch02, monkeypatch):
         assert reordered["coercivity"][name] == default["coercivity"][name]
         assert reordered["coercivity_check"][name] == default["coercivity_check"][name]
     assert reordered["ritz"] == default["ritz"]
+
+
+def test_stability_factors_the_midpoint_matrix_once(tmp_path, monkeypatch):
+    # the kernel mode and the block of random data evolve on one
+    # factorization that the stage holds, not a cache on the handle
+    handles, seen = [], []
+    assemble, splu = spectral.assemble, spla.splu
+
+    def kept(*args, **kwargs):
+        handles.append(assemble(*args, **kwargs))
+        return handles[-1]
+
+    def spy(A, **kwargs):
+        seen.append((kwargs.get("permc_spec", COLAMD), A.shape[0]))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spectral, "assemble", kept)
+    monkeypatch.setattr(spla, "splu", spy)
+    cfg = {"max_nx": 201, "newton_tol": 1e-10, "stability_T": 10.0,
+           "stability_dt": 0.5, "stability_samples": 3,
+           "stability_speed": 0.2, "uniqueness_speed": 0.2}
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfgfile), "--out", str(out),
+                 "--speeds", "0.2", "stability"]) == 0
+    (handle,) = handles
+    n = handle.A.shape[0]
+    assert seen.count((COLAMD, n)) == 1
+    assert not hasattr(handle, "_evolve") and not hasattr(handle, "A_op")
+    payload = json.loads((out / "stability.json").read_text())
+    assert [r["kind"] for r in payload["runs"]] \
+        == ["kernel_mode", "random_0", "random_1", "random_2"]
+    assert [r["steps"] for r in payload["runs"]] == [100, 20, 20, 20]
+    assert type(payload["lu_fill"]) is int and payload["lu_fill"] > n

@@ -180,6 +180,10 @@ def test_branch_persistence_roundtrip(branch_spec, tmp_path):
         assert a.c == b.c
         assert a.half_separation == pytest.approx(b.half_separation, rel=1e-12)
         assert np.array_equal(a.field.values, b.field.values)
+        # the Newton history: the residual before each step, then the final one
+        assert a.newton_history == b.newton_history
+        assert len(a.newton_history) == a.newton_steps + 1
+        assert a.newton_history[-1] == a.residual_norm
     text = (outdir / "diagnostics.csv").read_text().splitlines()
     assert text[0] == "c,d_tilde,residual,energy,p2,newton_steps"
     assert len(text) == 1 + len(branch_spec.entries)
