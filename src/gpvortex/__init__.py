@@ -13,7 +13,6 @@ from .field_core import (
     ComplexField,
     CutoffEta,
     fd_gradient,
-    inner_product,
     grid_l2,
 )
 from .ansatz import AnsatzParams, build_two_vortex

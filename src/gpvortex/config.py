@@ -10,7 +10,7 @@ import numpy as np
 
 from .ansatz import BOUNDARY_MARGIN, MAX_SPEED, NEIGHBOR_FRAC_CAP
 from .field_core import Grid
-from .tw_solver import default_grid_rule
+from .tw_solver import MAX_UNIQUENESS_DELTA, default_grid_rule
 
 # Least distance from the cores (at 1/c) to the box edge on the grid the
 # stability stage evolves on.  A nearer edge cuts off the slowly decaying
@@ -75,8 +75,9 @@ class RunConfig:
             raise ValueError("orthogonality ball radius must exceed 5")
         if self.max_nx % 2 == 0 or self.diag_max_nx % 2 == 0:
             raise ValueError("node-count caps must be odd")
-        if self.uniqueness_delta > 1e-2:
-            raise ValueError("uniqueness perturbation must stay at or below 1e-2")
+        if not (0.0 < self.uniqueness_delta <= MAX_UNIQUENESS_DELTA):
+            raise ValueError(f"uniqueness perturbation must lie in "
+                             f"(0, {MAX_UNIQUENESS_DELTA:g}]")
 
     # -- grid rules ----------------------------------------------------
     def _anchor(self, c: float) -> float:

@@ -1,12 +1,11 @@
 """2-D complex fields on uniform rectangular grids.
 
-The 2nd-order centered gradient (one-sided at the boundary), the
-trapezoidal real pairing and the grid L2 norm, the symmetrization onto
-fields even in x1 and conjugate-even in x2, the floored ratio
-psi = phi/Q behind the multiplicative norms, the smooth cutoff around
-the vortex zeros, bilinear sampling on points and circles, and the
-checksummed binary field files.  The Laplacian lives with the other
-interior stencils in ``operators``.
+The 2nd-order centered gradient (one-sided at the boundary), the grid
+L2 norm, the symmetrization onto fields even in x1 and conjugate-even
+in x2, the floored ratio psi = phi/Q behind the multiplicative norms,
+the smooth cutoff around the vortex zeros, bilinear sampling on points
+and circles, and the checksummed binary field files.  The Laplacian
+lives with the other interior stencils in ``operators``.
 
 The norms themselves are discretized once, as the Gram matrices of
 ``spectral``.
@@ -129,18 +128,6 @@ def fd_gradient(f: ComplexField) -> tuple[ComplexField, ComplexField]:
     return ComplexField(f.grid, gx), ComplexField(f.grid, gy)
 
 
-def _check_same_grid(f: ComplexField, g: ComplexField) -> None:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-
-
-def inner_product(f: ComplexField, g: ComplexField) -> float:
-    """Real pairing: trapezoidal quadrature of Re(f conj(g))."""
-    _check_same_grid(f, g)
-    w = f.grid.trapezoid_weights
-    return float(np.sum((f.values * np.conj(g.values)).real * w))
-
-
 def grid_l2(values, grid: Grid) -> float:
     """Uniform-weight grid L2 norm sqrt(sum |v|^2 hx hy)."""
     v = values.values if isinstance(values, ComplexField) else np.asarray(values)
@@ -189,17 +176,16 @@ class CutoffEta:
 # ----------------------------------------------------------------------
 # bilinear sampling
 
-def bilinear_sample(f: ComplexField, xs, ys, check_inside: bool = True) -> np.ndarray:
+def bilinear_sample(f: ComplexField, xs, ys) -> np.ndarray:
     g = f.grid
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     fx = (xs - g.x[0]) / g.hx
     fy = (ys - g.y[0]) / g.hy
-    if check_inside:
-        eps = 1e-9
-        if (np.any(fx < -eps) or np.any(fx > g.nx - 1 + eps)
-                or np.any(fy < -eps) or np.any(fy > g.ny - 1 + eps)):
-            raise ValueError("sample point outside the grid")
+    eps = 1e-9
+    if (np.any(fx < -eps) or np.any(fx > g.nx - 1 + eps)
+            or np.any(fy < -eps) or np.any(fy > g.ny - 1 + eps)):
+        raise ValueError("sample point outside the grid")
     ix = np.clip(np.floor(fx).astype(int), 0, g.nx - 2)
     iy = np.clip(np.floor(fy).astype(int), 0, g.ny - 2)
     tx = np.clip(fx - ix, 0.0, 1.0)
@@ -209,8 +195,9 @@ def bilinear_sample(f: ComplexField, xs, ys, check_inside: bool = True) -> np.nd
             + (1 - tx) * ty * v[ix, iy + 1] + tx * ty * v[ix + 1, iy + 1])
 
 
-def circle_samples(f: ComplexField, center, radius: float, n: int = 256):
-    theta = 2.0 * np.pi * np.arange(n) / n
+def circle_samples(f: ComplexField, center, radius: float):
+    """Bilinear samples of f at 256 equispaced angles on a circle."""
+    theta = 2.0 * np.pi * np.arange(256) / 256
     xs = center[0] + radius * np.cos(theta)
     ys = center[1] + radius * np.sin(theta)
     return theta, bilinear_sample(f, xs, ys)

@@ -138,40 +138,25 @@ class QuarterMaps:
     quarter matrix."""
 
     def __init__(self, grid: Grid):
-        nx, ny = grid.nx, grid.ny
-        mx, my = nx - 2, ny - 2
+        mx, my = grid.nx - 2, grid.ny - 2
+        cx, cy = (mx - 1) // 2, (my - 1) // 2       # interior centre node
         m = mx * my
-        cx, cy = (nx - 1) // 2, (ny - 1) // 2
-        # interior index arrays (offset by 1 against full-grid indices)
-        I = np.arange(1, nx - 1)[:, None] * np.ones((1, my), dtype=int)
-        J = np.ones((mx, 1), dtype=int) * np.arange(1, ny - 1)[None, :]
-        Im = cx + np.abs(I - cx)
-        Jm = cy + np.abs(J - cy)
-        sgn = np.where(J >= cy, 1.0, -1.0)
-
-        qi = np.arange(cx, nx - 1)
-        qj = np.arange(cy, ny - 1)
-        nqx, nqy = qi.size, qj.size
-        mq = nqx * nqy
-        qindex = -np.ones((nx, ny), dtype=int)
-        qindex[np.ix_(qi, qj)] = np.arange(mq).reshape(nqx, nqy)
-
-        full_q = qindex[Im, Jm].ravel()
-        rows = np.arange(m)
-        Pu = sp.coo_matrix((np.ones(m), (rows, full_q)), shape=(m, mq))
-        Pv = sp.coo_matrix((sgn.ravel(), (rows, full_q)), shape=(m, mq))
-        self.P = sp.bmat([[Pu, None], [None, Pv]], format="csr")
-
+        # the ++ parity maps of ``sector_maps`` with unit entries: quarter
+        # node (k1, k2) to its images (cx +- k1, cy +- k2); v = Im phi is
+        # odd in x2, so its images below the x2 axis change sign
+        E = sp.kron(_parity_map(mx, 1), _parity_map(my, 1), format="csr")
+        E.data[:] = 1.0
+        below = np.arange(m) % my < cy
+        self.P = sp.block_diag([E, sp.diags(np.where(below, -1.0, 1.0)) @ E],
+                               format="csr")
+        mq = E.shape[1]
+        k1, k2 = np.divmod(np.arange(mq), cy + 1)
         # representative full-interior dof for each quarter dof
-        rep = np.empty(mq, dtype=int)
-        k = (I - 1) * my + (J - 1)
-        mask = (I == Im) & (J == Jm)
-        rep[qindex[I[mask], J[mask]]] = k[mask]
+        rep = (cx + k1) * my + cy + k2
         self.rep_rows = np.concatenate([rep, rep + m])
 
         # quarter v-dofs on the x2 axis are pinned to zero
-        axis = qindex[qi, cy]
-        self.pinned = mq + axis
+        self.pinned = mq + np.flatnonzero(k2 == 0)
         self.mq = mq
         self.m = m
         keep = np.ones(2 * mq)

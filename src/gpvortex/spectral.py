@@ -71,13 +71,14 @@ from .linearization import DirectionSet, _grad4, quadratic_form_B
 from .operators import _transport_laplacian, linearized_matrix, sector_maps
 from .tw_solver import locate_zeros
 
+# set name -> (norm of its minimum, constraint rows)
 CONSTRAINT_SETS = {
-    "none": (),
-    "three": ("tx1", "tx2", "tc"),
-    "four": ("tx1", "tx2", "tc", "trot"),
-    "phase4": ("tx1", "tx2", "tc", "phase0"),
-    "sym3": ("sym_c", "sym_x2", "sym_phase"),
-    "idx2": ("idx2",),
+    "none": ("C", ()),
+    "three": ("C", ("tx1", "tx2", "tc")),
+    "four": ("C", ("tx1", "tx2", "tc", "trot")),
+    "phase4": ("exp", ("tx1", "tx2", "tc", "phase0")),
+    "sym3": ("exp", ("sym_c", "sym_x2", "sym_phase")),
+    "idx2": ("exp", ("idx2",)),
 }
 
 _PANEL = 16                     # basis columns per projection product
@@ -255,9 +256,10 @@ def _difference_op(grid: Grid, axis: int) -> sp.csr_matrix:
 # ----------------------------------------------------------------------
 # constraints
 
-def _ball_harmonic_chain(Q: ComplexField, center, R: float, n_theta: int = 256):
+def _ball_harmonic_chain(Q: ComplexField, center, R: float):
     """Real sparse operator taking an interior node field to its angular
-    0-harmonic (as a radial interpolant) on the nodes of B(center, R)."""
+    0-harmonic (as a radial interpolant, the mean over 256 angles) on the
+    nodes of B(center, R)."""
     g = Q.grid
     mx, my = g.nx - 2, g.ny - 2
     m = mx * my
@@ -270,6 +272,7 @@ def _ball_harmonic_chain(Q: ComplexField, center, R: float, n_theta: int = 256):
 
     # sampling matrix: circles -> bilinear weights on interior nodes
     rows, cols, vals = [], [], []
+    n_theta = 256
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     ct, st = np.cos(thetas), np.sin(thetas)
     for k, r in enumerate(radii):
@@ -508,16 +511,21 @@ def constrained_coercivity(handle: OperatorHandle, basis: RitzBasis,
     the other exp-norm sets run first.
 
     All constraint sets of one norm share the basis and its projections,
-    so nested sets give exactly monotone minima.  ``"sym3"`` runs only on
-    a mirrored basis and every other set only on a plain one; a mismatch,
-    or a consumed basis, is a ``ValueError``.  Convergence is checked against the half-size
-    basis, whose projections are the leading blocks of the full ones."""
-    names = CONSTRAINT_SETS[constraint_set]
+    so nested sets give exactly monotone minima.  Each set runs only on a
+    basis of its norm (``CONSTRAINT_SETS``), ``"sym3"`` only on a mirrored
+    basis and every other set only on a plain one; a mismatch, or a
+    consumed basis, is a ``ValueError``.  Convergence is checked against
+    the half-size basis, whose projections are the leading blocks of the
+    full ones."""
+    set_norm, names = CONSTRAINT_SETS[constraint_set]
     if basis.Z is None:
         raise ValueError("the Ritz basis was consumed by sym3_basis")
     if basis.mirrored != (constraint_set == "sym3"):
         raise ValueError(f"constraint set {constraint_set!r} does not run on a "
                          f"{'mirrored' if basis.mirrored else 'plain'} Ritz basis")
+    if basis.norm != set_norm:
+        raise ValueError(f"constraint set {constraint_set!r} does not run on a "
+                         f"{basis.norm}-norm Ritz basis")
     norm, Z = basis.norm, basis.Z
     if basis.Ah is None:
         G = handle.G_C if norm == "C" else handle.G_exp
@@ -584,15 +592,13 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
 
     The eigenproblem is solved per symmetry sector on the blocks
     B_s = P_s^T A P_s (``operators.sector_maps``) of the form matrix,
-    whose eigenvalues divided by ``weight`` are the operator's, and the k
-    eigenvalues of the union nearest 0 are kept, which is the set a
-    shift-invert solve on the full matrix returns.  Each sector is first
-    asked for ceil(k/4) + 1 eigenpairs; a sector is widened (and
-    refactored) only while its farthest computed |lambda| lies below the
-    k-th kept one, so that no eigenvalue it has not computed could enter
-    the kept set.  A field that breaks the symmetry couples the sectors
-    and is refused with ``RuntimeError``.  The report lists the kept
-    eigenvalues and their counts per sector."""
+    whose eigenvalues divided by ``weight`` are the operator's.  Each
+    sector gives its k eigenvalues nearest 0 (all but one where it has no
+    more than k rows), and the k of the union nearest 0 are kept, which
+    is the set a shift-invert solve on the full matrix returns.  A field
+    that breaks the symmetry couples the sectors and is refused with
+    ``RuntimeError``.  The report lists the kept eigenvalues and their
+    counts per sector."""
     A = handle.A
     bound = 1e-12 * abs(A).max()
     maps = sector_maps(handle.grid)
@@ -605,24 +611,11 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
             raise RuntimeError(f"operator couples symmetry sector {label} to "
                                f"the others: defect {defect:.3e}")
         blocks[label] = B
-    cap = {label: B.shape[0] - 1 for label, B in blocks.items()}
-    want = {label: min(-(-k // len(maps)) + 1, cap[label]) for label in blocks}
-    solved = {}                 # label -> (eigenvalues, sector vectors)
-    while True:
-        for label, B in blocks.items():
-            if label not in solved or solved[label][0].size < want[label]:
-                solved[label] = _sector_eigs(B, want[label])
-        mags = np.sort(np.concatenate([np.abs(v) for v, _ in solved.values()]))
-        kth = mags[k - 1] if mags.size >= k else np.inf
-        short = [label for label, (v, _) in solved.items()
-                 if np.abs(v).max() < kth and want[label] < cap[label]]
-        if not short:
-            break
-        for label in short:
-            want[label] = min(2 * want[label], cap[label])
     # (eigenvalue, sector label, sector vector), sectors in map order
-    found = [(v, label, vecs[:, j]) for label, (vals, vecs) in solved.items()
-             for j, v in enumerate(vals)]
+    found = []
+    for label, B in blocks.items():
+        vals, vecs = _sector_eigs(B, min(k, B.shape[0] - 1))
+        found += [(v, label, vecs[:, j]) for j, v in enumerate(vals)]
     found.sort(key=lambda t: abs(t[0]))
     kept = sorted(found[:k], key=lambda t: t[0])
     vals = np.array([t[0] for t in kept]) / handle.weight

@@ -9,9 +9,12 @@ that its symmetric quarter keeps (``QuarterMaps.reduce``).  The
 uniqueness re-solves run without symmetry on the full grid by the chord
 method: all of them iterate with one factorization of the linearized
 operator L_Q at the unperturbed wave, invertible by the paper's
-non-degeneracy of L_Q.  Each re-solve converges back to (a translate of)
-that wave, where the frozen Jacobian is the true one up to the size of
-the translate, so a chord step gains as much as a Newton step.
+non-degeneracy of L_Q.  The Dirichlet ring pins translation, so each
+re-solve converges back to that wave itself, where the frozen Jacobian
+is the true one, and a chord step gains as much as a Newton step.  The
+experiment thus checks that Q is an isolated zero of the box residual
+to which the chord iteration returns; uniqueness up to translation is
+not checked here.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ from .field_core import (
     _atomic_write,
     bilinear_sample,
     circle_samples,
-    fd_gradient,
     grid_l2,
-    inner_product,
     load_field,
     save_field,
     symmetrize,
@@ -50,6 +51,8 @@ from .operators import (
 SPURIOUS_ZERO_LEVEL = 0.3
 # step halvings a damped Newton step may take before the solve gives up
 MAX_HALVINGS = 8
+# largest perturbation scale of the uniqueness experiment
+MAX_UNIQUENESS_DELTA = 1e-2
 
 
 @dataclass
@@ -106,19 +109,20 @@ def residual(Q: ComplexField, c: float) -> ComplexField:
     return ComplexField(Q.grid, tw_residual_values(Q.values, Q.grid, c))
 
 
-def winding_number(Q: ComplexField, center, radius: float = 1.0, n: int = 256) -> int:
-    _, vals = circle_samples(Q, center, radius, n)
+def winding_number(Q: ComplexField, center) -> int:
+    """Winding of Q around the circle of radius 1 about ``center``."""
+    _, vals = circle_samples(Q, center, 1.0)
     ratio = vals / np.roll(vals, 1)
     total = float(np.sum(np.angle(ratio)))
     return int(round(total / (2.0 * np.pi)))
 
 
-def _refine_zero(Q: ComplexField, x0, y0, max_steps: int = 40):
+def _refine_zero(Q: ComplexField, x0, y0):
     """Sub-grid zero by 2-D Newton on the bilinear interpolant."""
     g = Q.grid
     h = max(g.hx, g.hy)
     x, y = float(x0), float(y0)
-    for _ in range(max_steps):
+    for _ in range(40):
         eps = 1e-7 * h
         v = bilinear_sample(Q, np.array([x, x + eps, x]), np.array([y, y, y + eps]))
         f = v[0]
@@ -189,8 +193,8 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
     full grid without symmetry (Kelley 1995, sec. 5.4): every step solves
     with that frozen Jacobian.  The chord step contracts the error by a
     factor of the order of the distance from the iterate to the frozen
-    point, so an iteration that converges to (a small translate of) that
-    solution converges as fast as Newton's.  Both take the same damping
+    point, so an iteration that converges back to that solution
+    converges as fast as Newton's.  Both take the same damping
     rule, tolerance and step limit.  Returns (field, info) with the step
     count and the residual history in ``info``.
     """
@@ -353,39 +357,7 @@ def continue_branch(c_values, config: SolverConfig, profiles: dict,
 
 
 # ----------------------------------------------------------------------
-# translation fitting and the local-uniqueness experiment
-
-def shift_resample(Q: ComplexField, X) -> ComplexField:
-    """Field of values Q(x - X) on the same grid (edge-clamped samples)."""
-    g = Q.grid
-    Xg, Yg = g.mesh
-    xs = np.clip(Xg - X[0], g.x[0], g.x[-1])
-    ys = np.clip(Yg - X[1], g.y[0], g.y[-1])
-    vals = bilinear_sample(Q, xs.ravel(), ys.ravel(), check_inside=False)
-    return ComplexField(g, vals.reshape(g.nx, g.ny))
-
-
-def fit_translation(W: ComplexField, Q: ComplexField):
-    """Best X minimizing the grid-L2 distance between W and Q(. - X), by
-    at most three Gauss-Newton steps from X = 0."""
-    gx, gy = fd_gradient(Q)
-    M = np.array([[inner_product(gx, gx), inner_product(gx, gy)],
-                  [inner_product(gy, gx), inner_product(gy, gy)]])
-    X = np.zeros(2)
-    for _ in range(3):
-        diff = ComplexField(Q.grid, W.values - shift_resample(Q, X).values)
-        rhs = -np.array([inner_product(gx, diff), inner_product(gy, diff)])
-        try:
-            step = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            break
-        X = X + step
-        if float(np.hypot(*step)) < 1e-14:
-            break
-    mism = grid_l2(ComplexField(Q.grid, W.values - shift_resample(Q, X).values),
-                   Q.grid)
-    return X, mism
-
+# the local-uniqueness experiment
 
 def _perturbation(entry: BranchEntry, shape: str, rng) -> np.ndarray:
     """Unit-scale perturbation shapes for the uniqueness experiment."""
@@ -418,37 +390,33 @@ def _perturbation(entry: BranchEntry, shape: str, rng) -> np.ndarray:
 
 def perturb_and_resolve(entry: BranchEntry, delta: float, config: SolverConfig,
                         lu, shape: str = "bump_re", seed: int = 0):
-    """Perturb a converged wave, re-solve without symmetry enforcement,
-    and fit the result to a translate of the original.
+    """Perturb a converged wave Q by ``delta`` times a unit-scale
+    ``shape`` (zero on the ring), re-solve without symmetry enforcement,
+    and measure the distance of the result W to Q.
 
     The re-solve is the chord iteration of ``newton_solve`` on ``lu``,
     the factorization of the linearized operator at the unperturbed wave
     (``linearized_lu``), which every re-solve around that wave shares.
-    Reports the recovered translation X, the final mismatch to the
-    fitted translate, and the Newton step count and residual history.
+    Reports the mismatch grid_l2(W - Q), the Newton step count and
+    residual history, and a violation when the mismatch exceeds
+    10 delta^2 + 100 newton_tol.  Only 0 < delta <= 1e-2 is accepted.
     """
-    if delta > 1e-2:
-        raise ValueError("perturbation scale must stay at or below 1e-2")
+    if not (0.0 < delta <= MAX_UNIQUENESS_DELTA):
+        raise ValueError(f"perturbation scale {delta} outside "
+                         f"(0, {MAX_UNIQUENESS_DELTA:g}]")
     Q = entry.field
-    rng = np.random.default_rng(seed)
-    if delta == 0.0:
-        Z0 = Q.copy()
-    else:
-        pert = _perturbation(entry, shape, rng)
-        pert[0, :] = pert[-1, :] = pert[:, 0] = pert[:, -1] = 0.0
-        Z0 = ComplexField(Q.grid, Q.values + delta * pert)
-    W, info = newton_solve(Z0, entry.c, config, lu=lu)
-    X, mism = fit_translation(W, Q)
+    pert = _perturbation(entry, shape, np.random.default_rng(seed))
+    pert[0, :] = pert[-1, :] = pert[:, 0] = pert[:, -1] = 0.0
+    W, info = newton_solve(ComplexField(Q.grid, Q.values + delta * pert),
+                           entry.c, config, lu=lu)
+    mism = grid_l2(W.values - Q.values, Q.grid)
     floor = 10.0 * delta**2 + 100.0 * config.newton_tol
-    report = {
-        "X": X,
+    return {
         "mismatch": mism,
         "steps": info["steps"],
         "residual_history": info["history"],
-        "gain": float(np.hypot(*X)) / delta if delta > 0 else 0.0,
         "uniqueness_violation": bool(mism > floor),
     }
-    return report
 
 
 # ----------------------------------------------------------------------

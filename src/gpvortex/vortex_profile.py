@@ -82,8 +82,9 @@ class RadialProfile:
         v3 = np.gradient(v2, r, edge_order=2)
         return float(np.max(np.abs(v2))), float(np.max(np.abs(v3)))
 
-    def validate(self, tol_origin: float = 0.01) -> dict:
-        """Check the type invariants; returns a dict of named booleans."""
+    def validate(self) -> dict:
+        """Check the type invariants; returns a dict of named booleans.
+        Near the origin rho must match kappa r to within 0.01 r^2."""
         checks = {}
         checks["zero_at_origin"] = self.rho[0] == 0.0
         interior = self.rho[1:-1]
@@ -95,7 +96,7 @@ class RadialProfile:
         rn = self.nodes[near]
         dev = np.abs(self.rho[near] - self.kappa * rn)
         # 1e-8 guard: the r^2 bound collapses below the arithmetic floor
-        checks["origin_slope"] = bool(np.all(dev <= tol_origin * rn * rn + 1e-8))
+        checks["origin_slope"] = bool(np.all(dev <= 0.01 * rn * rn + 1e-8))
         return checks
 
     def save(self, path) -> None:
@@ -129,10 +130,11 @@ def load_profile(path) -> RadialProfile:
     )
 
 
-def _graded_mesh(r_max: float, h0: float = 1.0 / 400.0, r_dense: float = 3.0,
-                 growth: float = 1.015, h_cap: float = 0.03) -> np.ndarray:
-    """Uniform spacing h0 out to r_dense, then geometric stretching to r_max."""
-    r_dense = min(r_dense, r_max / 2.0)
+def _graded_mesh(r_max: float) -> np.ndarray:
+    """Uniform spacing h0 = 1/400 out to r_dense = min(3, r_max/2), then
+    spacings growing by 1.5% per node, capped at 0.03, out to r_max."""
+    h0, growth, h_cap = 1.0 / 400.0, 1.015, 0.03
+    r_dense = min(3.0, r_max / 2.0)
     n0 = int(round(r_dense / h0))
     pts = [np.linspace(0.0, r_dense, n0 + 1)]
     tail = []
@@ -185,8 +187,8 @@ def _discrete_residual(r: np.ndarray, rho: np.ndarray, r_max: float,
     return F
 
 
-def solve_vortex_ode(degree: int, r_max: float = 40.0, tol: float = 1e-10,
-                     max_iter: int = 60) -> RadialProfile:
+def solve_vortex_ode(degree: int, r_max: float = 40.0,
+                     tol: float = 1e-10) -> RadialProfile:
     """Solve the radial vortex equation for degree +-1 by Newton relaxation.
 
     The far-field boundary condition is the two-term law
@@ -219,7 +221,7 @@ def solve_vortex_ode(degree: int, r_max: float = 40.0, tol: float = 1e-10,
     ri = r[1:-1]
 
     last = np.inf
-    for it in range(max_iter):
+    for it in range(60):
         F = _discrete_residual(r, rho, r_max)
         resid = np.max(np.abs(F[1:-1]))
         if resid <= 0.5 * tol:
@@ -247,7 +249,7 @@ def solve_vortex_ode(degree: int, r_max: float = 40.0, tol: float = 1e-10,
         last = resid
     else:
         raise RuntimeError(
-            f"vortex relaxation did not converge in {max_iter} iterations; "
+            "vortex relaxation did not converge in 60 iterations; "
             f"last residual {last:.3e}")
 
     rho[0] = 0.0

@@ -1,8 +1,10 @@
 """Shared fixtures: the radial profiles and the two converged branches
 (spectral-scale and diagnostics-scale boxes), solved once per session;
-test fields, and as oracles the plain discrete form, the analytic vortex
-gradient (with the modulus slope it reads), the row-major Ritz basis
-build and the Kronecker-product assembly of the linearized matrix."""
+test fields, and as oracles the trapezoidal real pairing, the plain
+discrete form, the analytic vortex gradient (with the modulus slope it
+reads), the row-major Ritz basis build, the Kronecker-product assembly
+of the linearized matrix and the index construction of the quarter
+maps."""
 
 from __future__ import annotations
 
@@ -159,6 +161,51 @@ def linearized_matrix_reference(Q: ComplexField, c: float) -> sp.csr_matrix:
         [[base + sp.diags(2.0 * a * a), c * d2 + sp.diags(2.0 * a * b)],
          [-c * d2 + sp.diags(2.0 * a * b), base + sp.diags(2.0 * b * b)]],
         format="csr")
+
+
+def inner_product(f: ComplexField, g: ComplexField) -> float:
+    """Real pairing of fields on one grid: trapezoidal quadrature of
+    Re(f conj(g))."""
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    return float(np.sum((f.values * np.conj(g.values)).real
+                        * f.grid.trapezoid_weights))
+
+
+def quarter_maps_reference(grid):
+    """Oracle: the prolongation P, ``rep_rows`` and ``pinned`` of
+    ``operators.QuarterMaps``, built from full-grid index arrays."""
+    nx, ny = grid.nx, grid.ny
+    mx, my = nx - 2, ny - 2
+    m = mx * my
+    cx, cy = (nx - 1) // 2, (ny - 1) // 2
+    # interior index arrays (offset by 1 against full-grid indices)
+    I = np.arange(1, nx - 1)[:, None] * np.ones((1, my), dtype=int)
+    J = np.ones((mx, 1), dtype=int) * np.arange(1, ny - 1)[None, :]
+    Im = cx + np.abs(I - cx)
+    Jm = cy + np.abs(J - cy)
+    sgn = np.where(J >= cy, 1.0, -1.0)
+
+    qi = np.arange(cx, nx - 1)
+    qj = np.arange(cy, ny - 1)
+    nqx, nqy = qi.size, qj.size
+    mq = nqx * nqy
+    qindex = -np.ones((nx, ny), dtype=int)
+    qindex[np.ix_(qi, qj)] = np.arange(mq).reshape(nqx, nqy)
+
+    full_q = qindex[Im, Jm].ravel()
+    rows = np.arange(m)
+    Pu = sp.coo_matrix((np.ones(m), (rows, full_q)), shape=(m, mq))
+    Pv = sp.coo_matrix((sgn.ravel(), (rows, full_q)), shape=(m, mq))
+    P = sp.bmat([[Pu, None], [None, Pv]], format="csr")
+
+    # representative full-interior dof for each quarter dof
+    rep = np.empty(mq, dtype=int)
+    k = (I - 1) * my + (J - 1)
+    mask = (I == Im) & (J == Jm)
+    rep[qindex[I[mask], J[mask]]] = k[mask]
+    # quarter v-dofs on the x2 axis are pinned to zero
+    return P, np.concatenate([rep, rep + m]), mq + qindex[qi, cy]
 
 
 def compact_test_field(grid, seed=0, center=(4.0, 3.0), width=3.0, collar=2):

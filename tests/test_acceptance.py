@@ -197,17 +197,13 @@ def test_criterion_8_local_uniqueness(branch_spec, solver_cfg):
     entry = branch_spec.entries[branch_spec.index_of(0.1)]
     delta = 1e-3
     shapes = ("bump_re", "bump_im", "phase", "mixed", "random")
-    mism, gains = [], []
+    mism = []
     lu = linearized_lu(entry.field, entry.c)
     for shape in shapes:
         rep = perturb_and_resolve(entry, delta, solver_cfg, lu, shape=shape, seed=7)
         mism.append(rep["mismatch"])
-        gains.append(rep["gain"])
-    check("8a re-converges to a translate with mismatch <= 1e-6",
+    check("8a returns to Q with mismatch <= 1e-6",
           all(m <= 1e-6 for m in mism), ", ".join(f"{m:.1e}" for m in mism))
-    check("8b |X| <= K delta with K finite and stable across 5 shapes",
-          all(np.isfinite(k) and k <= 5.0 for k in gains),
-          "K = " + ", ".join(f"{k:.2e}" for k in gains))
 
 
 def test_criterion_9_property_suite(entry01, handle01, dirs01):

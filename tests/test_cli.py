@@ -21,12 +21,14 @@ from gpvortex import cli
 from gpvortex.ansatz import MAX_SPEED
 from gpvortex.cli import main
 from gpvortex.config import RunConfig, load_config
+from gpvortex.field_core import ComplexField, grid_l2
 from gpvortex.spectral import CONSTRAINT_SETS
 from gpvortex.tw_solver import (
     SolverConfig,
+    _perturbation,
     linearized_lu,
     load_branch,
-    perturb_and_resolve,
+    newton_solve,
 )
 
 FAST = ["--speeds", "0.2,0.17"]
@@ -215,6 +217,83 @@ def test_every_definition_is_reached_from_the_cli():
     assert sorted(_unreached_definitions() - allowed) == []
 
 
+def _defaulted_parameters() -> dict:
+    """``function.parameter`` -> (function name, position in a call or
+    None for keyword-only, parameter name) for each parameter with a
+    default of a function or method in the package modules; a method is
+    named by its class, ``Class.method.parameter``."""
+    pkg = os.path.dirname(gpvortex.__file__)
+    out = {}
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        funcs = [(fn.name, fn, False) for fn in tree.body
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        funcs += [(f"{cls.name}.{fn.name}", fn, True) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for qual, fn, method in funcs:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                # a call on an instance passes no self
+                out[f"{qual}.{arg.arg}"] = (fn.name, i - method, arg.arg)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out[f"{qual}.{arg.arg}"] = (fn.name, None, arg.arg)
+    return out
+
+
+def _unset_defaulted_parameters() -> list:
+    """The defaulted parameters of ``_defaulted_parameters`` that no call
+    in the package or the tests passes, by position or by keyword.  Calls
+    match by the called name or attribute across modules; a call with
+    ``*args`` or ``**kwargs`` passes every parameter it could reach."""
+    roots = [os.path.dirname(gpvortex.__file__), os.path.dirname(__file__)]
+    passed = {}                 # called name -> (most positional, keywords)
+    for root in roots:
+        for name in sorted(os.listdir(root)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read())
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                callee = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute) else None)
+                if callee is None:
+                    continue
+                npos, kws = passed.get(callee, (0, set()))
+                npos = max(npos, float("inf") if any(
+                    isinstance(a, ast.Starred) for a in call.args) else len(call.args))
+                kws = kws | {k.arg for k in call.keywords}
+                passed[callee] = (npos, kws)
+    unset = []
+    for qual, (fname, index, arg) in _defaulted_parameters().items():
+        npos, kws = passed.get(fname, (0, set()))
+        if not (None in kws or arg in kws or (index is not None and npos > index)):
+            unset.append(qual)
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a default that no caller overrides is a constant in disguise: a
+    # knob that changes no run; make it a constant or a literal instead
+    assert _unset_defaulted_parameters() == []
+
+
+def test_uniqueness_delta_zero_exits_2(tmp_path, capsys):
+    # an unperturbed run checks nothing: the scale must be positive
+    assert run(["uniqueness"], tmp_path, {"uniqueness_delta": 0}) == 2
+    assert "uniqueness perturbation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(speeds=(0.5,))
@@ -341,16 +420,19 @@ def test_cmd_stability_and_uniqueness(tmp_path):
     assert all(r["fitted_rate"] <= 0.02 for r in payload["runs"])
     assert run(["uniqueness"], tmp_path) == 0
     payload = json.loads((tmp_path / "out" / "uniqueness.json").read_text())
-    deltas = [r for r in payload["runs"] if r["shape"] != "unperturbed"]
-    assert all(r["mismatch"] <= 1e-6 for r in deltas)
+    assert set(payload) == {"config_hash", "c", "delta", "lu_fill", "runs", "ok"}
+    assert payload["ok"] is True
     # the Newton account of every run and the fill of the shared factor
     assert type(payload["lu_fill"]) is int and payload["lu_fill"] > 0
-    assert len(payload["runs"]) == 6
+    assert [r["shape"] for r in payload["runs"]] \
+        == ["bump_re", "bump_im", "phase", "mixed", "random"]
     for r in payload["runs"]:
-        assert type(r["steps"]) is int
+        assert set(r) == {"shape", "mismatch", "steps", "residual_history",
+                          "violation"}
+        assert r["mismatch"] <= 1e-6 and r["violation"] is False
+        assert type(r["steps"]) is int and r["steps"] >= 1
         assert r["steps"] == len(r["residual_history"]) - 1
         assert r["residual_history"][-1] <= 1e-10
-    assert all(r["steps"] >= 1 for r in deltas)
 
 
 @pytest.fixture(scope="module")
@@ -403,19 +485,23 @@ def test_cmd_uniqueness_matches_resolves_on_one_factorization(uniqueness_run):
     branch = load_branch(out / "branch")
     entry = branch.entries[branch.index_of(cfg.uniqueness_speed)]
     lu = linearized_lu(entry.field, entry.c)
+    Q, delta = entry.field, cfg.uniqueness_delta
+    floor = 10.0 * delta**2 + 100.0 * cfg.newton_tol
     runs = []
-    for shape in ("unperturbed", "bump_re", "bump_im", "phase", "mixed", "random"):
-        delta = 0.0 if shape == "unperturbed" else cfg.uniqueness_delta
-        rep = perturb_and_resolve(entry, delta, cli._solver_config(cfg), lu,
-                                  shape=shape, seed=cfg.seed)
-        run_ = {"shape": shape, "X": [float(x) for x in rep["X"]],
-                "mismatch": rep["mismatch"], "steps": rep["steps"],
-                "residual_history": rep["residual_history"]}
-        if delta:
-            run_.update(gain=rep["gain"], violation=rep["uniqueness_violation"])
-        runs.append(run_)
+    for shape in ("bump_re", "bump_im", "phase", "mixed", "random"):
+        # the chord re-solve, one run after the other, and its distance to Q
+        pert = _perturbation(entry, shape, np.random.default_rng(cfg.seed))
+        pert[0, :] = pert[-1, :] = pert[:, 0] = pert[:, -1] = 0.0
+        W, info = newton_solve(ComplexField(Q.grid, Q.values + delta * pert),
+                               entry.c, cli._solver_config(cfg), lu=lu)
+        mism = grid_l2(W.values - Q.values, Q.grid)
+        runs.append({"shape": shape, "mismatch": mism, "steps": info["steps"],
+                     "residual_history": info["history"],
+                     "violation": mism > floor})
     assert payload["runs"] == runs
     assert payload["lu_fill"] == lu.nnz
+    assert payload["ok"] is True
+    assert all(r["mismatch"] <= 1e-6 for r in runs)
 
 
 def test_cmd_uniqueness_worker_failure_exits_3(tmp_path, capsys, monkeypatch):

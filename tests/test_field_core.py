@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import compact_test_field
+from conftest import compact_test_field, inner_product
 from gpvortex.field_core import (
     ComplexField,
     CutoffEta,
     Grid,
     FieldFileError,
     fd_gradient,
-    inner_product,
     load_field,
     mult_ratio,
     resolution_floor,

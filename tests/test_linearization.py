@@ -10,10 +10,11 @@ import gpvortex
 from conftest import (
     compact_test_field,
     edge_gradient_energy,
+    inner_product,
     quadratic_form_naive,
     vortex_gradient,
 )
-from gpvortex.field_core import ComplexField, grid_l2, inner_product
+from gpvortex.field_core import ComplexField, grid_l2
 from gpvortex.linearization import (
     apply_L,
     build_directions,

@@ -1,5 +1,6 @@
 """Sparse operators: the linearized matrix against its Kronecker-product
-assembly, the quarter restriction against its row-by-row construction
+assembly, the quarter maps against their index construction, the
+quarter restriction against its row-by-row construction
 (on random matrices and on the quarter rows assembled alone, and the
 peak memory of the latter), the quarter round trip, the symmetry of the
 linearized matrix, its agreement with the quadratic form, and its block
@@ -11,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import linearized_matrix_reference
+from conftest import linearized_matrix_reference, quarter_maps_reference
 from gpvortex.field_core import ComplexField, Grid, symmetrize
 from gpvortex.linearization import quadratic_form_B
 from gpvortex.operators import (
@@ -51,6 +52,22 @@ def _random_field(g: Grid, rng) -> ComplexField:
 def _test_field(g: Grid, rng, symmetric: bool) -> ComplexField:
     Q = _random_field(g, rng)
     return symmetrize(Q) if symmetric else Q
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 60).map(lambda k: 2 * k + 1),
+       ny=st.integers(2, 60).map(lambda k: 2 * k + 1))
+def test_quarter_maps_match_index_construction(nx, ny):
+    # the maps built from the ++ parity maps are the full-grid index
+    # construction, entry for entry
+    g = Grid(5.0, 4.0, nx, ny)
+    q = QuarterMaps(g)
+    P, rep_rows, pinned = quarter_maps_reference(g)
+    _assert_same_csr(q.P, P)
+    assert q.P.indices.dtype == P.indices.dtype
+    assert np.array_equal(q.rep_rows, rep_rows)
+    assert np.array_equal(q.pinned, pinned)
+    assert (q.m, q.mq) == ((nx - 2) * (ny - 2), P.shape[1] // 2)
 
 
 @settings(max_examples=40, deadline=None)

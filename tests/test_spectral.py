@@ -17,6 +17,7 @@ from gpvortex.field_core import ComplexField, Grid
 from gpvortex.linearization import build_directions, quadratic_form_B
 from gpvortex.operators import interior_to_real, linearized_matrix, sector_maps
 from gpvortex.spectral import (
+    CONSTRAINT_SETS,
     OperatorHandle,
     _compact_columns,
     _mirror_x1_in_place,
@@ -367,9 +368,16 @@ def test_sym3_basis_reuses_the_exp_basis_buffer(handle01):
 
 
 def test_constraint_set_must_match_its_basis(handle01):
-    # sym3 runs only in the mirrored basis, every other set only in a
-    # plain one
+    # each set runs only in a basis of its norm; sym3 runs only in the
+    # mirrored basis, every other set only in a plain one
+    c_basis = ritz_basis(handle01, norm="C", size=40, seed=0)
     plain = ritz_basis(handle01, norm="exp", size=40, seed=0)
+    for name, (norm, _) in CONSTRAINT_SETS.items():
+        if name != "sym3":
+            other = plain if norm == "C" else c_basis
+            with pytest.raises(ValueError,
+                               match=f"'{name}' does not run on a {other.norm}-norm"):
+                constrained_coercivity(handle01, other, name)
     with pytest.raises(ValueError, match="'sym3' does not run on a plain"):
         constrained_coercivity(handle01, plain, "sym3")
     mirrored = sym3_basis(handle01, plain)

@@ -16,7 +16,6 @@ from gpvortex.tw_solver import (
     TravellingWaveBranch,
     continue_branch,
     default_grid_rule,
-    fit_translation,
     linearized_lu,
     load_branch,
     locate_zeros,
@@ -24,7 +23,6 @@ from gpvortex.tw_solver import (
     perturb_and_resolve,
     residual,
     save_branch,
-    shift_resample,
     winding_number,
 )
 from gpvortex.vortex_profile import evaluate_vortex
@@ -189,30 +187,22 @@ def test_branch_persistence_roundtrip(branch_spec, tmp_path):
     assert len(text) == 1 + len(branch_spec.entries)
 
 
-def test_fit_translation_recovers_shift(entry01):
-    Q = entry01.field
-    h = Q.grid.hx
-    shifted = shift_resample(Q, np.array([h, 0.0]))
-    X, mism = fit_translation(shifted, Q)
-    assert abs(X[0] - h) <= h * h
-    assert abs(X[1]) <= h * h
-
-
 @pytest.fixture(scope="module")
 def lu01(entry01):
     return linearized_lu(entry01.field, entry01.c)
 
 
 def test_perturb_and_resolve_zero_delta(entry01, solver_cfg, lu01):
-    rep = perturb_and_resolve(entry01, 0.0, solver_cfg, lu01)
-    assert np.hypot(*rep["X"]) < 1e-10
-    assert rep["mismatch"] < 1e-9
+    # an unperturbed run checks nothing: the scale must be positive
+    with pytest.raises(ValueError, match="perturbation scale"):
+        perturb_and_resolve(entry01, 0.0, solver_cfg, lu01)
 
 
 def test_perturb_and_resolve_bump(entry01, solver_cfg, lu01):
     rep = perturb_and_resolve(entry01, 1e-3, solver_cfg, lu01, shape="bump_re")
+    assert set(rep) == {"mismatch", "steps", "residual_history",
+                        "uniqueness_violation"}
     assert rep["mismatch"] <= 1e-6
-    assert np.hypot(*rep["X"]) <= 5.0 * 1e-3
     assert not rep["uniqueness_violation"]
     assert rep["residual_history"][-1] <= solver_cfg.newton_tol
 
