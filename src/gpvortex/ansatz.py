@@ -1,9 +1,10 @@
 """Two-vortex product ansatz and the speed and separation limits of the
 small-speed regime.
 
-The ansatz places a degree +1 vortex at +d e1 and a degree -1 vortex at
+The ansatz places a winding +1 vortex at +d e1 and a winding -1 vortex at
 -d e1 and takes the pointwise product; it seeds the Newton solver at
-separation d = 1/c.
+separation d = 1/c.  Both vortices share one radial modulus rho: the
+winding enters only through the phase e^{+-i theta}.
 """
 
 from __future__ import annotations
@@ -26,19 +27,16 @@ BOUNDARY_MARGIN = 10.0
 
 @dataclass
 class AnsatzParams:
-    """Half-separation d of the vortex centers along e1 plus the two
-    radial profiles (degrees +1 and -1)."""
+    """Half-separation d of the vortex centers along e1 plus the radial
+    profile both vortices share."""
 
     d: float
-    profile_plus: RadialProfile
-    profile_minus: RadialProfile
+    profile: RadialProfile
 
     def __post_init__(self):
         if self.d < MIN_SEPARATION:
             raise ValueError(f"separation d = {self.d} below the small-speed "
                              f"regime floor {MIN_SEPARATION}")
-        if self.profile_plus.degree != 1 or self.profile_minus.degree != -1:
-            raise ValueError("profiles must have degrees +1 and -1")
 
 
 def _check_margin(params: AnsatzParams, grid: Grid) -> None:
@@ -52,6 +50,6 @@ def build_two_vortex(params: AnsatzParams, grid: Grid) -> ComplexField:
     """Pointwise product V_{+1}(. - d e1) V_{-1}(. + d e1)."""
     _check_margin(params, grid)
     X, Y = grid.mesh
-    vp = evaluate_vortex(params.profile_plus, X, Y, center=(params.d, 0.0))
-    vm = evaluate_vortex(params.profile_minus, X, Y, center=(-params.d, 0.0))
+    vp = evaluate_vortex(params.profile, 1, X, Y, center=(params.d, 0.0))
+    vm = evaluate_vortex(params.profile, -1, X, Y, center=(-params.d, 0.0))
     return ComplexField(grid, vp * vm)

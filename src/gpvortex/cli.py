@@ -4,11 +4,13 @@ Subcommands: vortex | branch | spectrum | stability | uniqueness | report.
 Exit codes: 0 pass, 1 numeric-check failure, 2 configuration error,
 3 solver failure.  ``main`` maps exceptions to them in one place:
 ``ValueError``/``KeyError`` -> 2, ``FieldFileError`` (an unusable
-stored field) -> 1, ``RuntimeError`` -> 3.  Outputs are deterministic for
-a fixed config and seed and every file carries the config hash.  The one
-exception is the unconverged ``sym3`` minimum of ``spectrum``: its digits
-follow the BLAS thread count until it is computed per symmetry sector
-(ROADMAP item 1).
+stored field) -> 1, ``RuntimeError`` -> 3.  Outputs depend only on the
+config and the seed, and every file carries the config hash: a stage
+reads back only the branches it stored under that hash, and solves the
+vortex profile in the run rather than reading a file.  The one exception
+is the unconverged ``sym3`` minimum of ``spectrum``: its digits follow
+the BLAS thread count until it is computed per symmetry sector (ROADMAP
+item 1).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,7 +37,7 @@ from .tw_solver import (
     perturb_and_resolve,
     save_branch,
 )
-from .vortex_profile import load_profile, solve_vortex_ode
+from .vortex_profile import solve_vortex_ode
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -62,24 +63,6 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
     return SolverConfig(newton_tol=cfg.newton_tol, max_iter=cfg.max_newton_steps)
 
 
-def _profiles(out_dir: str) -> dict:
-    """The degree +-1 profiles on r <= 40 at tolerance 1e-10, read from
-    ``out_dir`` when stored there on at least that range, else solved
-    and stored."""
-    profiles = {}
-    for degree in (1, -1):
-        path = os.path.join(out_dir, f"vortex_profile_{'p' if degree > 0 else 'm'}1.txt")
-        if os.path.exists(path):
-            prof = load_profile(path)
-            if prof.r_max >= 40.0:
-                profiles[degree] = prof
-                continue
-        prof = solve_vortex_ode(degree, 40.0, 1e-10)
-        prof.save(path)
-        profiles[degree] = prof
-    return profiles
-
-
 def _write_json(path, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -96,30 +79,26 @@ def _require_main_speed(cfg: RunConfig, name: str) -> None:
 
 
 def cmd_vortex(cfg: RunConfig, args) -> int:
+    """Store the vortex profile the branch solves, with its checks."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        prof = solve_vortex_ode(args.degree, args.r_max, args.tol)
-    for w in caught:
-        print(f"warning: {w.message}")
-    path = os.path.join(cfg.out_dir,
-                        f"vortex_profile_{'p' if args.degree > 0 else 'm'}1.txt")
+    prof = solve_vortex_ode()
+    path = os.path.join(cfg.out_dir, "vortex_profile.txt")
     prof.save(path)
-    checks = prof.validate()
+    checks = {k: bool(v) for k, v in prof.validate().items()}
+    ok = all(checks.values())
     d2, d3 = prof.curvature_maxima()
     report = {
         "config_hash": cfg.config_hash,
-        "degree": prof.degree,
         "kappa": prof.kappa,
         "r_max": prof.r_max,
         "max_ode_residual": float(np.max(np.abs(prof.ode_residual()))),
         "max_abs_rho2": d2,
         "max_abs_rho3": d3,
-        "checks": {k: bool(v) for k, v in checks.items()},
+        "checks": checks,
+        "ok": ok,
     }
     _write_json(os.path.join(cfg.out_dir, "vortex_report.json"), report)
     print(f"profile written to {path} (kappa = {prof.kappa:.8f})")
-    ok = all(checks.values())
     if not ok:
         failed = [k for k, v in checks.items() if not v]
         print(f"invariant failures: {failed}", file=sys.stderr)
@@ -146,8 +125,7 @@ def _load_or_solve_branch(cfg: RunConfig, outdir: str, speeds, rule,
             raise FieldFileError(f"existing branch at {outdir} unusable: {exc}")
     if announce:
         print(announce)
-    profiles = _profiles(cfg.out_dir)
-    branch = continue_branch(speeds, _solver_config(cfg), profiles,
+    branch = continue_branch(speeds, _solver_config(cfg), solve_vortex_ode(),
                              grid_rule=rule, config_hash=cfg.config_hash)
     save_branch(branch, outdir)
     return branch
@@ -424,10 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("vortex", help="solve the radial vortex profile")
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--r-max", type=float, default=40.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    sub.add_parser("vortex", help="solve the radial vortex modulus that branch "
+                   "uses (one modulus serves windings +-1) and store it with "
+                   "its checks")
 
     p = sub.add_parser("branch", help="continue the travelling-wave branch")
     p.add_argument("--diag", action="store_true",
@@ -480,3 +457,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

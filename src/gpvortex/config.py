@@ -4,6 +4,8 @@ derived grid rules, and the config hash stamped on every output."""
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,6 +20,24 @@ from .tw_solver import MAX_UNIQUENESS_DELTA, default_grid_rule
 # over T = 50: 3.1-4.1% at 20, 1.0% at 30, 0.6-0.7% at 35 (c = 0.1 with
 # dt = 0.2 and c = 0.2 with dt = 0.5).
 STABILITY_EDGE_MARGIN = 35.0
+
+# Least value of each integer field.  A node-count cap of 5 or fewer
+# leaves no interior for the margin widening of ``default_grid_rule``.
+# ``constrained_coercivity`` checks a Ritz minimum against the leading
+# max(8, size // 2) columns; below 16 columns that is not the half basis,
+# and at 8 or fewer it compares the basis with itself.
+INT_MINIMA = {"max_nx": 7, "diag_max_nx": 7, "max_newton_steps": 1,
+              "basis_size": 16, "seed": 0, "stability_samples": 0}
+# fields that must be positive finite numbers: offsets, box factors,
+# spacings, tolerances, radii, speeds, times and time steps
+POSITIVE = ("neighbor_quad", "box_factor", "diag_box_factor", "h_target",
+            "newton_tol", "r_ball", "stability_T", "stability_dt",
+            "stability_speed", "uniqueness_speed")
+
+
+def _is_a(val, kind) -> bool:
+    """``val`` is a number of ``kind``; a bool is not a number here."""
+    return isinstance(val, kind) and not isinstance(val, bool)
 
 
 def _parse_scalar(text: str):
@@ -67,17 +87,29 @@ class RunConfig:
     out_dir: str = "runs/gpvortex"
 
     def __post_init__(self):
-        if not self.speeds or any(not (0.0 < c <= MAX_SPEED) for c in self.speeds):
+        """Reject a malformed field with a ``ValueError`` naming its key."""
+        for name, least in INT_MINIMA.items():
+            val = getattr(self, name)
+            if not (_is_a(val, numbers.Integral) and val >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"not {val!r}")
+        for name in POSITIVE:
+            val = getattr(self, name)
+            if not (_is_a(val, numbers.Real) and 0.0 < val < math.inf):
+                raise ValueError(f"{name} must be a positive number, not {val!r}")
+        if not self.speeds or any(not (_is_a(c, numbers.Real) and 0.0 < c <= MAX_SPEED)
+                                  for c in self.speeds):
             raise ValueError(f"speeds must lie in (0, {MAX_SPEED}]")
         if sorted(self.speeds, reverse=True) != list(self.speeds):
             raise ValueError("speeds must be strictly decreasing")
         if self.r_ball <= 5.0:
-            raise ValueError("orthogonality ball radius must exceed 5")
+            raise ValueError("r_ball (orthogonality ball radius) must exceed 5")
         if self.max_nx % 2 == 0 or self.diag_max_nx % 2 == 0:
-            raise ValueError("node-count caps must be odd")
-        if not (0.0 < self.uniqueness_delta <= MAX_UNIQUENESS_DELTA):
-            raise ValueError(f"uniqueness perturbation must lie in "
-                             f"(0, {MAX_UNIQUENESS_DELTA:g}]")
+            raise ValueError("node-count caps max_nx and diag_max_nx must be odd")
+        delta = self.uniqueness_delta
+        if not (_is_a(delta, numbers.Real) and 0.0 < delta <= MAX_UNIQUENESS_DELTA):
+            raise ValueError(f"uniqueness_delta: uniqueness perturbation must "
+                             f"lie in (0, {MAX_UNIQUENESS_DELTA:g}]")
 
     # -- grid rules ----------------------------------------------------
     def _anchor(self, c: float) -> float:

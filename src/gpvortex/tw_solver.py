@@ -47,6 +47,7 @@ from .operators import (
     real_to_interior,
     tw_residual_values,
 )
+from .vortex_profile import RadialProfile
 
 SPURIOUS_ZERO_LEVEL = 0.3
 # step halvings a damped Newton step may take before the solve gives up
@@ -285,7 +286,8 @@ def _set_ring(field: ComplexField, data: ComplexField) -> ComplexField:
     return ComplexField(field.grid, v)
 
 
-def _solve_run(c_values, grid: Grid, config: SolverConfig, profiles: dict):
+def _solve_run(c_values, grid: Grid, config: SolverConfig,
+               profile: RadialProfile):
     """The entries of one run of speeds on ``grid`` (see ``continue_branch``);
     the run's quarter maps and guesses are freed when it returns."""
     from .linearization import energy, momentum
@@ -296,7 +298,7 @@ def _solve_run(c_values, grid: Grid, config: SolverConfig, profiles: dict):
         # Dirichlet edge data: the two-vortex far field at speed c.
         # (Pinning the raw vacuum value 1 on a 3/c box distorts the phase
         # by O(1) at the edge and Newton stalls.)
-        params = AnsatzParams(1.0 / c, profiles[1], profiles[-1])
+        params = AnsatzParams(1.0 / c, profile)
         base = build_two_vortex(params, grid)
         guesses = [base]
         if gamma is not None:
@@ -327,7 +329,7 @@ def _solve_run(c_values, grid: Grid, config: SolverConfig, profiles: dict):
     return entries
 
 
-def continue_branch(c_values, config: SolverConfig, profiles: dict,
+def continue_branch(c_values, config: SolverConfig, profile: RadialProfile,
                     grid_rule=default_grid_rule,
                     config_hash: str = "") -> TravellingWaveBranch:
     """Solve the branch at the given (strictly decreasing) speeds.
@@ -351,7 +353,7 @@ def continue_branch(c_values, config: SolverConfig, profiles: dict,
     runs = [(grid, list(run)) for grid, run in groupby(c_values, key=grid_rule)]
     entries = []
     for grid, run in sorted(runs, key=lambda r: -r[0].nx * r[0].ny):
-        entries += _solve_run(run, grid, config, profiles)
+        entries += _solve_run(run, grid, config, profile)
     entries.sort(key=lambda e: -e.c)
     return TravellingWaveBranch(entries, config_hash=config_hash)
 

@@ -1,15 +1,17 @@
-"""Radial vortex profiles of the 2-D Gross-Pitaevskii equation.
+"""Radial vortex profile of the 2-D Gross-Pitaevskii equation.
 
-Solves the degree-n radial equation
+Solves the radial equation of a unit-winding vortex
 
-    rho'' + rho'/r - n^2 rho / r^2 + (1 - rho^2) rho = 0,
+    rho'' + rho'/r - rho / r^2 + (1 - rho^2) rho = 0,
     rho(0) = 0,   rho(r) -> 1  (r -> infinity),
 
 by Newton relaxation on a graded mesh (dense near the origin, geometric
 stretching outward), with the two-term far-field law 1 - 1/(2 r^2) as the
-truncation boundary condition.  The vortex field V_n = rho(r) e^{i n theta}
-is evaluated at arbitrary points, switching to the far-field law beyond
-the truncation radius.
+truncation boundary condition.  The equation depends on the winding n
+only through n^2, so one modulus serves both n = +1 and n = -1: the
+vortex field V_n = rho(r) e^{i n theta} is evaluated at arbitrary points
+for either winding, switching to the far-field law beyond the truncation
+radius.
 """
 
 from __future__ import annotations
@@ -30,20 +32,20 @@ KAPPA_FIT_RADIUS = 0.05
 
 
 def far_field_modulus(r):
-    """Two-term modulus law 1 - 1/(2 r^2) of a unit-degree vortex."""
+    """Two-term modulus law 1 - 1/(2 r^2) of a unit-winding vortex."""
     r = np.asarray(r, dtype=float)
     return 1.0 - 1.0 / (2.0 * r * r)
 
 
 @dataclass
 class RadialProfile:
-    """Tabulated vortex modulus with origin slope and truncation radius.
+    """Tabulated vortex modulus with origin slope and truncation radius;
+    the modulus of both windings n = +-1.
 
     Treat instances as immutable after construction; they are safe to
     share across threads.
     """
 
-    degree: int
     nodes: np.ndarray
     rho: np.ndarray
     kappa: float
@@ -100,34 +102,14 @@ class RadialProfile:
         return checks
 
     def save(self, path) -> None:
-        """Two-column text file with a header carrying degree, kappa, r_max."""
+        """Two-column text file with a header carrying kappa and r_max."""
         header = (
             f"gpvortex radial profile\n"
-            f"degree = {self.degree}\n"
             f"kappa = {self.kappa:.16e}\n"
             f"r_max = {self.r_max:.16e}\n"
             f"r rho"
         )
         np.savetxt(path, np.column_stack([self.nodes, self.rho]), header=header)
-
-
-def load_profile(path) -> RadialProfile:
-    meta = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            if "=" in line:
-                key, _, val = line.lstrip("# ").partition("=")
-                meta[key.strip()] = val.strip()
-    data = np.loadtxt(path)
-    return RadialProfile(
-        degree=int(meta["degree"]),
-        nodes=data[:, 0],
-        rho=data[:, 1],
-        kappa=float(meta["kappa"]),
-        r_max=float(meta["r_max"]),
-    )
 
 
 def _graded_mesh(r_max: float) -> np.ndarray:
@@ -187,9 +169,8 @@ def _discrete_residual(r: np.ndarray, rho: np.ndarray, r_max: float,
     return F
 
 
-def solve_vortex_ode(degree: int, r_max: float = 40.0,
-                     tol: float = 1e-10) -> RadialProfile:
-    """Solve the radial vortex equation for degree +-1 by Newton relaxation.
+def solve_vortex_ode(r_max: float = 40.0, tol: float = 1e-10) -> RadialProfile:
+    """Solve the radial vortex equation (winding +-1) by Newton relaxation.
 
     The far-field boundary condition is the two-term law
     rho(r_max) = 1 - 1/(2 r_max^2); the discrete residual at every
@@ -202,8 +183,6 @@ def solve_vortex_ode(degree: int, r_max: float = 40.0,
     origin slope ``kappa`` is the least-squares slope of rho over
     r <= 0.05.
     """
-    if degree not in (1, -1):
-        raise ValueError(f"unsupported degree {degree}; only +-1 vortices exist here")
     if r_max < HARD_MIN_RMAX:
         raise ValueError(f"r_max = {r_max} too small to attach the far-field law")
     if r_max < SAFE_MIN_RMAX:
@@ -259,15 +238,19 @@ def solve_vortex_ode(degree: int, r_max: float = 40.0,
     basis = np.column_stack([r[fit], r[fit] ** 3])
     coef, *_ = np.linalg.lstsq(basis, rho[fit], rcond=None)
     kappa = float(coef[0])
-    prof = RadialProfile(degree=degree, nodes=r, rho=rho, kappa=kappa, r_max=r_max)
+    prof = RadialProfile(nodes=r, rho=rho, kappa=kappa, r_max=r_max)
     final = np.max(np.abs(prof.ode_residual()))
     if final > tol:
         raise RuntimeError(f"converged residual {final:.3e} above tol {tol:.1e}")
     return prof
 
 
-def evaluate_vortex(profile: RadialProfile, x, y, center=(0.0, 0.0)) -> np.ndarray:
-    """V_n at the given points: rho(r) e^{i n theta} in polar about ``center``."""
+def evaluate_vortex(profile: RadialProfile, winding: int, x, y,
+                    center=(0.0, 0.0)) -> np.ndarray:
+    """V_n at the given points for winding n = +-1: rho(r) e^{i n theta} in
+    polar about ``center``."""
+    if winding not in (1, -1):
+        raise ValueError(f"unsupported winding {winding}; only +-1 vortices exist here")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = x - center[0]
@@ -278,7 +261,7 @@ def evaluate_vortex(profile: RadialProfile, x, y, center=(0.0, 0.0)) -> np.ndarr
     phase = np.ones_like(out)
     zc = dx + 1j * dy
     phase[nz] = zc[nz] / r[nz]
-    if profile.degree == -1:
+    if winding == -1:
         phase = np.conj(phase)
     out[nz] = profile.modulus(r[nz]) * phase[nz]
     return out

@@ -1,4 +1,4 @@
-"""Shared fixtures: the radial profiles and the two converged branches
+"""Shared fixtures: the radial profile and the two converged branches
 (spectral-scale and diagnostics-scale boxes), solved once per session;
 test fields, and as oracles the trapezoidal real pairing, the plain
 discrete form, the analytic vortex gradient (with the modulus slope it
@@ -25,9 +25,9 @@ KERNEL_BOX_FACTOR = 3.5
 
 
 @pytest.fixture(scope="session")
-def profiles():
-    return {1: solve_vortex_ode(1, 40.0, 1e-10),
-            -1: solve_vortex_ode(-1, 40.0, 1e-10)}
+def profile():
+    """The vortex modulus of both windings, as the CLI solves it."""
+    return solve_vortex_ode()
 
 
 @pytest.fixture(scope="session")
@@ -41,21 +41,21 @@ def solver_cfg():
 
 
 @pytest.fixture(scope="session")
-def branch_spec(profiles, run_cfg, solver_cfg):
+def branch_spec(profile, run_cfg, solver_cfg):
     """Desk branch on the spectral-scale boxes (3/c), with derivative
     neighbours at every main speed."""
     speeds, _ = run_cfg.speeds_with_neighbors()
-    return continue_branch(speeds, solver_cfg, profiles,
+    return continue_branch(speeds, solver_cfg, profile,
                            grid_rule=run_cfg.grid_rule,
                            config_hash=run_cfg.config_hash)
 
 
 @pytest.fixture(scope="session")
-def branch_diag(profiles, run_cfg, solver_cfg):
+def branch_diag(profile, run_cfg, solver_cfg):
     """Desk branch on the diagnostics-scale boxes (5.5/c) used for the
     energy/momentum identities."""
     speeds, _ = run_cfg.speeds_with_neighbors()
-    return continue_branch(speeds, solver_cfg, profiles,
+    return continue_branch(speeds, solver_cfg, profile,
                            grid_rule=run_cfg.diag_grid_rule,
                            config_hash=run_cfg.config_hash)
 
@@ -90,7 +90,7 @@ def spec_handles(branch_spec, run_cfg):
 
 
 @pytest.fixture(scope="session")
-def kernel_handle(profiles, run_cfg, solver_cfg):
+def kernel_handle(profile, run_cfg, solver_cfg):
     """Handle at the kernel/index operating point: c = 0.05 on a slightly
     larger box (the near-zero principal angles are box-limited)."""
     from gpvortex.spectral import assemble
@@ -98,7 +98,7 @@ def kernel_handle(profiles, run_cfg, solver_cfg):
     rule = lambda c: default_grid_rule(
         c0, box_factor=KERNEL_BOX_FACTOR,
         h_target=run_cfg.h_target, max_nx=1025)
-    br = continue_branch(run_cfg.neighbor_triple(c0), solver_cfg, profiles,
+    br = continue_branch(run_cfg.neighbor_triple(c0), solver_cfg, profile,
                          grid_rule=rule)
     return assemble(br.entries[1].field, c0, R=run_cfg.r_ball,
                     directions=build_directions(br, 1))
@@ -266,14 +266,14 @@ def modulus_slope(profile: RadialProfile, r):
     return out
 
 
-def vortex_gradient(profile: RadialProfile, x, y, center=(0.0, 0.0)):
-    """(d/dx1 V_n, d/dx2 V_n) by the chain rule from the tabulated rho, rho'."""
+def vortex_gradient(profile: RadialProfile, n: int, x, y, center=(0.0, 0.0)):
+    """(d/dx1 V_n, d/dx2 V_n) for winding n = +-1 by the chain rule from the
+    tabulated rho, rho'."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = x - center[0]
     dy = y - center[1]
     r = np.hypot(dx, dy)
-    n = profile.degree
     shape = np.broadcast(dx, dy).shape
     gx = np.empty(shape, dtype=complex)
     gy = np.empty(shape, dtype=complex)

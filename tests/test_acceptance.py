@@ -41,8 +41,8 @@ def check(name, ok, detail=""):
 
 # ----------------------------------------------------------------------
 
-def test_criterion_1_vortex_far_field_and_kappa(profiles):
-    prof = profiles[1]
+def test_criterion_1_vortex_far_field_and_kappa(profile):
+    prof = profile
     defects = {r: abs(1 - prof.modulus(np.array([r]))[0] - 1 / (2 * r * r))
                for r in (20.0, 30.0, 40.0)}
     check("1a far-field |1 - rho - 1/(2r^2)| <= 5/r^3 at r in {20,30,40}",
@@ -101,7 +101,7 @@ def test_criterion_3_momentum_energy(branch_diag, run_cfg):
           ", ".join(f"{r:.4f}" for r in ratios))
 
 
-def test_criterion_4_form_values(branch_diag, run_cfg, profiles, solver_cfg):
+def test_criterion_4_form_values(branch_diag, run_cfg, profile, solver_cfg):
     rows = {r["c"]: r for r in prop12_report(branch_diag)}
 
     # h^2-extrapolated floor from a coarse companion solve at 2h
@@ -110,7 +110,7 @@ def test_criterion_4_form_values(branch_diag, run_cfg, profiles, solver_cfg):
         grid_c = default_grid_rule(c, box_factor=run_cfg.diag_box_factor,
                                    h_target=2 * run_cfg.h_target,
                                    max_nx=(run_cfg.diag_max_nx + 1) // 2 + 1)
-        br = continue_branch([c], solver_cfg, profiles, grid_rule=lambda s: grid_c)
+        br = continue_branch([c], solver_cfg, profile, grid_rule=lambda s: grid_c)
         e = br.entries[0]
         gx, gy = fd_gradient(e.field)
         floors[c] = (quadratic_form_B(gx, e.field, c),

@@ -30,6 +30,7 @@ from gpvortex.tw_solver import (
     load_branch,
     newton_solve,
 )
+from gpvortex.vortex_profile import RadialProfile, solve_vortex_ode
 
 FAST = ["--speeds", "0.2,0.17"]
 
@@ -56,7 +57,7 @@ def test_config_roundtrip(tmp_path):
 
 
 positive = st.floats(1e-3, 1e3)
-odd_cap = st.integers(2, 600).map(lambda k: 2 * k + 1)
+odd_cap = st.integers(3, 600).map(lambda k: 2 * k + 1)
 
 
 @st.composite
@@ -73,7 +74,7 @@ def run_configs(draw):
         r_ball=draw(st.floats(5.001, 50.0)),
         constraint_sets=tuple(draw(st.lists(st.sampled_from(sorted(CONSTRAINT_SETS)),
                                             unique=True))),
-        basis_size=draw(st.integers(8, 400)), seed=draw(st.integers(0, 2**63)),
+        basis_size=draw(st.integers(16, 400)), seed=draw(st.integers(0, 2**63)),
         stability_T=draw(positive), stability_dt=draw(positive),
         stability_samples=draw(st.integers(0, 20)),
         stability_speed=draw(st.floats(1e-3, MAX_SPEED)),
@@ -305,6 +306,20 @@ def test_config_validation():
         load_config(None, {"no_such_key": 1})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("seed", -3), ("h_target", 0), ("stability_dt", 0),
+    ("basis_size", 0), ("basis_size", 1), ("basis_size", 8), ("basis_size", 2.5),
+    ("stability_samples", 1.5), ("stability_samples", -1), ("stability_T", 0)])
+def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
+    code = run(["spectrum" if key == "basis_size" else "stability"], tmp_path,
+               {key: value})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_ignores_out_dir(tmp_path):
     cfg = RunConfig(out_dir="a")
     moved = RunConfig(out_dir="b")
@@ -337,23 +352,40 @@ def test_cmd_vortex_default(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "kappa" in out
+    assert (tmp_path / "out" / "vortex_profile.txt").exists()
     report = json.loads((tmp_path / "out" / "vortex_report.json").read_text())
     assert report["checks"]["far_field_attach"]
+    assert report["ok"] is True
     assert report["kappa"] == pytest.approx(0.5832, abs=1e-3)
 
 
-def test_cmd_vortex_small_rmax_warns(tmp_path, capsys):
-    code = run(["vortex", "--r-max", "10"], tmp_path)
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "warning" in out.lower()
+def test_cmd_vortex_failed_invariant_fails_the_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(RadialProfile, "validate",
+                        lambda self: {"zero_at_origin": True, "monotone": False})
+    assert run(["vortex"], tmp_path) == 1
+    assert "monotone" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "vortex_report.json").read_text())
+    assert report["ok"] is False
+    assert run(["report"], tmp_path) == 1
+    assert "stored checks failed: vortex_report" in capsys.readouterr().out
 
 
-def test_cmd_vortex_bad_degree(tmp_path, capsys):
-    code = run(["vortex", "--degree", "2"], tmp_path)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "unsupported degree" in err
+def test_branch_ignores_profile_files_in_the_output_directory(tmp_path):
+    # the branch solves its vortex profile in the run: no profile file in
+    # the output directory, from `vortex` or from elsewhere, changes it
+    fresh, seeded = tmp_path / "fresh", tmp_path / "seeded"
+    fresh.mkdir()
+    (seeded / "out").mkdir(parents=True)
+    wide = solve_vortex_ode(r_max=80.0)
+    for name in ("vortex_profile.txt", "vortex_profile_p1.txt",
+                 "vortex_profile_m1.txt"):
+        wide.save(seeded / "out" / name)
+    for sub in (fresh, seeded):
+        assert run(["branch"], sub) == 0
+    names = ["diagnostics.csv"] + [f"entry_{k:03d}.fld" for k in range(6)]
+    for name in names:
+        assert ((fresh / "out" / "branch" / name).read_bytes()
+                == (seeded / "out" / "branch" / name).read_bytes()), name
 
 
 def test_cmd_branch_and_resume(tmp_path, capsys):
@@ -618,15 +650,19 @@ def test_cmd_spectrum_set_failure_exits_3(tmp_path, capsys, monkeypatch, where):
     assert list((tmp_path / "out").glob("spectrum_c*.json")) == []
 
 
+def _src_env() -> dict:
+    """The environment with this package's source first on the path."""
+    src = os.path.dirname(os.path.dirname(gpvortex.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded():
     # only a stage that solves a vortex profile or a branch needs it
-    src = os.path.dirname(os.path.dirname(gpvortex.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, gpvortex.cli; print('scipy.interpolate' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=_src_env(), check=True)
     assert proc.stdout.strip() == "False"
 
 
@@ -705,6 +741,14 @@ def test_outputs_bit_identical_across_runs(tmp_path):
 def test_configuration_error_exit(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "missing.cfg"), "vortex"])
     assert code == 2
+
+
+def test_module_run_reaches_the_cli(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpvortex.cli", "--out", str(tmp_path / "missing"),
+         "report"], capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 2
+    assert "does not exist" in proc.stderr
 
 
 def test_cmd_report_missing_out_dir(tmp_path, capsys):

@@ -111,11 +111,11 @@ def test_factorization_ordering(case, orderings):
 
 
 @pytest.fixture(scope="module")
-def branch02(profiles):
+def branch02(profile):
     """The c = 0.2 branch triple of the CLI tests' fast configuration."""
     cfg = RunConfig(speeds=(0.2,), max_nx=201, newton_tol=1e-10, basis_size=60)
     branch = continue_branch(cfg.speeds_with_neighbors()[0],
-                             SolverConfig(newton_tol=cfg.newton_tol), profiles,
+                             SolverConfig(newton_tol=cfg.newton_tol), profile,
                              grid_rule=cfg.grid_rule)
     return cfg, branch
 

@@ -148,7 +148,7 @@ def test_direction_neighbor_requirements(branch_spec):
         build_directions(branch_spec, 2)   # next entry is a different anchor
 
 
-def test_speed_direction_matches_core_translation(branch_spec, profiles):
+def test_speed_direction_matches_core_translation(branch_spec, profile):
     # Q_c ~ V+(x - d e1) V-(x + d e1) with d ~ 1/c, so
     # dQ/dc ~ -(1/c^2) dQ/dd = +(1/c^2) d1 V+ . V- near +d e1, where
     # V- ~ 1: the scaled speed derivative is close to the (positive)
@@ -158,7 +158,7 @@ def test_speed_direction_matches_core_translation(branch_spec, profiles):
     dirs = build_directions(branch_spec, idx)
     g = e.field.grid
     X, Y = g.mesh
-    gx, _ = vortex_gradient(profiles[1], X, Y, center=e.zeros[0])
+    gx, _ = vortex_gradient(profile, 1, X, Y, center=e.zeros[0])
     ball = np.hypot(X - e.zeros[0][0], Y - e.zeros[0][1]) <= 10.0
     num = np.abs(e.c**2 * dirs.dc.values - gx)[ball]
     den = np.max(np.abs(gx)[ball])

@@ -62,12 +62,12 @@ def test_rayleigh_matches_form(entry01, handle01):
     assert abs(ray - B) <= 1e-8 * abs(B)
 
 
-def test_constraint_grips_its_direction(handle01, entry01, profiles, run_cfg):
+def test_constraint_grips_its_direction(handle01, entry01, profile, run_cfg):
     val = float(handle01.constraints["tx1"] @ handle01.directions["dx1"])
     assert val > 0
     g = entry01.field.grid
     X, Y = g.mesh
-    gx, _ = vortex_gradient(profiles[1], X, Y, center=entry01.zeros[0])
+    gx, _ = vortex_gradient(profile, 1, X, Y, center=entry01.zeros[0])
     ball = np.hypot(X - entry01.zeros[0][0], Y - entry01.zeros[0][1]) <= run_cfg.r_ball
     ref = 2 * float(np.sum((np.abs(gx) ** 2)[ball]) * g.hx * g.hy)
     assert val == pytest.approx(ref, rel=0.35)
@@ -248,11 +248,11 @@ def test_corollary_positivity(handle01):
 
 
 @pytest.fixture(scope="module")
-def stability_handle01(profiles, run_cfg, solver_cfg):
+def stability_handle01(profile, run_cfg, solver_cfg):
     """c = 0.1 handle on the grid the stability stage evolves on: the
     3/c box leaves 20 between the cores and the edge, which cuts off the
     tail of the translation mode (energy change 3.1% over T = 50)."""
-    br = continue_branch(run_cfg.neighbor_triple(0.1), solver_cfg, profiles,
+    br = continue_branch(run_cfg.neighbor_triple(0.1), solver_cfg, profile,
                          grid_rule=run_cfg.stability_grid_rule)
     return assemble(br.entries[1].field, br.entries[1].c, R=run_cfg.r_ball,
                     directions=build_directions(br, 1))

@@ -34,10 +34,10 @@ def test_residual_vacuum(entry01):
     assert grid_l2(residual(one, 0.05), g) == 0.0
 
 
-def test_residual_single_vortex_stationary(profiles):
+def test_residual_single_vortex_stationary(profile):
     g = Grid(20.0, 20.0, 201, 201)
     X, Y = g.mesh
-    V = ComplexField(g, evaluate_vortex(profiles[1], X, Y))
+    V = ComplexField(g, evaluate_vortex(profile, 1, X, Y))
     r = residual(V, 0.0)
     # interior residual is ODE tolerance + stencil error, far below O(1)
     assert grid_l2(r, g) < 1e-2
@@ -54,10 +54,10 @@ def test_newton_restart_is_immediate(entry01, solver_cfg):
     assert info["steps"] <= 1
 
 
-def test_newton_step_count_and_symmetry(profiles, solver_cfg):
+def test_newton_step_count_and_symmetry(profile, solver_cfg):
     c = 0.1
     grid = default_grid_rule(c)
-    guess = build_two_vortex(AnsatzParams(1.0 / c, profiles[1], profiles[-1]), grid)
+    guess = build_two_vortex(AnsatzParams(1.0 / c, profile), grid)
     Q, info = newton_solve(guess, c, solver_cfg)
     assert info["steps"] <= 15
     assert info["residual"] <= 1e-9
@@ -95,13 +95,13 @@ def test_branch_energy_decreases_with_speed(branch_spec, run_cfg):
     assert all(b > a for a, b in zip(energies, energies[1:]))  # E grows as c drops
 
 
-def test_branch_continuity_in_speed(profiles, solver_cfg):
+def test_branch_continuity_in_speed(profile, solver_cfg):
     # sup-distance between neighbouring solutions shrinks with the spacing
     c = 0.1
     rule = lambda s: default_grid_rule(c)
     sups = []
     for delta in (4e-3, 2e-3, 1e-3):
-        br = continue_branch([c, c - delta], solver_cfg, profiles, grid_rule=rule)
+        br = continue_branch([c, c - delta], solver_cfg, profile, grid_rule=rule)
         sups.append(np.max(np.abs(br.entries[0].field.values
                                   - br.entries[1].field.values)))
     assert sups[0] > sups[1] > sups[2]
@@ -118,7 +118,7 @@ def solo_triples():
 
 
 @pytest.mark.parametrize("speeds, calls", [((0.2,), 1), ((0.2, 0.199), 3)])
-def test_branch_fallback_solves_each_guess_once(profiles, solver_cfg, monkeypatch,
+def test_branch_fallback_solves_each_guess_once(profile, solver_cfg, monkeypatch,
                                                 speeds, calls):
     # a run's first entry starts from its ansatz, so its failure is final;
     # a continued entry falls back to its own ansatz once
@@ -134,9 +134,9 @@ def test_branch_fallback_solves_each_guess_once(profiles, solver_cfg, monkeypatc
     monkeypatch.setattr(tw_solver, "newton_solve", newton)
     with pytest.raises(RuntimeError, match=re.escape(
             f"branch continuation failed at c = {speeds[-1]}")):
-        continue_branch(speeds, solver_cfg, profiles, grid_rule=lambda s: grid)
+        continue_branch(speeds, solver_cfg, profile, grid_rule=lambda s: grid)
     assert len(guesses) == calls
-    ansatz = build_two_vortex(AnsatzParams(1.0 / speeds[-1], profiles[1], profiles[-1]),
+    ansatz = build_two_vortex(AnsatzParams(1.0 / speeds[-1], profile),
                               grid)
     assert np.array_equal(guesses[-1].values, ansatz.values)
     if calls > 1:   # the first attempt was the continued guess
@@ -146,7 +146,7 @@ def test_branch_fallback_solves_each_guess_once(profiles, solver_cfg, monkeypatc
 @settings(max_examples=6, deadline=None)
 @given(mains=st.lists(st.sampled_from(POOL_CFG.speeds), min_size=2, max_size=3,
                       unique=True).map(lambda m: sorted(m, reverse=True)))
-def test_triple_depends_on_its_own_speeds_alone(profiles, solver_cfg, solo_triples, mains):
+def test_triple_depends_on_its_own_speeds_alone(profile, solver_cfg, solo_triples, mains):
     real, nodes = newton_solve, []
 
     def spy(Q0, c, *args, **kwargs):
@@ -156,14 +156,14 @@ def test_triple_depends_on_its_own_speeds_alone(profiles, solver_cfg, solo_tripl
     speeds = [s for m in mains for s in POOL_CFG.neighbor_triple(m)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tw_solver, "newton_solve", spy)
-        br = continue_branch(speeds, solver_cfg, profiles, grid_rule=POOL_CFG.grid_rule)
+        br = continue_branch(speeds, solver_cfg, profile, grid_rule=POOL_CFG.grid_rule)
     assert [e.c for e in br.entries] == speeds
     # finest grid first, one grid per triple
     assert nodes == sorted(nodes, reverse=True) and len(set(nodes)) == len(mains)
     for k, m in enumerate(mains):
         if m not in solo_triples:
             solo_triples[m] = continue_branch(POOL_CFG.neighbor_triple(m), solver_cfg,
-                                              profiles, grid_rule=POOL_CFG.grid_rule)
+                                              profile, grid_rule=POOL_CFG.grid_rule)
         for a, b in zip(br.entries[3 * k:3 * k + 3], solo_triples[m].entries):
             assert a.field.values.tobytes() == b.field.values.tobytes()
 
