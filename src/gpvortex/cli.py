@@ -4,7 +4,7 @@ Subcommands: vortex | branch | spectrum | stability | uniqueness | report.
 Exit codes: 0 pass, 1 numeric-check failure, 2 configuration error,
 3 solver failure.  ``main`` maps exceptions to them in one place:
 ``ValueError``/``KeyError`` -> 2, ``FieldFileError`` (an unusable
-stored field) -> 1, ``RuntimeError`` -> 3.  Outputs depend only on the
+stored output) -> 1, ``RuntimeError`` -> 3.  Outputs depend only on the
 config and the seed, and every file carries the config hash: a stage
 reads back only the branches it stored under that hash, and solves the
 vortex profile in the run rather than reading a file.  The one exception
@@ -29,8 +29,18 @@ from . import __version__
 from .config import STABILITY_EDGE_MARGIN, RunConfig, load_config
 from .field_core import FieldFileError, _atomic_write
 from .linearization import build_directions, prop12_report, write_prop12_csv
+from .spectral import (
+    CONSTRAINT_SETS,
+    assemble,
+    constrained_coercivity,
+    evolve_linearized,
+    kernel_and_negative,
+    midpoint_step,
+    random_data,
+    ritz_basis,
+    sym3_basis,
+)
 from .tw_solver import (
-    SolverConfig,
     continue_branch,
     linearized_lu,
     load_branch,
@@ -57,10 +67,6 @@ def _find_malloc_trim():
 
 
 _malloc_trim = _find_malloc_trim()
-
-
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(newton_tol=cfg.newton_tol, max_iter=cfg.max_newton_steps)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -115,17 +121,14 @@ def _load_or_solve_branch(cfg: RunConfig, outdir: str, speeds, rule,
     loaded when it carries this config's hash and every entry, else
     solved (after printing ``announce``, if given) and saved."""
     if os.path.isdir(outdir):
-        try:
-            branch = load_branch(outdir)
-            if (branch.config_hash == cfg.config_hash
-                    and len(branch.entries) == len(speeds)):
-                print(f"resume: {outdir} already solved; skipping")
-                return branch
-        except (FieldFileError, FileNotFoundError, KeyError, ValueError) as exc:
-            raise FieldFileError(f"existing branch at {outdir} unusable: {exc}")
+        branch = load_branch(outdir)
+        if (branch.config_hash == cfg.config_hash
+                and len(branch.entries) == len(speeds)):
+            print(f"resume: {outdir} already solved; skipping")
+            return branch
     if announce:
         print(announce)
-    branch = continue_branch(speeds, _solver_config(cfg), solve_vortex_ode(),
+    branch = continue_branch(speeds, cfg.newton_tol, solve_vortex_ode(),
                              grid_rule=rule, config_hash=cfg.config_hash)
     save_branch(branch, outdir)
     return branch
@@ -168,15 +171,6 @@ def _trimmed(task, *args):
 
 
 def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
-    from .spectral import (
-        CONSTRAINT_SETS,
-        assemble,
-        constrained_coercivity,
-        kernel_and_negative,
-        ritz_basis,
-        sym3_basis,
-    )
-
     idx = branch.index_of(c)
     e = branch.entries[idx]
     handle = assemble(e.field, e.c, R=cfg.r_ball,
@@ -224,14 +218,13 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
                 exp_results.update(run_sets(exp, ["sym3"]))
             exp_account = exp.account if exp else None
             exp = None                  # freed before the wait for the worker
-            report = futures[0].result()
+            payload = futures[0].result()
             c_results, c_account = futures[1].result()
         finally:
             for future in futures:
                 future.cancel()         # only what has not started
     results = {**c_results, **exp_results}
-    report.coercivity = {name: results[name][0] for name in cfg.constraint_sets}
-    payload = dict(report.__dict__)
+    payload["coercivity"] = {name: results[name][0] for name in cfg.constraint_sets}
     payload["coercivity_check"] = {name: results[name][1]
                                    for name in cfg.constraint_sets}
     payload["ritz"] = {norm: account for norm, account
@@ -280,8 +273,6 @@ def _stability_branch(cfg: RunConfig, branch):
 
 
 def cmd_stability(cfg: RunConfig, args) -> int:
-    from .spectral import assemble, evolve_linearized, midpoint_step, random_data
-
     _require_main_speed(cfg, "stability_speed")
     os.makedirs(cfg.out_dir, exist_ok=True)
     branch, idx = _stability_branch(cfg, _main_branch(cfg))
@@ -319,13 +310,12 @@ def cmd_uniqueness(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     branch = _main_branch(cfg)
     entry = branch.entries[branch.index_of(cfg.uniqueness_speed)]
-    solver = _solver_config(cfg)
     # every re-solve iterates with this one factorization at the wave
     lu = linearized_lu(entry.field, entry.c)
 
     runs, ok = [], True
     for shape in ("bump_re", "bump_im", "phase", "mixed", "random"):
-        rep = perturb_and_resolve(entry, cfg.uniqueness_delta, solver, lu,
+        rep = perturb_and_resolve(entry, cfg.uniqueness_delta, cfg.newton_tol, lu,
                                   shape=shape, seed=cfg.seed)
         runs.append({"shape": shape, "mismatch": rep["mismatch"],
                      "steps": rep["steps"],
@@ -358,8 +348,14 @@ def cmd_report(cfg: RunConfig, args) -> int:
         summary["sections"]["branch"] = rows
     for name in os.listdir(cfg.out_dir):
         if name.endswith(".json") and name != "summary.json":
-            with open(os.path.join(cfg.out_dir, name)) as fh:
-                payload = json.load(fh)
+            path = os.path.join(cfg.out_dir, name)
+            try:
+                with open(path) as fh:
+                    payload = json.load(fh)
+                if not isinstance(payload, dict):
+                    raise ValueError("not a JSON object")
+            except ValueError as exc:   # also JSONDecodeError, UnicodeDecodeError
+                raise FieldFileError(f"{path}: unusable JSON: {exc}") from exc
             if "config_hash" in payload:
                 hashes.add(payload["config_hash"])
             summary["sections"][name[:-5]] = payload

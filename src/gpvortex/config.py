@@ -12,6 +12,7 @@ import numpy as np
 
 from .ansatz import BOUNDARY_MARGIN, MAX_SPEED, NEIGHBOR_FRAC_CAP
 from .field_core import Grid
+from .spectral import CONSTRAINT_SETS
 from .tw_solver import MAX_UNIQUENESS_DELTA, default_grid_rule
 
 # Least distance from the cores (at 1/c) to the box edge on the grid the
@@ -21,18 +22,24 @@ from .tw_solver import MAX_UNIQUENESS_DELTA, default_grid_rule
 # dt = 0.2 and c = 0.2 with dt = 0.5).
 STABILITY_EDGE_MARGIN = 35.0
 
+# derivative entries sit at c (1 +- NEIGHBOR_QUAD * c^2): the speed
+# derivatives of the branch grow like 1/c^2 per order, so a c^2-scaled
+# offset keeps the centered-difference error uniform over the branch
+NEIGHBOR_QUAD = 0.5
+# box factor and node-count cap of the diagnostics-scale grids
+DIAG_BOX_FACTOR = 5.5
+DIAG_MAX_NX = 735
+
 # Least value of each integer field.  A node-count cap of 5 or fewer
 # leaves no interior for the margin widening of ``default_grid_rule``.
 # ``constrained_coercivity`` checks a Ritz minimum against the leading
 # max(8, size // 2) columns; below 16 columns that is not the half basis,
 # and at 8 or fewer it compares the basis with itself.
-INT_MINIMA = {"max_nx": 7, "diag_max_nx": 7, "max_newton_steps": 1,
-              "basis_size": 16, "seed": 0, "stability_samples": 0}
-# fields that must be positive finite numbers: offsets, box factors,
-# spacings, tolerances, radii, speeds, times and time steps
-POSITIVE = ("neighbor_quad", "box_factor", "diag_box_factor", "h_target",
-            "newton_tol", "r_ball", "stability_T", "stability_dt",
-            "stability_speed", "uniqueness_speed")
+INT_MINIMA = {"max_nx": 7, "basis_size": 16, "seed": 0, "stability_samples": 0}
+# fields that must be positive finite numbers: box factors, spacings,
+# tolerances, radii, speeds, times and time steps
+POSITIVE = ("box_factor", "h_target", "newton_tol", "r_ball", "stability_T",
+            "stability_dt", "stability_speed", "uniqueness_speed")
 
 
 def _is_a(val, kind) -> bool:
@@ -47,8 +54,6 @@ def _parse_scalar(text: str):
             return caster(text)
         except ValueError:
             continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
     return text
 
 
@@ -60,20 +65,13 @@ class RunConfig:
 
     ``config_hash`` identifies the computation: it covers every field
     except ``out_dir``, so outputs moved to another directory keep their
-    hash.  ``save``/``load_config`` round-trip every field."""
+    hash.  ``canonical_text``/``load_config`` round-trip every field."""
 
     speeds: tuple = (0.1, 0.05, 0.03)
-    # derivative entries sit at c (1 +- neighbor_quad * c^2): the speed
-    # derivatives of the branch grow like 1/c^2 per order, so a c^2-scaled
-    # offset keeps the centered-difference error uniform over the branch
-    neighbor_quad: float = 0.5
     box_factor: float = 3.0
-    diag_box_factor: float = 5.5
     h_target: float = 0.4
     max_nx: int = 401
-    diag_max_nx: int = 735
     newton_tol: float = 1e-11
-    max_newton_steps: int = 40
     r_ball: float = 10.0
     constraint_sets: tuple = ("none", "three", "four", "phase4", "sym3")
     basis_size: int = 160
@@ -104,8 +102,12 @@ class RunConfig:
             raise ValueError("speeds must be strictly decreasing")
         if self.r_ball <= 5.0:
             raise ValueError("r_ball (orthogonality ball radius) must exceed 5")
-        if self.max_nx % 2 == 0 or self.diag_max_nx % 2 == 0:
-            raise ValueError("node-count caps max_nx and diag_max_nx must be odd")
+        if self.max_nx % 2 == 0:
+            raise ValueError("node-count cap max_nx must be odd")
+        sets = self.constraint_sets
+        if any(s not in CONSTRAINT_SETS for s in sets) or len(set(sets)) != len(sets):
+            raise ValueError(f"constraint_sets must name distinct sets among "
+                             f"{', '.join(CONSTRAINT_SETS)}, not {sets!r}")
         delta = self.uniqueness_delta
         if not (_is_a(delta, numbers.Real) and 0.0 < delta <= MAX_UNIQUENESS_DELTA):
             raise ValueError(f"uniqueness_delta: uniqueness perturbation must "
@@ -139,9 +141,9 @@ class RunConfig:
         return self._rule(c, self.box_factor, self.max_nx)
 
     def diag_grid_rule(self, c: float) -> Grid:
-        """Diagnostics-scale grid (diag_box_factor, diag_max_nx), with the
+        """Diagnostics-scale grid (DIAG_BOX_FACTOR, DIAG_MAX_NX), with the
         margin guarantee of ``grid_rule``."""
-        return self._rule(c, self.diag_box_factor, self.diag_max_nx)
+        return self._rule(c, DIAG_BOX_FACTOR, DIAG_MAX_NX)
 
     def stability_grid_rule(self, c: float) -> Grid:
         """The spectral-scale rule, widened so that the edge lies at least
@@ -153,7 +155,7 @@ class RunConfig:
 
     def _neighbor_frac(self, c: float) -> float:
         """Relative offset of the derivative neighbours of main speed c."""
-        return min(self.neighbor_quad * c * c, NEIGHBOR_FRAC_CAP)
+        return min(NEIGHBOR_QUAD * c * c, NEIGHBOR_FRAC_CAP)
 
     def neighbor_triple(self, c: float) -> list:
         """Main speed c between its two derivative neighbours, decreasing."""
@@ -190,10 +192,6 @@ class RunConfig:
         """Hash of the computation's inputs; independent of ``out_dir``."""
         text = self.canonical_text(hashed=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# gpvortex run configuration\n" + self.canonical_text())
 
 
 def load_config(path=None, overrides=None) -> RunConfig:

@@ -99,7 +99,6 @@ class OperatorHandle:
     c: float
     weight: float
     b_dx1_form: float = 0.0
-    b_dc_form: float = 0.0
     dx1_mass: float = 1.0
 
 
@@ -115,19 +114,6 @@ class RitzBasis:
     mirrored: bool = False
     Ah: np.ndarray | None = None
     Gh: np.ndarray | None = None
-
-
-@dataclass
-class SpectrumReport:
-    c: float
-    eigenvalues: list
-    tol_zero: float
-    negative_count: int
-    near_zero_count: int
-    kernel_angles: list
-    negative_overlap_dc: float
-    coercivity: dict
-    sectors: dict
 
 
 def _real_rep(M: sp.spmatrix) -> sp.csr_matrix:
@@ -403,7 +389,6 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     # operator-matched 2nd-order gradient with its true edge values (the
     # dof vector drops the ring)
     handle.b_dx1_form = quadratic_form_B(directions.dx1, Q, c)
-    handle.b_dc_form = quadratic_form_B(directions.dc, Q, c)
     handle.dx1_mass = float(np.sum(np.abs(gx.values[1:-1, 1:-1]) ** 2)) * w
     return handle
 
@@ -419,9 +404,10 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
 
     The factorization of the pencil is freed on return, so the caller
     decides how long the basis lives and which bases coexist.  Building
-    it again gives the same bits.  The shift sits a little below the
-    most negative direction's Rayleigh quotient so the resolvent
-    separates the bottom of the pencil.
+    it again gives the same bits.  The shift is
+    sigma = -max(3 |R(dc)|, 1e-4), set from the Rayleigh quotient R of the
+    speed derivative dc in the pencil alone, not from the pencil's lowest
+    eigenvalue.
 
     The C-norm pencil is factored with a minimum-degree ordering.  The
     exp-norm pencil keeps COLAMD: the unconverged ``sym3`` minimum is
@@ -585,7 +571,7 @@ def _sector_eigs(B: sp.csc_matrix, k: int):
 
 
 def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
-                        k: int = 12) -> SpectrumReport:
+                        k: int = 12) -> dict:
     """Lowest eigenvalues of the operator against the plain mass matrix;
     counts below -tol_zero and the principal angles of the near-zero
     cluster to the discrete translation span.
@@ -597,8 +583,8 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
     more than k rows), and the k of the union nearest 0 are kept, which
     is the set a shift-invert solve on the full matrix returns.  A field
     that breaks the symmetry couples the sectors and is refused with
-    ``RuntimeError``.  The report lists the kept eigenvalues and their
-    counts per sector."""
+    ``RuntimeError``.  The report is a dict of JSON values: the kept
+    eigenvalues and their counts, in total and per sector."""
     A = handle.A
     bound = 1e-12 * abs(A).max()
     maps = sector_maps(handle.grid)
@@ -648,17 +634,16 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
     if np.any(negative):
         vneg = vecs[:, int(np.argmin(vals))]
         overlap = abs(float(vneg @ dc)) / (np.linalg.norm(vneg) * np.linalg.norm(dc))
-    return SpectrumReport(
-        c=handle.c,
-        eigenvalues=[float(v) for v in vals],
-        tol_zero=float(tol_zero),
-        negative_count=int(np.sum(negative)),
-        near_zero_count=int(np.sum(near)),
-        kernel_angles=[float(a) for a in angles],
-        negative_overlap_dc=float(overlap),
-        coercivity={},
-        sectors=sectors,
-    )
+    return {
+        "c": handle.c,
+        "eigenvalues": [float(v) for v in vals],
+        "tol_zero": float(tol_zero),
+        "negative_count": int(np.sum(negative)),
+        "near_zero_count": int(np.sum(near)),
+        "kernel_angles": [float(a) for a in angles],
+        "negative_overlap_dc": float(overlap),
+        "sectors": sectors,
+    }
 
 
 @dataclass

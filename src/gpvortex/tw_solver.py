@@ -31,6 +31,7 @@ from .ansatz import MAX_SOLVE_SPEED, AnsatzParams, build_two_vortex
 from .field_core import (
     ComplexField,
     CutoffEta,
+    FieldFileError,
     Grid,
     _atomic_write,
     bilinear_sample,
@@ -50,22 +51,12 @@ from .operators import (
 from .vortex_profile import RadialProfile
 
 SPURIOUS_ZERO_LEVEL = 0.3
+# Newton steps a solve may take before it gives up
+MAX_NEWTON_STEPS = 40
 # step halvings a damped Newton step may take before the solve gives up
 MAX_HALVINGS = 8
 # largest perturbation scale of the uniqueness experiment
 MAX_UNIQUENESS_DELTA = 1e-2
-
-
-@dataclass
-class SolverConfig:
-    """Newton-solver knobs; tolerances on the uniform-weight grid L2 norm."""
-
-    newton_tol: float = 1e-9
-    max_iter: int = 40
-
-    def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("Newton tolerance must be positive")
 
 
 @dataclass
@@ -182,7 +173,7 @@ def linearized_lu(Q: ComplexField, c: float):
     return spla.splu(linearized_matrix(Q, c).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
+def newton_solve(Q0: ComplexField, c: float, newton_tol: float,
                  quarter: QuarterMaps | None = None, lu=None):
     """Damped Newton iteration on the travelling-wave residual.
 
@@ -196,11 +187,14 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
     factor of the order of the distance from the iterate to the frozen
     point, so an iteration that converges back to that solution
     converges as fast as Newton's.  Both take the same damping
-    rule, tolerance and step limit.  Returns (field, info) with the step
-    count and the residual history in ``info``.
+    rule, the tolerance ``newton_tol`` on the grid L2 norm of the
+    residual and the step limit ``MAX_NEWTON_STEPS``.  Returns (field,
+    info) with the step count and the residual history in ``info``.
     """
     if not (0.0 < c <= MAX_SOLVE_SPEED):
         raise ValueError(f"speed {c} outside (0, {MAX_SOLVE_SPEED:g}]")
+    if newton_tol <= 0:
+        raise ValueError("Newton tolerance must be positive")
     g = Q0.grid
     if lu is not None:
         Q = Q0.copy()
@@ -213,9 +207,9 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
     F = residual(Q, c)
     rn = grid_l2(F, g)
     steps = 0
-    for it in range(config.max_iter):
+    for it in range(MAX_NEWTON_STEPS):
         history.append(rn)
-        if rn <= config.newton_tol:
+        if rn <= newton_tol:
             break
         b = -interior_to_real(F.values)
         if lu is not None:
@@ -246,8 +240,8 @@ def newton_solve(Q0: ComplexField, c: float, config: SolverConfig,
                 f"decrease under the damping schedule")
     else:
         raise RuntimeError(
-            f"Newton did not reach tol {config.newton_tol:.1e} in "
-            f"{config.max_iter} steps (residual {rn:.3e})")
+            f"Newton did not reach tol {newton_tol:.1e} in "
+            f"{MAX_NEWTON_STEPS} steps (residual {rn:.3e})")
 
     locate_zeros(Q)
     info = {"steps": steps, "history": history, "residual": rn}
@@ -286,7 +280,7 @@ def _set_ring(field: ComplexField, data: ComplexField) -> ComplexField:
     return ComplexField(field.grid, v)
 
 
-def _solve_run(c_values, grid: Grid, config: SolverConfig,
+def _solve_run(c_values, grid: Grid, newton_tol: float,
                profile: RadialProfile):
     """The entries of one run of speeds on ``grid`` (see ``continue_branch``);
     the run's quarter maps and guesses are freed when it returns."""
@@ -310,7 +304,7 @@ def _solve_run(c_values, grid: Grid, config: SolverConfig,
             guesses = [_set_ring(ComplexField(grid, base.values + gamma), base), base]
         for k, guess in enumerate(guesses):
             try:
-                Q, info = newton_solve(guess, c, config, quarter=quarter)
+                Q, info = newton_solve(guess, c, newton_tol, quarter=quarter)
                 break
             except RuntimeError as exc:
                 if k + 1 == len(guesses):
@@ -329,7 +323,7 @@ def _solve_run(c_values, grid: Grid, config: SolverConfig,
     return entries
 
 
-def continue_branch(c_values, config: SolverConfig, profile: RadialProfile,
+def continue_branch(c_values, newton_tol: float, profile: RadialProfile,
                     grid_rule=default_grid_rule,
                     config_hash: str = "") -> TravellingWaveBranch:
     """Solve the branch at the given (strictly decreasing) speeds.
@@ -353,7 +347,7 @@ def continue_branch(c_values, config: SolverConfig, profile: RadialProfile,
     runs = [(grid, list(run)) for grid, run in groupby(c_values, key=grid_rule)]
     entries = []
     for grid, run in sorted(runs, key=lambda r: -r[0].nx * r[0].ny):
-        entries += _solve_run(run, grid, config, profile)
+        entries += _solve_run(run, grid, newton_tol, profile)
     entries.sort(key=lambda e: -e.c)
     return TravellingWaveBranch(entries, config_hash=config_hash)
 
@@ -390,7 +384,7 @@ def _perturbation(entry: BranchEntry, shape: str, rng) -> np.ndarray:
     raise ValueError(f"unknown perturbation shape {shape!r}")
 
 
-def perturb_and_resolve(entry: BranchEntry, delta: float, config: SolverConfig,
+def perturb_and_resolve(entry: BranchEntry, delta: float, newton_tol: float,
                         lu, shape: str = "bump_re", seed: int = 0):
     """Perturb a converged wave Q by ``delta`` times a unit-scale
     ``shape`` (zero on the ring), re-solve without symmetry enforcement,
@@ -410,9 +404,9 @@ def perturb_and_resolve(entry: BranchEntry, delta: float, config: SolverConfig,
     pert = _perturbation(entry, shape, np.random.default_rng(seed))
     pert[0, :] = pert[-1, :] = pert[:, 0] = pert[:, -1] = 0.0
     W, info = newton_solve(ComplexField(Q.grid, Q.values + delta * pert),
-                           entry.c, config, lu=lu)
+                           entry.c, newton_tol, lu=lu)
     mism = grid_l2(W.values - Q.values, Q.grid)
-    floor = 10.0 * delta**2 + 100.0 * config.newton_tol
+    floor = 10.0 * delta**2 + 100.0 * newton_tol
     return {
         "mismatch": mism,
         "steps": info["steps"],
@@ -459,20 +453,26 @@ def save_branch(branch: TravellingWaveBranch, outdir) -> None:
 
 
 def load_branch(outdir) -> TravellingWaveBranch:
+    """The branch ``save_branch`` stored in ``outdir``; a missing or
+    malformed manifest or entry is a ``FieldFileError`` naming the tree."""
     outdir = str(outdir)
-    manifest = {}
-    with open(os.path.join(outdir, "manifest.txt")) as fh:
-        for line in fh:
-            key, _, val = line.partition("=")
-            if _:
-                manifest[key.strip()] = val.strip()
-    n = int(manifest["n_entries"])
-    entries = []
-    for k in range(n):
-        f, c, meta = load_field(os.path.join(outdir, f"entry_{k:03d}.fld"))
-        entries.append(BranchEntry(
-            c=c, field=f, half_separation=float(meta["d_tilde"]),
-            residual_norm=float(meta["residual"]), energy=float(meta["energy"]),
-            p2=float(meta["p2"]), newton_steps=int(meta.get("newton_steps", 0)),
-            newton_history=tuple(map(float, meta.get("newton_history", "").split()))))
-    return TravellingWaveBranch(entries, config_hash=manifest.get("config_hash", ""))
+    try:
+        manifest = {}
+        with open(os.path.join(outdir, "manifest.txt")) as fh:
+            for line in fh:
+                key, _, val = line.partition("=")
+                if _:
+                    manifest[key.strip()] = val.strip()
+        n = int(manifest["n_entries"])
+        entries = []
+        for k in range(n):
+            f, c, meta = load_field(os.path.join(outdir, f"entry_{k:03d}.fld"))
+            entries.append(BranchEntry(
+                c=c, field=f, half_separation=float(meta["d_tilde"]),
+                residual_norm=float(meta["residual"]), energy=float(meta["energy"]),
+                p2=float(meta["p2"]), newton_steps=int(meta.get("newton_steps", 0)),
+                newton_history=tuple(map(float, meta.get("newton_history", "").split()))))
+        return TravellingWaveBranch(entries, config_hash=manifest.get("config_hash", ""))
+    except (OSError, KeyError, ValueError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise FieldFileError(f"branch at {outdir} unusable: {what}") from exc

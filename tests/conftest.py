@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField
 from gpvortex.linearization import build_directions
-from gpvortex.tw_solver import SolverConfig, continue_branch, default_grid_rule
+from gpvortex.tw_solver import continue_branch, default_grid_rule
 from gpvortex.vortex_profile import RadialProfile, solve_vortex_ode
 
 # kernel/index operating point of ``kernel_handle``
@@ -36,26 +36,26 @@ def run_cfg():
 
 
 @pytest.fixture(scope="session")
-def solver_cfg():
-    return SolverConfig(newton_tol=1e-11)
+def newton_tol():
+    return 1e-11
 
 
 @pytest.fixture(scope="session")
-def branch_spec(profile, run_cfg, solver_cfg):
+def branch_spec(profile, run_cfg, newton_tol):
     """Desk branch on the spectral-scale boxes (3/c), with derivative
     neighbours at every main speed."""
     speeds, _ = run_cfg.speeds_with_neighbors()
-    return continue_branch(speeds, solver_cfg, profile,
+    return continue_branch(speeds, newton_tol, profile,
                            grid_rule=run_cfg.grid_rule,
                            config_hash=run_cfg.config_hash)
 
 
 @pytest.fixture(scope="session")
-def branch_diag(profile, run_cfg, solver_cfg):
+def branch_diag(profile, run_cfg, newton_tol):
     """Desk branch on the diagnostics-scale boxes (5.5/c) used for the
     energy/momentum identities."""
     speeds, _ = run_cfg.speeds_with_neighbors()
-    return continue_branch(speeds, solver_cfg, profile,
+    return continue_branch(speeds, newton_tol, profile,
                            grid_rule=run_cfg.diag_grid_rule,
                            config_hash=run_cfg.config_hash)
 
@@ -90,7 +90,7 @@ def spec_handles(branch_spec, run_cfg):
 
 
 @pytest.fixture(scope="session")
-def kernel_handle(profile, run_cfg, solver_cfg):
+def kernel_handle(profile, run_cfg, newton_tol):
     """Handle at the kernel/index operating point: c = 0.05 on a slightly
     larger box (the near-zero principal angles are box-limited)."""
     from gpvortex.spectral import assemble
@@ -98,7 +98,7 @@ def kernel_handle(profile, run_cfg, solver_cfg):
     rule = lambda c: default_grid_rule(
         c0, box_factor=KERNEL_BOX_FACTOR,
         h_target=run_cfg.h_target, max_nx=1025)
-    br = continue_branch(run_cfg.neighbor_triple(c0), solver_cfg, profile,
+    br = continue_branch(run_cfg.neighbor_triple(c0), newton_tol, profile,
                          grid_rule=rule)
     return assemble(br.entries[1].field, c0, R=run_cfg.r_ball,
                     directions=build_directions(br, 1))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import compact_test_field, edge_gradient_energy, quadratic_form_naive
+from gpvortex.config import DIAG_BOX_FACTOR, DIAG_MAX_NX
 from gpvortex.field_core import ComplexField, grid_l2
 from gpvortex.linearization import (
     apply_L,
@@ -19,7 +20,6 @@ from gpvortex.linearization import (
 from gpvortex.operators import interior_to_real
 from gpvortex.spectral import constrained_coercivity, kernel_and_negative, ritz_basis
 from gpvortex.tw_solver import (
-    SolverConfig,
     continue_branch,
     default_grid_rule,
     linearized_lu,
@@ -101,16 +101,16 @@ def test_criterion_3_momentum_energy(branch_diag, run_cfg):
           ", ".join(f"{r:.4f}" for r in ratios))
 
 
-def test_criterion_4_form_values(branch_diag, run_cfg, profile, solver_cfg):
+def test_criterion_4_form_values(branch_diag, run_cfg, profile, newton_tol):
     rows = {r["c"]: r for r in prop12_report(branch_diag)}
 
     # h^2-extrapolated floor from a coarse companion solve at 2h
     floors = {}
     for c in run_cfg.speeds:
-        grid_c = default_grid_rule(c, box_factor=run_cfg.diag_box_factor,
+        grid_c = default_grid_rule(c, box_factor=DIAG_BOX_FACTOR,
                                    h_target=2 * run_cfg.h_target,
-                                   max_nx=(run_cfg.diag_max_nx + 1) // 2 + 1)
-        br = continue_branch([c], solver_cfg, profile, grid_rule=lambda s: grid_c)
+                                   max_nx=(DIAG_MAX_NX + 1) // 2 + 1)
+        br = continue_branch([c], newton_tol, profile, grid_rule=lambda s: grid_c)
         e = br.entries[0]
         gx, gy = fd_gradient(e.field)
         floors[c] = (quadratic_form_B(gx, e.field, c),
@@ -167,13 +167,14 @@ def test_criterion_5_coercivity(spec_handles, run_cfg):
 
 def test_criterion_6_kernel_and_index(kernel_handle):
     rep = kernel_and_negative(kernel_handle, k=16)
-    check("6a exactly 1 eigenvalue below -tol_zero", rep.negative_count == 1,
-          f"count = {rep.negative_count}, tol = {rep.tol_zero:.2e}")
+    check("6a exactly 1 eigenvalue below -tol_zero", rep["negative_count"] == 1,
+          f"count = {rep['negative_count']}, tol = {rep['tol_zero']:.2e}")
     check("6b exactly 2 eigenvalues in [-tol_zero, tol_zero]",
-          rep.near_zero_count == 2, f"count = {rep.near_zero_count}")
+          rep["near_zero_count"] == 2, f"count = {rep['near_zero_count']}")
+    angles = rep["kernel_angles"]
     check("6c principal angles to the translation span <= 0.1 rad",
-          len(rep.kernel_angles) == 2 and max(rep.kernel_angles) <= 0.1,
-          ", ".join(f"{a:.4f}" for a in rep.kernel_angles))
+          len(angles) == 2 and max(angles) <= 0.1,
+          ", ".join(f"{a:.4f}" for a in angles))
 
 
 def test_criterion_7_spectral_stability(spec_handles, run_cfg):
@@ -193,14 +194,14 @@ def test_criterion_7_spectral_stability(spec_handles, run_cfg):
           ", ".join(f"{d:.1e}" for d in drifts))
 
 
-def test_criterion_8_local_uniqueness(branch_spec, solver_cfg):
+def test_criterion_8_local_uniqueness(branch_spec, newton_tol):
     entry = branch_spec.entries[branch_spec.index_of(0.1)]
     delta = 1e-3
     shapes = ("bump_re", "bump_im", "phase", "mixed", "random")
     mism = []
     lu = linearized_lu(entry.field, entry.c)
     for shape in shapes:
-        rep = perturb_and_resolve(entry, delta, solver_cfg, lu, shape=shape, seed=7)
+        rep = perturb_and_resolve(entry, delta, newton_tol, lu, shape=shape, seed=7)
         mism.append(rep["mismatch"])
     check("8a returns to Q with mismatch <= 1e-6",
           all(m <= 1e-6 for m in mism), ", ".join(f"{m:.1e}" for m in mism))

@@ -24,7 +24,6 @@ from gpvortex.config import RunConfig, load_config
 from gpvortex.field_core import ComplexField, grid_l2
 from gpvortex.spectral import CONSTRAINT_SETS
 from gpvortex.tw_solver import (
-    SolverConfig,
     _perturbation,
     linearized_lu,
     load_branch,
@@ -50,7 +49,7 @@ def run(args, tmp_path, extra_cfg=None):
 def test_config_roundtrip(tmp_path):
     cfg = RunConfig()
     path = tmp_path / "cfg.txt"
-    cfg.save(path)
+    path.write_text(cfg.canonical_text())
     back = load_config(path)
     assert back == cfg
     assert back.config_hash == cfg.config_hash
@@ -66,11 +65,8 @@ def run_configs(draw):
                            unique=True))
     return RunConfig(
         speeds=tuple(sorted(speeds, reverse=True)),
-        neighbor_quad=draw(positive), box_factor=draw(positive),
-        diag_box_factor=draw(positive), h_target=draw(positive),
-        max_nx=draw(odd_cap), diag_max_nx=draw(odd_cap),
+        box_factor=draw(positive), h_target=draw(positive), max_nx=draw(odd_cap),
         newton_tol=draw(st.floats(1e-14, 1e-6)),
-        max_newton_steps=draw(st.integers(1, 100)),
         r_ball=draw(st.floats(5.001, 50.0)),
         constraint_sets=tuple(draw(st.lists(st.sampled_from(sorted(CONSTRAINT_SETS)),
                                             unique=True))),
@@ -88,14 +84,17 @@ def run_configs(draw):
 def test_config_text_roundtrip_property(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.txt")
-        cfg.save(path)
+        with open(path, "w") as fh:
+            fh.write(cfg.canonical_text())
         back = load_config(path)
     assert back == cfg
     assert back.config_hash == cfg.config_hash
 
 
 @pytest.mark.parametrize("key", ["jobs", "eta_shape", "kernel_speed",
-                                 "kernel_box_factor"])
+                                 "kernel_box_factor", "neighbor_quad",
+                                 "diag_box_factor", "diag_max_nx",
+                                 "max_newton_steps"])
 def test_removed_config_keys_are_config_errors(tmp_path, capsys, key):
     with pytest.raises(ValueError, match=key):
         load_config(None, {key: "1"})
@@ -114,13 +113,12 @@ def test_removed_flags_exit_2(tmp_path, argv):
     assert exc.value.code == 2
 
 
-def _config_reads(names=("self", "cfg", "config"), modules=None) -> set:
-    """Attribute names read as ``<name>.X`` for a name in ``names``, in the
-    package modules ``modules`` (default: every module), outside the
-    ``__post_init__`` validators."""
+def _config_reads() -> set:
+    """Attribute names read as ``self.X`` or ``cfg.X`` in the package
+    modules, outside the ``__post_init__`` validators."""
     pkg = os.path.dirname(gpvortex.__file__)
     reads = set()
-    for name in modules or sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
         with open(os.path.join(pkg, name)) as fh:
             tree = ast.parse(fh.read())
         validators = {id(n) for fn in ast.walk(tree)
@@ -129,7 +127,7 @@ def _config_reads(names=("self", "cfg", "config"), modules=None) -> set:
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                     and isinstance(node.value, ast.Name)
-                    and node.value.id in names
+                    and node.value.id in ("self", "cfg")
                     and id(node) not in validators):
                 reads.add(node.attr)
     return reads
@@ -137,14 +135,9 @@ def _config_reads(names=("self", "cfg", "config"), modules=None) -> set:
 
 def test_every_config_field_is_read():
     # a knob that nothing reads changes no run; the text round trip and
-    # the config hash read every field generically, so they do not count.
-    # A solver knob counts only where the solver reads it, so a RunConfig
-    # field of the same name does not stand in for it.
-    reads = {RunConfig: _config_reads(),
-             SolverConfig: _config_reads(("config",), ("tw_solver.py",))}
-    unread = [f"{cls.__name__}.{f.name}" for cls, names in reads.items()
-              for f in fields(cls) if f.name not in names]
-    assert unread == []
+    # the config hash read every field generically, so they do not count
+    reads = _config_reads()
+    assert [f.name for f in fields(RunConfig) if f.name not in reads] == []
 
 
 def _refs(node):
@@ -326,7 +319,7 @@ def test_config_hash_ignores_out_dir(tmp_path):
     assert moved.config_hash == cfg.config_hash
     assert RunConfig(seed=7).config_hash != cfg.config_hash
     path = tmp_path / "cfg.txt"
-    moved.save(path)
+    path.write_text(moved.canonical_text())
     assert load_config(path).out_dir == "b"
 
 
@@ -400,6 +393,55 @@ def test_cmd_branch_and_resume(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "resume" in out
+
+
+def test_cmd_branch_diag_and_resume(tmp_path, capsys):
+    # the diagnostics-scale branch is stored apart from the spectral one
+    argv = ["--out", str(tmp_path / "out"), "--speeds", "0.2", "branch", "--diag"]
+    assert main(argv) == 0
+    outdir = tmp_path / "out" / "branch_diag"
+    names = {p.name for p in outdir.iterdir()}
+    assert {"manifest.txt", "diagnostics.csv", "prop12.csv"} <= names
+    assert not (tmp_path / "out" / "branch").exists()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert f"resume: {outdir}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sets", ["none, bogus", "none, none"])
+def test_bad_constraint_sets_exit_2_before_any_solve(tmp_path, capsys, sets):
+    # an unknown or repeated set is refused before the branch is solved
+    assert run(["spectrum"], tmp_path, {"constraint_sets": sets}) == 2
+    err = capsys.readouterr().err
+    assert "constraint_sets" in err and "phase4" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("manifest", [None, "n_entries = x\n", "n_entries = 1\n"])
+def test_cmd_report_unusable_branch_exits_1(tmp_path, capsys, manifest):
+    # a branch tree without its manifest (an interrupted `branch`), with a
+    # malformed one, or without an entry the manifest lists
+    tree = tmp_path / "out" / "branch"
+    tree.mkdir(parents=True)
+    if manifest is not None:
+        (tree / "manifest.txt").write_text(manifest)
+    assert main(["--out", str(tmp_path / "out"), "report"]) == 1
+    err = capsys.readouterr().err
+    assert f"branch at {tree} unusable" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ['{"ok": tru', "3"])
+def test_cmd_report_unparsable_json_exits_1(tmp_path, capsys, text):
+    # a truncated stored output, or one that is not a JSON object
+    path = tmp_path / "out" / "spectrum_c0.2.json"
+    path.parent.mkdir()
+    path.write_text(text)
+    assert main(["--out", str(tmp_path / "out"), "report"]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 def test_cmd_branch_corrupted_field(tmp_path, capsys):
@@ -525,7 +567,7 @@ def test_cmd_uniqueness_matches_resolves_on_one_factorization(uniqueness_run):
         pert = _perturbation(entry, shape, np.random.default_rng(cfg.seed))
         pert[0, :] = pert[-1, :] = pert[:, 0] = pert[:, -1] = 0.0
         W, info = newton_solve(ComplexField(Q.grid, Q.values + delta * pert),
-                               entry.c, cli._solver_config(cfg), lu=lu)
+                               entry.c, cfg.newton_tol, lu=lu)
         mism = grid_l2(W.values - Q.values, Q.grid)
         runs.append({"shape": shape, "mismatch": mism, "steps": info["steps"],
                      "residual_history": info["history"],
@@ -539,10 +581,10 @@ def test_cmd_uniqueness_matches_resolves_on_one_factorization(uniqueness_run):
 def test_cmd_uniqueness_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
     resolve = cli.perturb_and_resolve
 
-    def failing(entry, delta, config, lu, shape="bump_re", seed=0):
+    def failing(entry, delta, newton_tol, lu, shape="bump_re", seed=0):
         if shape == "phase":
             raise RuntimeError("phase re-solve diverged")
-        return resolve(entry, delta, config, lu, shape=shape, seed=seed)
+        return resolve(entry, delta, newton_tol, lu, shape=shape, seed=seed)
 
     monkeypatch.setattr(cli, "perturb_and_resolve", failing)
     before = set(threading.enumerate())
@@ -602,20 +644,18 @@ def test_cmd_spectrum_without_malloc_trim(threaded_spectrum, monkeypatch):
 
 
 def test_cmd_spectrum_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
-    from gpvortex import spectral
-
     def failing(handle, tol_zero=None, k=12):
         raise RuntimeError("sector eigensolve diverged")
 
-    coercivity = spectral.constrained_coercivity
+    coercivity = cli.constrained_coercivity
     norms = []
 
     def spy(handle, basis, constraint_set, **kwargs):
         norms.append(basis.norm)
         return coercivity(handle, basis, constraint_set, **kwargs)
 
-    monkeypatch.setattr(spectral, "kernel_and_negative", failing)
-    monkeypatch.setattr(spectral, "constrained_coercivity", spy)
+    monkeypatch.setattr(cli, "kernel_and_negative", failing)
+    monkeypatch.setattr(cli, "constrained_coercivity", spy)
     before = set(threading.enumerate())
     assert run(["spectrum"], tmp_path) == 3
     err = capsys.readouterr().err
@@ -631,16 +671,14 @@ def test_cmd_spectrum_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("where", ["C", "exp"])
 def test_cmd_spectrum_set_failure_exits_3(tmp_path, capsys, monkeypatch, where):
     # a failing C-norm set on the worker, or exp-norm set on the main thread
-    from gpvortex import spectral
-
-    coercivity = spectral.constrained_coercivity
+    coercivity = cli.constrained_coercivity
 
     def failing(handle, basis, constraint_set, **kwargs):
         if basis.norm == where:
             raise RuntimeError(f"{basis.norm}-norm Ritz solve diverged")
         return coercivity(handle, basis, constraint_set, **kwargs)
 
-    monkeypatch.setattr(spectral, "constrained_coercivity", failing)
+    monkeypatch.setattr(cli, "constrained_coercivity", failing)
     before = set(threading.enumerate())
     assert run(["spectrum"], tmp_path) == 3
     err = capsys.readouterr().err
@@ -658,12 +696,20 @@ def _src_env() -> dict:
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # only a stage that solves a vortex profile or a branch needs it
+    # only a stage that solves a vortex profile or a branch needs it; the
+    # import loads every layer module, which the benchmark's traced mode
+    # looks up in sys.modules to wrap (perfbench/tracer.py LAYERS)
+    layers = ["ansatz", "cli", "field_core", "linearization", "operators",
+              "spectral", "tw_solver", "vortex_profile"]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, gpvortex.cli; print('scipy.interpolate' in sys.modules)"],
+         "import sys, gpvortex.cli; print('scipy.interpolate' in sys.modules); "
+         "print(' '.join(sorted(m[9:] for m in sys.modules "
+         "if m.startswith('gpvortex.'))))"],
         capture_output=True, text=True, env=_src_env(), check=True)
-    assert proc.stdout.strip() == "False"
+    interpolate, loaded = proc.stdout.splitlines()
+    assert interpolate == "False"
+    assert set(layers) <= set(loaded.split())
 
 
 def test_cmd_stability_resumes_widened_branch(tmp_path, capsys):

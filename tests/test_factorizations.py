@@ -21,7 +21,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from gpvortex import spectral
+from gpvortex import cli, tw_solver
 from gpvortex.cli import _spectrum_one, main
 from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField, Grid, symmetrize
@@ -34,7 +34,6 @@ from gpvortex.spectral import (
     ritz_basis,
 )
 from gpvortex.tw_solver import (
-    SolverConfig,
     continue_branch,
     linearized_lu,
     newton_solve,
@@ -68,8 +67,9 @@ def _newton(chord: bool) -> None:
     # one step is enough to factor; the iteration then stops unconverged
     Q = _field()
     lu = linearized_lu(Q, SPEED) if chord else None
-    with pytest.raises(RuntimeError):
-        newton_solve(Q, SPEED, SolverConfig(max_iter=1), lu=lu)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(RuntimeError):
+        mp.setattr(tw_solver, "MAX_NEWTON_STEPS", 1)
+        newton_solve(Q, SPEED, 1e-9, lu=lu)
 
 
 def _evolve() -> None:
@@ -114,9 +114,8 @@ def test_factorization_ordering(case, orderings):
 def branch02(profile):
     """The c = 0.2 branch triple of the CLI tests' fast configuration."""
     cfg = RunConfig(speeds=(0.2,), max_nx=201, newton_tol=1e-10, basis_size=60)
-    branch = continue_branch(cfg.speeds_with_neighbors()[0],
-                             SolverConfig(newton_tol=cfg.newton_tol), profile,
-                             grid_rule=cfg.grid_rule)
+    branch = continue_branch(cfg.speeds_with_neighbors()[0], cfg.newton_tol,
+                             profile, grid_rule=cfg.grid_rule)
     return cfg, branch
 
 
@@ -153,7 +152,7 @@ def test_stability_factors_the_midpoint_matrix_once(tmp_path, monkeypatch):
     # the kernel mode and the block of random data evolve on one
     # factorization that the stage holds, not a cache on the handle
     handles, seen = [], []
-    assemble, splu = spectral.assemble, spla.splu
+    assemble, splu = cli.assemble, spla.splu
 
     def kept(*args, **kwargs):
         handles.append(assemble(*args, **kwargs))
@@ -163,7 +162,7 @@ def test_stability_factors_the_midpoint_matrix_once(tmp_path, monkeypatch):
         seen.append((kwargs.get("permc_spec", COLAMD), A.shape[0]))
         return splu(A, **kwargs)
 
-    monkeypatch.setattr(spectral, "assemble", kept)
+    monkeypatch.setattr(cli, "assemble", kept)
     monkeypatch.setattr(spla, "splu", spy)
     cfg = {"max_nx": 201, "newton_tol": 1e-10, "stability_T": 10.0,
            "stability_dt": 0.5, "stability_samples": 3,

@@ -126,18 +126,18 @@ def test_coercivity_ball_radius_stability(entry01, dirs01):
 
 def test_kernel_and_negative_structure(kernel_handle):
     rep = kernel_and_negative(kernel_handle, k=16)
-    assert rep.negative_count == 1
-    assert rep.near_zero_count == 2
-    assert len(rep.kernel_angles) == 2
-    assert max(rep.kernel_angles) <= 0.1
-    assert rep.negative_overlap_dc >= 0.2
+    assert rep["negative_count"] == 1
+    assert rep["near_zero_count"] == 2
+    assert len(rep["kernel_angles"]) == 2
+    assert max(rep["kernel_angles"]) <= 0.1
+    assert rep["negative_overlap_dc"] >= 0.2
 
 
 def test_kernel_structure_coarse_box(handle01):
     # the c = 0.1 box resolves the counts with an explicit scale
     rep = kernel_and_negative(handle01, tol_zero=1e-3, k=14)
-    assert rep.negative_count == 1
-    assert rep.near_zero_count == 2
+    assert rep["negative_count"] == 1
+    assert rep["near_zero_count"] == 2
 
 
 def _full_space_kernel(handle, k=12):
@@ -162,10 +162,10 @@ def _full_space_kernel(handle, k=12):
 def test_sector_solve_matches_full_space_solve(handle01):
     rep = kernel_and_negative(handle01)
     vals, n_neg, n_near, angles = _full_space_kernel(handle01)
-    assert (rep.negative_count, rep.near_zero_count) == (n_neg, n_near)
-    np.testing.assert_allclose(rep.eigenvalues, vals, rtol=1e-10, atol=0.0)
-    assert len(rep.kernel_angles) == len(angles) == 2
-    np.testing.assert_allclose(sorted(rep.kernel_angles), sorted(angles),
+    assert (rep["negative_count"], rep["near_zero_count"]) == (n_neg, n_near)
+    np.testing.assert_allclose(rep["eigenvalues"], vals, rtol=1e-10, atol=0.0)
+    assert len(rep["kernel_angles"]) == len(angles) == 2
+    np.testing.assert_allclose(sorted(rep["kernel_angles"]), sorted(angles),
                                rtol=0.0, atol=1e-8)
 
 
@@ -174,10 +174,10 @@ def test_modes_lie_in_predicted_sectors(fixture, request):
     # negative mode (+,+); d1 Q in (-,+); d2 Q in (+,-)
     rep = kernel_and_negative(request.getfixturevalue(fixture))
     counts = {label: (s["negative_count"], s["near_zero_count"])
-              for label, s in rep.sectors.items()}
+              for label, s in rep["sectors"].items()}
     assert counts == {"++": (1, 0), "+-": (0, 1), "-+": (0, 1), "--": (0, 0)}
-    assert sorted(v for s in rep.sectors.values() for v in s["eigenvalues"]) \
-        == rep.eigenvalues
+    assert sorted(v for s in rep["sectors"].values() for v in s["eigenvalues"]) \
+        == rep["eigenvalues"]
 
 
 def _per_sector_k_kernel(handle, k=12):
@@ -200,14 +200,14 @@ def test_widened_sectors_keep_the_per_sector_k_set(fixture, request):
     handle = request.getfixturevalue(fixture)
     rep = kernel_and_negative(handle)
     ref = _per_sector_k_kernel(handle)
-    got = sorted((v, label) for label, s in rep.sectors.items()
+    got = sorted((v, label) for label, s in rep["sectors"].items()
                  for v in s["eigenvalues"])
     assert [label for _, label in got] == [label for _, label in ref]
     np.testing.assert_allclose([v for v, _ in got], [v for v, _ in ref],
                                rtol=1e-10, atol=0.0)
     vals = np.array([v for v, _ in ref])
     tol_zero = abs(vals[0]) / 3.0
-    assert (rep.negative_count, rep.near_zero_count) \
+    assert (rep["negative_count"], rep["near_zero_count"]) \
         == (int(np.sum(vals < -tol_zero)), int(np.sum(np.abs(vals) <= tol_zero)))
 
 
@@ -226,33 +226,33 @@ def test_kernel_and_negative_rejects_unsymmetric_field():
 
 def test_spectrum_report_json(kernel_handle, tmp_path):
     # the report's fields as ``cmd_spectrum`` writes them
-    rep = kernel_and_negative(kernel_handle)
-    rep.coercivity["four"] = 0.25
+    rep = {**kernel_and_negative(kernel_handle), "coercivity": {"four": 0.25}}
     path = tmp_path / "spectrum.json"
-    _write_json(path, dict(rep.__dict__))
+    _write_json(path, rep)
     back = json.loads(path.read_text())
-    assert back == rep.__dict__
+    assert back == rep
     assert back["negative_count"] == 1
     assert "four" in back["coercivity"]
 
 
-def test_corollary_positivity(handle01):
+def test_corollary_positivity(handle01, entry01, dirs01):
     # the form is positive on the complement of i d2 Q, in the exp norm,
     # while unconstrained it has a negative direction
     val, info = constrained_coercivity(handle01, ritz_basis(handle01, norm="exp"),
                                        "idx2", return_info=True)
     assert val > 0
     assert info["converged"]
-    assert handle01.b_dc_form < 0               # control: unprojected speed dir
+    # control: unprojected speed direction
+    assert quadratic_form_B(dirs01.dc, entry01.field, entry01.c) < 0
     assert abs(handle01.b_dx1_form) <= 1e-2     # translation is nearly null
 
 
 @pytest.fixture(scope="module")
-def stability_handle01(profile, run_cfg, solver_cfg):
+def stability_handle01(profile, run_cfg, newton_tol):
     """c = 0.1 handle on the grid the stability stage evolves on: the
     3/c box leaves 20 between the cores and the edge, which cuts off the
     tail of the translation mode (energy change 3.1% over T = 50)."""
-    br = continue_branch(run_cfg.neighbor_triple(0.1), solver_cfg, profile,
+    br = continue_branch(run_cfg.neighbor_triple(0.1), newton_tol, profile,
                          grid_rule=run_cfg.stability_grid_rule)
     return assemble(br.entries[1].field, br.entries[1].c, R=run_cfg.r_ball,
                     directions=build_directions(br, 1))

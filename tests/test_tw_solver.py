@@ -12,7 +12,6 @@ from gpvortex.ansatz import AnsatzParams, build_two_vortex
 from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField, Grid, grid_l2, symmetrize
 from gpvortex.tw_solver import (
-    SolverConfig,
     TravellingWaveBranch,
     continue_branch,
     default_grid_rule,
@@ -43,22 +42,22 @@ def test_residual_single_vortex_stationary(profile):
     assert grid_l2(r, g) < 1e-2
 
 
-def test_converged_residual_small(branch_spec, solver_cfg):
+def test_converged_residual_small(branch_spec, newton_tol):
     for e in branch_spec.entries:
-        assert e.residual_norm <= solver_cfg.newton_tol
-        assert grid_l2(residual(e.field, e.c), e.field.grid) <= solver_cfg.newton_tol
+        assert e.residual_norm <= newton_tol
+        assert grid_l2(residual(e.field, e.c), e.field.grid) <= newton_tol
 
 
-def test_newton_restart_is_immediate(entry01, solver_cfg):
-    Q, info = newton_solve(entry01.field, entry01.c, solver_cfg)
+def test_newton_restart_is_immediate(entry01, newton_tol):
+    Q, info = newton_solve(entry01.field, entry01.c, newton_tol)
     assert info["steps"] <= 1
 
 
-def test_newton_step_count_and_symmetry(profile, solver_cfg):
+def test_newton_step_count_and_symmetry(profile, newton_tol):
     c = 0.1
     grid = default_grid_rule(c)
     guess = build_two_vortex(AnsatzParams(1.0 / c, profile), grid)
-    Q, info = newton_solve(guess, c, solver_cfg)
+    Q, info = newton_solve(guess, c, newton_tol)
     assert info["steps"] <= 15
     assert info["residual"] <= 1e-9
     assert np.max(np.abs(symmetrize(Q).values - Q.values)) <= 1e-10
@@ -66,9 +65,15 @@ def test_newton_step_count_and_symmetry(profile, solver_cfg):
     assert all(b < a for a, b in zip(hist, hist[1:]))   # damped monotone
 
 
-def test_newton_speed_range(entry01, solver_cfg):
+def test_newton_speed_range(entry01, newton_tol):
     with pytest.raises(ValueError):
-        newton_solve(entry01.field, 0.25, solver_cfg)
+        newton_solve(entry01.field, 0.25, newton_tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-11])
+def test_newton_rejects_nonpositive_tolerance(entry01, tol):
+    with pytest.raises(ValueError, match="Newton tolerance must be positive"):
+        newton_solve(entry01.field, entry01.c, tol)
 
 
 def test_locate_zeros_converged(branch_spec):
@@ -95,13 +100,13 @@ def test_branch_energy_decreases_with_speed(branch_spec, run_cfg):
     assert all(b > a for a, b in zip(energies, energies[1:]))  # E grows as c drops
 
 
-def test_branch_continuity_in_speed(profile, solver_cfg):
+def test_branch_continuity_in_speed(profile, newton_tol):
     # sup-distance between neighbouring solutions shrinks with the spacing
     c = 0.1
     rule = lambda s: default_grid_rule(c)
     sups = []
     for delta in (4e-3, 2e-3, 1e-3):
-        br = continue_branch([c, c - delta], solver_cfg, profile, grid_rule=rule)
+        br = continue_branch([c, c - delta], newton_tol, profile, grid_rule=rule)
         sups.append(np.max(np.abs(br.entries[0].field.values
                                   - br.entries[1].field.values)))
     assert sups[0] > sups[1] > sups[2]
@@ -118,23 +123,23 @@ def solo_triples():
 
 
 @pytest.mark.parametrize("speeds, calls", [((0.2,), 1), ((0.2, 0.199), 3)])
-def test_branch_fallback_solves_each_guess_once(profile, solver_cfg, monkeypatch,
+def test_branch_fallback_solves_each_guess_once(profile, newton_tol, monkeypatch,
                                                 speeds, calls):
     # a run's first entry starts from its ansatz, so its failure is final;
     # a continued entry falls back to its own ansatz once
     grid = POOL_CFG.grid_rule(0.2)
     real, guesses = newton_solve, []
 
-    def newton(Q0, c, config, quarter=None):
+    def newton(Q0, c, newton_tol, quarter=None):
         guesses.append(Q0)
         if len(guesses) == 1 and len(speeds) > 1:
-            return real(Q0, c, config, quarter=quarter)
+            return real(Q0, c, newton_tol, quarter=quarter)
         raise RuntimeError("forced failure")
 
     monkeypatch.setattr(tw_solver, "newton_solve", newton)
     with pytest.raises(RuntimeError, match=re.escape(
             f"branch continuation failed at c = {speeds[-1]}")):
-        continue_branch(speeds, solver_cfg, profile, grid_rule=lambda s: grid)
+        continue_branch(speeds, newton_tol, profile, grid_rule=lambda s: grid)
     assert len(guesses) == calls
     ansatz = build_two_vortex(AnsatzParams(1.0 / speeds[-1], profile),
                               grid)
@@ -146,7 +151,7 @@ def test_branch_fallback_solves_each_guess_once(profile, solver_cfg, monkeypatch
 @settings(max_examples=6, deadline=None)
 @given(mains=st.lists(st.sampled_from(POOL_CFG.speeds), min_size=2, max_size=3,
                       unique=True).map(lambda m: sorted(m, reverse=True)))
-def test_triple_depends_on_its_own_speeds_alone(profile, solver_cfg, solo_triples, mains):
+def test_triple_depends_on_its_own_speeds_alone(profile, newton_tol, solo_triples, mains):
     real, nodes = newton_solve, []
 
     def spy(Q0, c, *args, **kwargs):
@@ -156,13 +161,13 @@ def test_triple_depends_on_its_own_speeds_alone(profile, solver_cfg, solo_triple
     speeds = [s for m in mains for s in POOL_CFG.neighbor_triple(m)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tw_solver, "newton_solve", spy)
-        br = continue_branch(speeds, solver_cfg, profile, grid_rule=POOL_CFG.grid_rule)
+        br = continue_branch(speeds, newton_tol, profile, grid_rule=POOL_CFG.grid_rule)
     assert [e.c for e in br.entries] == speeds
     # finest grid first, one grid per triple
     assert nodes == sorted(nodes, reverse=True) and len(set(nodes)) == len(mains)
     for k, m in enumerate(mains):
         if m not in solo_triples:
-            solo_triples[m] = continue_branch(POOL_CFG.neighbor_triple(m), solver_cfg,
+            solo_triples[m] = continue_branch(POOL_CFG.neighbor_triple(m), newton_tol,
                                               profile, grid_rule=POOL_CFG.grid_rule)
         for a, b in zip(br.entries[3 * k:3 * k + 3], solo_triples[m].entries):
             assert a.field.values.tobytes() == b.field.values.tobytes()
@@ -192,21 +197,21 @@ def lu01(entry01):
     return linearized_lu(entry01.field, entry01.c)
 
 
-def test_perturb_and_resolve_zero_delta(entry01, solver_cfg, lu01):
+def test_perturb_and_resolve_zero_delta(entry01, newton_tol, lu01):
     # an unperturbed run checks nothing: the scale must be positive
     with pytest.raises(ValueError, match="perturbation scale"):
-        perturb_and_resolve(entry01, 0.0, solver_cfg, lu01)
+        perturb_and_resolve(entry01, 0.0, newton_tol, lu01)
 
 
-def test_perturb_and_resolve_bump(entry01, solver_cfg, lu01):
-    rep = perturb_and_resolve(entry01, 1e-3, solver_cfg, lu01, shape="bump_re")
+def test_perturb_and_resolve_bump(entry01, newton_tol, lu01):
+    rep = perturb_and_resolve(entry01, 1e-3, newton_tol, lu01, shape="bump_re")
     assert set(rep) == {"mismatch", "steps", "residual_history",
                         "uniqueness_violation"}
     assert rep["mismatch"] <= 1e-6
     assert not rep["uniqueness_violation"]
-    assert rep["residual_history"][-1] <= solver_cfg.newton_tol
+    assert rep["residual_history"][-1] <= newton_tol
 
 
-def test_perturb_scale_limit(entry01, solver_cfg, lu01):
+def test_perturb_scale_limit(entry01, newton_tol, lu01):
     with pytest.raises(ValueError):
-        perturb_and_resolve(entry01, 0.05, solver_cfg, lu01)
+        perturb_and_resolve(entry01, 0.05, newton_tol, lu01)
