@@ -3,8 +3,9 @@
 Subcommands: vortex | branch | spectrum | stability | uniqueness | report.
 Exit codes: 0 pass, 1 numeric-check failure, 2 configuration error,
 3 solver failure.  ``main`` maps exceptions to them in one place:
-``ValueError``/``KeyError`` -> 2, ``FieldFileError`` (an unusable
-stored output) -> 1, ``RuntimeError`` -> 3.  Outputs depend only on the
+``ValueError``/``KeyError`` and an unreadable config file (``OSError``)
+-> 2, ``FieldFileError`` (an unusable stored output) -> 1,
+``RuntimeError`` -> 3.  Outputs depend only on the
 config and the seed, and every file carries the config hash: a stage
 reads back only the branches it stored under that hash, and solves the
 vortex profile in the run rather than reading a file.  The one exception
@@ -425,7 +426,7 @@ def main(argv=None) -> int:
         overrides["seed"] = args.seed
     try:
         cfg = load_config(args.config, overrides)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     handler = {

@@ -108,6 +108,8 @@ class RunConfig:
         if any(s not in CONSTRAINT_SETS for s in sets) or len(set(sets)) != len(sets):
             raise ValueError(f"constraint_sets must name distinct sets among "
                              f"{', '.join(CONSTRAINT_SETS)}, not {sets!r}")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ValueError(f"out_dir must be a non-empty path, not {self.out_dir!r}")
         delta = self.uniqueness_delta
         if not (_is_a(delta, numbers.Real) and 0.0 < delta <= MAX_UNIQUENESS_DELTA):
             raise ValueError(f"uniqueness_delta: uniqueness perturbation must "

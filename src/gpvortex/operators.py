@@ -3,9 +3,9 @@
 Interior-node stencils of the travelling-wave residual (their
 -ic d2 - lap part is shared with ``linearization.apply_L``), the sparse
 real-symmetric matrix of the linearized operator on the interior
-unknowns (Dirichlet data on the box edge), the index machinery that
-restricts linear solves to the symmetric quarter of the grid, and the
-orthonormal maps onto the four symmetry sectors of that matrix.
+unknowns (Dirichlet data on the box edge), the branch Newton's linear
+solve on the symmetric quarter of the grid (``QuarterMaps.solve``), and
+the orthonormal maps onto the four symmetry sectors of that matrix.
 
 The matrix comes from one row formula (``_linearized_rows``) for any
 set of rows: ``linearized_matrix`` takes all of them and
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .field_core import ComplexField, Grid
 
@@ -135,7 +136,7 @@ class QuarterMaps:
     """Prolongation/restriction between full interior dofs and the
     symmetric quarter (even in x1, conjugate-even in x2), and the stencil
     slots of the representative rows, from which ``reduce`` assembles the
-    quarter matrix."""
+    quarter matrix that ``solve`` factors."""
 
     def __init__(self, grid: Grid):
         mx, my = grid.nx - 2, grid.ny - 2
@@ -179,13 +180,17 @@ class QuarterMaps:
         Aq.sort_indices()
         return Aq
 
-    def reduce_rhs(self, b: np.ndarray) -> np.ndarray:
-        bq = b[self.rep_rows].copy()
+    def solve(self, Q: ComplexField, c: float, b: np.ndarray) -> np.ndarray:
+        """P xq for the linearized system at (Q, c) and a symmetric b: xq
+        solves ``reduce`` on the rows ``rep_rows`` of b, pinned dofs zeroed."""
+        bq = b[self.rep_rows]
         bq[self.pinned] = 0.0
-        return bq
-
-    def prolong(self, xq: np.ndarray) -> np.ndarray:
-        return self.P @ xq
+        # COLAMD: every stored branch field comes from this factor, and
+        # the printed spectrum digits of the unconverged sym3 minimum
+        # move with any rounding change in those fields
+        # the CSR quarter matrix is freed before the factorization runs
+        return self.P @ spla.splu(self.reduce(Q, c).tocsc(),
+                                  permc_spec="COLAMD").solve(bq)
 
 
 def _parity_map(n: int, sign: int) -> sp.csr_matrix:

@@ -67,8 +67,13 @@ from .field_core import (
     mult_ratio,
     resolution_floor,
 )
-from .linearization import DirectionSet, _grad4, quadratic_form_B
-from .operators import _transport_laplacian, linearized_matrix, sector_maps
+from .linearization import DirectionSet, _grad4
+from .operators import (
+    _transport_laplacian,
+    interior_to_real,
+    linearized_matrix,
+    sector_maps,
+)
 from .tw_solver import locate_zeros
 
 # set name -> (norm of its minimum, constraint rows)
@@ -98,8 +103,6 @@ class OperatorHandle:
     grid: Grid
     c: float
     weight: float
-    b_dx1_form: float = 0.0
-    dx1_mass: float = 1.0
 
 
 @dataclass
@@ -328,8 +331,8 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     balls of radius ``R`` and the whole-box row i d2 Q of the corollary.
 
     ``directions`` must be those of Q (``build_directions``): its dc (the
-    centered difference over the neighbouring branch entries), drot and
-    dx1 enter the constraints and the translation floor ``b_dx1_form``."""
+    centered difference over the neighbouring branch entries) and drot
+    enter the constraints."""
     grid = Q.grid
     if R <= 5.0:
         raise ValueError("orthogonality ball radius must exceed 5")
@@ -367,7 +370,7 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
         "sym_x2": _constraint_vector_direct(Q, gy.values, ball_mask),
         "sym_phase": _constraint_vector_direct(Q, iQ, ball_mask),
         # the corollary's plain real pairing with i d2 Q over the interior
-        "idx2": _complex_to_real_vec(_interior_diag(1j * gy.values)),
+        "idx2": interior_to_real(1j * gy.values),
     }
     # phase condition on the central ball
     X, Y = np.meshgrid(grid.x[1:-1], grid.y[1:-1], indexing="ij")
@@ -376,21 +379,15 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     constraints["phase0"] = _complex_to_real_vec(v0)
 
     dirs = {
-        "dx1": _complex_to_real_vec(_interior_diag(gx.values)),
-        "dx2": _complex_to_real_vec(_interior_diag(gy.values)),
-        "dc": _complex_to_real_vec(_interior_diag(dc_vals)),
-        "drot": _complex_to_real_vec(_interior_diag(drot)),
-        "iQ": _complex_to_real_vec(_interior_diag(iQ)),
+        "dx1": interior_to_real(gx.values),
+        "dx2": interior_to_real(gy.values),
+        "dc": interior_to_real(dc_vals),
+        "drot": interior_to_real(drot),
+        "iQ": interior_to_real(iQ),
     }
-    handle = OperatorHandle(A=A, G_C=G_C, G_exp=G_exp,
-                            constraints=constraints, directions=dirs,
-                            grid=grid, c=c, weight=w)
-    # discretization floor of the translation identity, evaluated on the
-    # operator-matched 2nd-order gradient with its true edge values (the
-    # dof vector drops the ring)
-    handle.b_dx1_form = quadratic_form_B(directions.dx1, Q, c)
-    handle.dx1_mass = float(np.sum(np.abs(gx.values[1:-1, 1:-1]) ** 2)) * w
-    return handle
+    return OperatorHandle(A=A, G_C=G_C, G_exp=G_exp,
+                          constraints=constraints, directions=dirs,
+                          grid=grid, c=c, weight=w)
 
 
 # ----------------------------------------------------------------------
@@ -609,13 +606,10 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
     vecs = np.column_stack([maps[t[1]] @ t[2] for t in kept])
 
     if tol_zero is None:
-        # the detected negative eigenvalue sets the scale separating the
-        # kernel cluster; thresholds built from the B(dx1) floors drift
-        # across (c, h) and misclassify at the smaller speeds
-        if vals[0] < 0:
-            tol_zero = abs(vals[0]) / 3.0
-        else:
-            tol_zero = 10.0 * abs(handle.b_dx1_form) / handle.dx1_mass
+        # the lowest (on a passing spectrum, negative) eigenvalue sets the
+        # scale separating the kernel cluster; thresholds built from the
+        # B(dx1) floors drift across (c, h) and misclassify at small speeds
+        tol_zero = abs(vals[0]) / 3.0
     negative = vals < -tol_zero
     near = np.abs(vals) <= tol_zero
     sectors = {

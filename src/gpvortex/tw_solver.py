@@ -3,9 +3,10 @@ reduction, branch continuation in the speed, zero location, branch
 persistence, and the perturb-and-resolve local-uniqueness experiment.
 
 The branch is solved in runs of consecutive speeds on one grid, each
-from the ansatz at its first speed, finest grid first.  The branch
-Newton assembles, at each step, only the rows of the linearized matrix
-that its symmetric quarter keeps (``QuarterMaps.reduce``).  The
+from the ansatz at its first speed, finest grid first.  It and the
+uniqueness re-solves share one Newton loop, and each passes its linear
+solve: the branch step factors only the rows of the linearized matrix
+that the symmetric quarter keeps (``QuarterMaps.solve``).  The
 uniqueness re-solves run without symmetry on the full grid by the chord
 method: all of them iterate with one factorization of the linearized
 operator L_Q at the unperturbed wave, invertible by the paper's
@@ -173,56 +174,31 @@ def linearized_lu(Q: ComplexField, c: float):
     return spla.splu(linearized_matrix(Q, c).tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def newton_solve(Q0: ComplexField, c: float, newton_tol: float,
-                 quarter: QuarterMaps | None = None, lu=None):
-    """Damped Newton iteration on the travelling-wave residual.
+def newton_solve(Q0: ComplexField, c: float, newton_tol: float, solve):
+    """Damped Newton iteration on the travelling-wave residual from Q0.
 
-    Without ``lu`` the iterate is symmetrized, and each step solves the
-    linearized matrix at the iterate on the symmetric quarter of the grid
-    (``quarter``, built here when not given) and mirrors the update.
-    With ``lu``, a factorization of the full interior linearized matrix
-    at a solution (``linearized_lu``), it runs the chord method on the
-    full grid without symmetry (Kelley 1995, sec. 5.4): every step solves
-    with that frozen Jacobian.  The chord step contracts the error by a
-    factor of the order of the distance from the iterate to the frozen
-    point, so an iteration that converges back to that solution
-    converges as fast as Newton's.  Both take the same damping
-    rule, the tolerance ``newton_tol`` on the grid L2 norm of the
-    residual and the step limit ``MAX_NEWTON_STEPS``.  Returns (field,
-    info) with the step count and the residual history in ``info``.
+    Each step takes the update ``solve(Q, c, b)`` at the iterate Q for
+    b = -residual(Q), both real dof vectors; the caller picks the linear
+    solve (``QuarterMaps.solve`` for the branch, from a symmetric Q0; one
+    frozen factorization in ``perturb_and_resolve``).  The damping rule,
+    the tolerance ``newton_tol`` on the grid L2 norm of the residual and
+    the step limit ``MAX_NEWTON_STEPS`` are the loop's own.  Returns
+    (field, info) with the step count, the residual history and the two
+    zeros of the field (``locate_zeros``, which it must pass) in ``info``.
     """
     if not (0.0 < c <= MAX_SOLVE_SPEED):
         raise ValueError(f"speed {c} outside (0, {MAX_SOLVE_SPEED:g}]")
     if newton_tol <= 0:
         raise ValueError("Newton tolerance must be positive")
-    g = Q0.grid
-    if lu is not None:
-        Q = Q0.copy()
-    else:
-        Q = symmetrize(Q0)
-        if quarter is None:
-            quarter = QuarterMaps(g)
-
+    Q, g = Q0, Q0.grid
     history = []
     F = residual(Q, c)
     rn = grid_l2(F, g)
-    steps = 0
     for it in range(MAX_NEWTON_STEPS):
         history.append(rn)
         if rn <= newton_tol:
             break
-        b = -interior_to_real(F.values)
-        if lu is not None:
-            dx = lu.solve(b)
-        else:
-            # COLAMD: every stored branch field comes from this factor, and
-            # the printed spectrum digits of the unconverged sym3 minimum
-            # move with any rounding change in those fields
-            # the CSR quarter matrix is freed before the factorization runs
-            dq = spla.splu(quarter.reduce(Q, c).tocsc(),
-                           permc_spec="COLAMD").solve(quarter.reduce_rhs(b))
-            dx = quarter.prolong(dq)
-        delta = real_to_interior(dx, g)
+        delta = real_to_interior(solve(Q, c, -interior_to_real(F.values)), g)
 
         alpha, accepted = 1.0, False
         for _ in range(MAX_HALVINGS + 1):
@@ -233,7 +209,6 @@ def newton_solve(Q0: ComplexField, c: float, newton_tol: float,
                 Q, F, rn, accepted = trial, F_trial, rn_trial, True
                 break
             alpha *= 0.5
-        steps += 1
         if not accepted:
             raise RuntimeError(
                 f"Newton diverged at step {it}: residual {rn:.3e} would not "
@@ -243,8 +218,8 @@ def newton_solve(Q0: ComplexField, c: float, newton_tol: float,
             f"Newton did not reach tol {newton_tol:.1e} in "
             f"{MAX_NEWTON_STEPS} steps (residual {rn:.3e})")
 
-    locate_zeros(Q)
-    info = {"steps": steps, "history": history, "residual": rn}
+    info = {"steps": len(history) - 1, "history": history, "residual": rn,
+            "zeros": locate_zeros(Q)}
     return Q, info
 
 
@@ -304,13 +279,13 @@ def _solve_run(c_values, grid: Grid, newton_tol: float,
             guesses = [_set_ring(ComplexField(grid, base.values + gamma), base), base]
         for k, guess in enumerate(guesses):
             try:
-                Q, info = newton_solve(guess, c, newton_tol, quarter=quarter)
+                Q, info = newton_solve(symmetrize(guess), c, newton_tol, quarter.solve)
                 break
             except RuntimeError as exc:
                 if k + 1 == len(guesses):
                     raise RuntimeError(
                         f"branch continuation failed at c = {c}: {exc}") from exc
-        zp, zm = locate_zeros(Q)
+        zp, zm = info["zeros"]
         if abs(zp[1]) > 2 * grid.hy or abs(zm[1]) > 2 * grid.hy:
             raise RuntimeError(f"zeros left the x1 axis at c = {c}")
         d_tilde = 0.5 * (zp[0] - zm[0])
@@ -390,9 +365,12 @@ def perturb_and_resolve(entry: BranchEntry, delta: float, newton_tol: float,
     ``shape`` (zero on the ring), re-solve without symmetry enforcement,
     and measure the distance of the result W to Q.
 
-    The re-solve is the chord iteration of ``newton_solve`` on ``lu``,
-    the factorization of the linearized operator at the unperturbed wave
-    (``linearized_lu``), which every re-solve around that wave shares.
+    The re-solve is the chord method (Kelley 1995, sec. 5.4): each step
+    solves with ``lu``, the factorization of the linearized operator at
+    the unperturbed wave (``linearized_lu``) that all re-solves around
+    it share.  A chord step contracts the error by a factor of the order
+    of the distance from the iterate to the frozen point, so a re-solve
+    that converges back to the wave converges as fast as Newton's.
     Reports the mismatch grid_l2(W - Q), the Newton step count and
     residual history, and a violation when the mismatch exceeds
     10 delta^2 + 100 newton_tol.  Only 0 < delta <= 1e-2 is accepted.
@@ -404,7 +382,7 @@ def perturb_and_resolve(entry: BranchEntry, delta: float, newton_tol: float,
     pert = _perturbation(entry, shape, np.random.default_rng(seed))
     pert[0, :] = pert[-1, :] = pert[:, 0] = pert[:, -1] = 0.0
     W, info = newton_solve(ComplexField(Q.grid, Q.values + delta * pert),
-                           entry.c, newton_tol, lu=lu)
+                           entry.c, newton_tol, lambda W, c, b: lu.solve(b))
     mism = grid_l2(W.values - Q.values, Q.grid)
     floor = 10.0 * delta**2 + 100.0 * newton_tol
     return {

@@ -418,6 +418,29 @@ def test_bad_constraint_sets_exit_2_before_any_solve(tmp_path, capsys, sets):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["5", ""])
+def test_bad_out_dir_in_config_exits_2(tmp_path, capsys, monkeypatch, value):
+    # the file's out_dir, with no --out to override it: a number or an
+    # empty path is refused before anything is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text(f"out_dir = {value}\n")
+    assert main(["--config", "c.cfg", "vortex"]) == 2
+    err = capsys.readouterr().err
+    assert "out_dir" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    # a --config path that cannot be read as a file (here a directory)
+    assert main(["--config", str(tmp_path), "--out", str(tmp_path / "out"),
+                 "report"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("manifest", [None, "n_entries = x\n", "n_entries = 1\n"])
 def test_cmd_report_unusable_branch_exits_1(tmp_path, capsys, manifest):
     # a branch tree without its manifest (an interrupted `branch`), with a
@@ -567,7 +590,7 @@ def test_cmd_uniqueness_matches_resolves_on_one_factorization(uniqueness_run):
         pert = _perturbation(entry, shape, np.random.default_rng(cfg.seed))
         pert[0, :] = pert[-1, :] = pert[:, 0] = pert[:, -1] = 0.0
         W, info = newton_solve(ComplexField(Q.grid, Q.values + delta * pert),
-                               entry.c, cfg.newton_tol, lu=lu)
+                               entry.c, cfg.newton_tol, lambda W, c, b: lu.solve(b))
         mism = grid_l2(W.values - Q.values, Q.grid)
         runs.append({"shape": shape, "mismatch": mism, "steps": info["steps"],
                      "residual_history": info["history"],

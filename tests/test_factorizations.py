@@ -25,7 +25,7 @@ from gpvortex import cli, tw_solver
 from gpvortex.cli import _spectrum_one, main
 from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField, Grid, symmetrize
-from gpvortex.operators import linearized_matrix
+from gpvortex.operators import QuarterMaps, linearized_matrix
 from gpvortex.spectral import (
     OperatorHandle,
     evolve_linearized,
@@ -66,10 +66,14 @@ def _handle() -> OperatorHandle:
 def _newton(chord: bool) -> None:
     # one step is enough to factor; the iteration then stops unconverged
     Q = _field()
-    lu = linearized_lu(Q, SPEED) if chord else None
+    if chord:
+        lu = linearized_lu(Q, SPEED)
+        solve = lambda W, c, b: lu.solve(b)
+    else:
+        solve = QuarterMaps(GRID).solve
     with pytest.MonkeyPatch.context() as mp, pytest.raises(RuntimeError):
         mp.setattr(tw_solver, "MAX_NEWTON_STEPS", 1)
-        newton_solve(Q, SPEED, 1e-9, lu=lu)
+        newton_solve(Q, SPEED, 1e-9, solve)
 
 
 def _evolve() -> None:

@@ -2,14 +2,16 @@
 assembly, the quarter maps against their index construction, the
 quarter restriction against its row-by-row construction
 (on random matrices and on the quarter rows assembled alone, and the
-peak memory of the latter), the quarter round trip, the symmetry of the
-linearized matrix, its agreement with the quadratic form, and its block
-diagonalization by the symmetry-sector maps."""
+peak memory of the latter), the quarter solve against the full-matrix
+solve, the symmetry of the linearized matrix, its agreement with the
+quadratic form, and its block diagonalization by the symmetry-sector
+maps."""
 
 import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from conftest import linearized_matrix_reference, quarter_maps_reference
@@ -20,6 +22,7 @@ from gpvortex.operators import (
     interior_to_real,
     linearized_matrix,
     sector_maps,
+    tw_residual_values,
 )
 
 
@@ -125,13 +128,20 @@ def test_quarter_reduce_peak_memory():
 
 
 @settings(max_examples=40, deadline=None)
-@given(nx=small_odd, ny=small_odd, seed=st.integers(0, 2**32 - 1))
-def test_quarter_prolong_restrict_roundtrip(nx, ny, seed):
-    q = QuarterMaps(Grid(5.0, 4.0, nx, ny))
-    xq = np.random.default_rng(seed).standard_normal(2 * q.mq)
-    want = xq.copy()
-    want[q.pinned] = 0.0
-    assert np.array_equal(q.reduce_rhs(q.prolong(xq)), want)
+@given(nx=small_odd, ny=small_odd, c=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_quarter_solve_matches_full_solve(nx, ny, c, seed):
+    # at a symmetric field the Newton right-hand side is symmetric, and
+    # the quarter solve is the solve with the full linearized matrix; two
+    # stable solves agree to rounding times the condition number (at most
+    # 1.4e-16 cond over 3000 random draws, 9.6e-12 at cond 2.9e6)
+    g = Grid(5.0, 4.0, nx, ny)
+    Q = _test_field(g, np.random.default_rng(seed), True)
+    A = linearized_matrix(Q, c)
+    b = -interior_to_real(tw_residual_values(Q.values, g, c))
+    want = spla.spsolve(A.tocsc(), b)
+    got = QuarterMaps(g).solve(Q, c, b)
+    bound = max(1e-12, 1e-14 * np.linalg.cond(A.toarray()))
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 @settings(max_examples=40, deadline=None)

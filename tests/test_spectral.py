@@ -148,10 +148,7 @@ def _full_space_kernel(handle, k=12):
                             which="LM", v0=np.full(n, 1.0 / np.sqrt(n)))
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    if vals[0] < 0:
-        tol_zero = abs(vals[0]) / 3.0
-    else:
-        tol_zero = 10.0 * abs(handle.b_dx1_form) / handle.dx1_mass
+    tol_zero = abs(vals[0]) / 3.0
     negative = vals < -tol_zero
     near = np.abs(vals) <= tol_zero
     span = np.column_stack([handle.directions["dx1"], handle.directions["dx2"]])
@@ -244,7 +241,8 @@ def test_corollary_positivity(handle01, entry01, dirs01):
     assert info["converged"]
     # control: unprojected speed direction
     assert quadratic_form_B(dirs01.dc, entry01.field, entry01.c) < 0
-    assert abs(handle01.b_dx1_form) <= 1e-2     # translation is nearly null
+    # translation is nearly null
+    assert abs(quadratic_form_B(dirs01.dx1, entry01.field, entry01.c)) <= 1e-2
 
 
 @pytest.fixture(scope="module")

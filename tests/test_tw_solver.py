@@ -11,6 +11,7 @@ from gpvortex import tw_solver
 from gpvortex.ansatz import AnsatzParams, build_two_vortex
 from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField, Grid, grid_l2, symmetrize
+from gpvortex.operators import QuarterMaps
 from gpvortex.tw_solver import (
     TravellingWaveBranch,
     continue_branch,
@@ -48,16 +49,23 @@ def test_converged_residual_small(branch_spec, newton_tol):
         assert grid_l2(residual(e.field, e.c), e.field.grid) <= newton_tol
 
 
+def _quarter_newton(Q0, c, newton_tol):
+    """The branch's Newton solve: symmetric start, quarter linear solve."""
+    return newton_solve(symmetrize(Q0), c, newton_tol, QuarterMaps(Q0.grid).solve)
+
+
 def test_newton_restart_is_immediate(entry01, newton_tol):
-    Q, info = newton_solve(entry01.field, entry01.c, newton_tol)
+    Q, info = _quarter_newton(entry01.field, entry01.c, newton_tol)
     assert info["steps"] <= 1
+    # the zeros checked by the loop are those of the returned field
+    assert info["zeros"] == locate_zeros(Q)
 
 
 def test_newton_step_count_and_symmetry(profile, newton_tol):
     c = 0.1
     grid = default_grid_rule(c)
     guess = build_two_vortex(AnsatzParams(1.0 / c, profile), grid)
-    Q, info = newton_solve(guess, c, newton_tol)
+    Q, info = _quarter_newton(guess, c, newton_tol)
     assert info["steps"] <= 15
     assert info["residual"] <= 1e-9
     assert np.max(np.abs(symmetrize(Q).values - Q.values)) <= 1e-10
@@ -67,13 +75,13 @@ def test_newton_step_count_and_symmetry(profile, newton_tol):
 
 def test_newton_speed_range(entry01, newton_tol):
     with pytest.raises(ValueError):
-        newton_solve(entry01.field, 0.25, newton_tol)
+        _quarter_newton(entry01.field, 0.25, newton_tol)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-11])
 def test_newton_rejects_nonpositive_tolerance(entry01, tol):
     with pytest.raises(ValueError, match="Newton tolerance must be positive"):
-        newton_solve(entry01.field, entry01.c, tol)
+        _quarter_newton(entry01.field, entry01.c, tol)
 
 
 def test_locate_zeros_converged(branch_spec):
@@ -130,10 +138,10 @@ def test_branch_fallback_solves_each_guess_once(profile, newton_tol, monkeypatch
     grid = POOL_CFG.grid_rule(0.2)
     real, guesses = newton_solve, []
 
-    def newton(Q0, c, newton_tol, quarter=None):
+    def newton(Q0, c, newton_tol, solve):
         guesses.append(Q0)
         if len(guesses) == 1 and len(speeds) > 1:
-            return real(Q0, c, newton_tol, quarter=quarter)
+            return real(Q0, c, newton_tol, solve)
         raise RuntimeError("forced failure")
 
     monkeypatch.setattr(tw_solver, "newton_solve", newton)
@@ -141,8 +149,9 @@ def test_branch_fallback_solves_each_guess_once(profile, newton_tol, monkeypatch
             f"branch continuation failed at c = {speeds[-1]}")):
         continue_branch(speeds, newton_tol, profile, grid_rule=lambda s: grid)
     assert len(guesses) == calls
-    ansatz = build_two_vortex(AnsatzParams(1.0 / speeds[-1], profile),
-                              grid)
+    # the solve starts from the symmetrized guess
+    ansatz = symmetrize(build_two_vortex(AnsatzParams(1.0 / speeds[-1], profile),
+                                         grid))
     assert np.array_equal(guesses[-1].values, ansatz.values)
     if calls > 1:   # the first attempt was the continued guess
         assert not np.array_equal(guesses[-2].values, ansatz.values)
