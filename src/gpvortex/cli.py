@@ -8,7 +8,10 @@ Exit codes: 0 pass, 1 numeric-check failure, 2 configuration error,
 ``RuntimeError`` -> 3.  Outputs depend only on the
 config and the seed, and every file carries the config hash: a stage
 reads back only the branches it stored under that hash, and solves the
-vortex profile in the run rather than reading a file.  The one exception
+vortex profile in the run rather than reading a file.  ``spectrum``
+computes the paper's five coercivity constants at each speed in one
+fixed plan: ``none``, ``three`` and ``four`` in the C norm, then
+``phase4`` and ``sym3`` in the expanded energy norm.  The one exception
 is the unconverged ``sym3`` minimum of ``spectrum``: its digits follow
 the BLAS thread count until it is computed per symmetry sector (ROADMAP
 item 1).
@@ -31,7 +34,6 @@ from .config import STABILITY_EDGE_MARGIN, RunConfig, load_config
 from .field_core import FieldFileError, _atomic_write
 from .linearization import build_directions, prop12_report, write_prop12_csv
 from .spectral import (
-    CONSTRAINT_SETS,
     assemble,
     constrained_coercivity,
     evolve_linearized,
@@ -176,9 +178,6 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
     e = branch.entries[idx]
     handle = assemble(e.field, e.c, R=cfg.r_ball,
                       directions=build_directions(branch, idx))
-    groups = {"C": [], "exp": []}
-    for name in cfg.constraint_sets:
-        groups[CONSTRAINT_SETS[name][0]].append(name)
 
     def run_sets(basis, names):
         """The value and the checks of each set in ``names`` on ``basis``."""
@@ -191,10 +190,8 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
 
     def run_c_sets():
         """The C-norm sets and the account of their basis."""
-        if not groups["C"]:
-            return {}, None
         basis = ritz_basis(handle, "C", cfg.basis_size, cfg.seed)
-        return run_sets(basis, groups["C"]), basis.account
+        return run_sets(basis, ("none", "three", "four")), basis.account
 
     # Two memory phases on one worker, so that no two Ritz LUs are alive
     # at once.  Phase 1: the worker runs the sector eigensolve (it reads
@@ -202,22 +199,20 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
     # and solves) while the main thread builds the exp-norm basis; its LU
     # is freed when ``ritz_basis`` returns.  This phase holds the stage's
     # peak, so it comes first.  Phase 2: the worker builds the C-norm
-    # basis and runs its sets while the main thread runs the plain exp
-    # sets and then sym3, whose basis consumes the plain one.  Each worker
-    # task ends with a trim.  Each thread holds only its own basis.
+    # basis and runs none, three and four while the main thread runs
+    # phase4 and then sym3, whose basis consumes the plain one.  Each
+    # worker task ends with a trim.  Each thread holds only its own basis.
     with ThreadPoolExecutor(max_workers=1) as pool:
         futures = [pool.submit(_trimmed, kernel_and_negative, handle)]
         try:
-            exp = (ritz_basis(handle, "exp", cfg.basis_size, cfg.seed)
-                   if groups["exp"] else None)
+            exp = ritz_basis(handle, "exp", cfg.basis_size, cfg.seed)
             if futures[0].done():
                 futures[0].result()     # a failed eigensolve stops the stage here
             futures.append(pool.submit(_trimmed, run_c_sets))
-            exp_results = run_sets(exp, [n for n in groups["exp"] if n != "sym3"])
-            if "sym3" in groups["exp"]:
-                exp = sym3_basis(handle, exp)
-                exp_results.update(run_sets(exp, ["sym3"]))
-            exp_account = exp.account if exp else None
+            exp_results = run_sets(exp, ("phase4",))
+            exp = sym3_basis(handle, exp)
+            exp_results.update(run_sets(exp, ("sym3",)))
+            exp_account = exp.account
             exp = None                  # freed before the wait for the worker
             payload = futures[0].result()
             c_results, c_account = futures[1].result()
@@ -225,11 +220,9 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
             for future in futures:
                 future.cancel()         # only what has not started
     results = {**c_results, **exp_results}
-    payload["coercivity"] = {name: results[name][0] for name in cfg.constraint_sets}
-    payload["coercivity_check"] = {name: results[name][1]
-                                   for name in cfg.constraint_sets}
-    payload["ritz"] = {norm: account for norm, account
-                       in (("C", c_account), ("exp", exp_account)) if account}
+    payload["coercivity"] = {name: val for name, (val, _) in results.items()}
+    payload["coercivity_check"] = {name: check for name, (_, check) in results.items()}
+    payload["ritz"] = {"C": c_account, "exp": exp_account}
     payload["config_hash"] = cfg.config_hash
     payload["r_ball"] = cfg.r_ball
     return payload
@@ -347,7 +340,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         rows = [{"c": e.c, "residual": e.residual_norm,
                  "c_d_tilde": e.c * e.half_separation} for e in branch.entries]
         summary["sections"]["branch"] = rows
-    for name in os.listdir(cfg.out_dir):
+    for name in sorted(os.listdir(cfg.out_dir)):
         if name.endswith(".json") and name != "summary.json":
             path = os.path.join(cfg.out_dir, name)
             try:

@@ -12,7 +12,6 @@ import numpy as np
 
 from .ansatz import BOUNDARY_MARGIN, MAX_SPEED, NEIGHBOR_FRAC_CAP
 from .field_core import Grid
-from .spectral import CONSTRAINT_SETS
 from .tw_solver import MAX_UNIQUENESS_DELTA, default_grid_rule
 
 # Least distance from the cores (at 1/c) to the box edge on the grid the
@@ -62,6 +61,8 @@ class RunConfig:
     """Knobs for the full pipeline; the docstrings of ``grid_rule``,
     ``diag_grid_rule`` and ``stability_grid_rule`` give the meaning of
     the grid rules (spectral-scale, diagnostics-scale and stability boxes).
+    No field selects the constraint sets: ``spectrum`` always computes
+    the paper's five constants in one fixed plan (see ``cli``).
 
     ``config_hash`` identifies the computation: it covers every field
     except ``out_dir``, so outputs moved to another directory keep their
@@ -73,7 +74,6 @@ class RunConfig:
     max_nx: int = 401
     newton_tol: float = 1e-11
     r_ball: float = 10.0
-    constraint_sets: tuple = ("none", "three", "four", "phase4", "sym3")
     basis_size: int = 160
     seed: int = 1234
     stability_T: float = 100.0
@@ -98,16 +98,12 @@ class RunConfig:
         if not self.speeds or any(not (_is_a(c, numbers.Real) and 0.0 < c <= MAX_SPEED)
                                   for c in self.speeds):
             raise ValueError(f"speeds must lie in (0, {MAX_SPEED}]")
-        if sorted(self.speeds, reverse=True) != list(self.speeds):
+        if any(a <= b for a, b in zip(self.speeds, self.speeds[1:])):
             raise ValueError("speeds must be strictly decreasing")
         if self.r_ball <= 5.0:
             raise ValueError("r_ball (orthogonality ball radius) must exceed 5")
         if self.max_nx % 2 == 0:
             raise ValueError("node-count cap max_nx must be odd")
-        sets = self.constraint_sets
-        if any(s not in CONSTRAINT_SETS for s in sets) or len(set(sets)) != len(sets):
-            raise ValueError(f"constraint_sets must name distinct sets among "
-                             f"{', '.join(CONSTRAINT_SETS)}, not {sets!r}")
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise ValueError(f"out_dir must be a non-empty path, not {self.out_dir!r}")
         delta = self.uniqueness_delta
@@ -199,7 +195,6 @@ class RunConfig:
 def load_config(path=None, overrides=None) -> RunConfig:
     """Read a key = value config file; later ``overrides`` win."""
     data = {}
-    tuple_fields = {"speeds", "constraint_sets"}
     if path is not None:
         with open(path) as fh:
             for ln, line in enumerate(fh, 1):
@@ -218,7 +213,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
     kwargs = {}
     for key, val in data.items():
         if isinstance(val, str):
-            if key in tuple_fields:
+            if key == "speeds":
                 parts = [p for p in val.replace(",", " ").split() if p]
                 kwargs[key] = tuple(_parse_scalar(p) for p in parts)
             else:

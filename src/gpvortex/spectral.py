@@ -31,7 +31,8 @@ norm.  It is stored column-major, so each Gram-Schmidt pass and the x1
 mirror of ``sym3`` stream contiguous columns.  ``sym3_basis`` consumes a
 plain exp-norm basis: the mirror, the QR and the dropping of
 rank-deficient columns all work in its buffer, so no second n x size
-array is allocated, and the plain basis is emptied.  The projections
+array is allocated, and the plain basis is emptied: ``sym3`` runs last,
+on the consumed exp basis, after ``phase4``.  The projections
 Z^T A Z and Z^T G Z are formed in panels of ``_PANEL`` columns: a sparse
 matrix times a column-major block ravels the block into a row-major
 copy, which for the whole basis would be one more n x size array.

@@ -16,18 +16,15 @@ radius.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-# Below this the far-field law cannot be attached at all.
-HARD_MIN_RMAX = 8.0
-# Below this the 5/r^3 far-field tolerance has no headroom; warn only.
-SAFE_MIN_RMAX = 20.0
-
+# truncation radius of the radial mesh and the residual tolerance
+R_MAX = 40.0
+TOL = 1e-10
 KAPPA_FIT_RADIUS = 0.05
 
 
@@ -169,12 +166,12 @@ def _discrete_residual(r: np.ndarray, rho: np.ndarray, r_max: float,
     return F
 
 
-def solve_vortex_ode(r_max: float = 40.0, tol: float = 1e-10) -> RadialProfile:
+def solve_vortex_ode() -> RadialProfile:
     """Solve the radial vortex equation (winding +-1) by Newton relaxation.
 
     The far-field boundary condition is the two-term law
-    rho(r_max) = 1 - 1/(2 r_max^2); the discrete residual at every
-    interior node is driven below ``tol``.  The Newton steps and the
+    rho(R_MAX) = 1 - 1/(2 R_MAX^2); the discrete residual at every
+    interior node is driven below ``TOL``.  The Newton steps and the
     stopping decisions use the plain stencil sums.  When the iteration
     stalls (the plain residual stops falling, at its rounding floor), and
     for the returned profile, convergence is certified by the residual
@@ -183,37 +180,28 @@ def solve_vortex_ode(r_max: float = 40.0, tol: float = 1e-10) -> RadialProfile:
     origin slope ``kappa`` is the least-squares slope of rho over
     r <= 0.05.
     """
-    if r_max < HARD_MIN_RMAX:
-        raise ValueError(f"r_max = {r_max} too small to attach the far-field law")
-    if r_max < SAFE_MIN_RMAX:
-        warnings.warn(
-            f"r_max = {r_max} < {SAFE_MIN_RMAX}: far-field attachment within "
-            "5/r^3 is unreliable this close in", stacklevel=2)
-    if tol > 1e-10:
-        raise ValueError("tol must be <= 1e-10")
-
-    r = _graded_mesh(r_max)
+    r = _graded_mesh(R_MAX)
     rho = r / np.sqrt(r * r + 2.0)  # Pade-style seed with the right slope shape
-    rho[-1] = far_field_modulus(r_max)
+    rho[-1] = far_field_modulus(R_MAX)
     c1, c2 = _fd_coeffs(r)
     n = r.size
     ri = r[1:-1]
 
     last = np.inf
     for it in range(60):
-        F = _discrete_residual(r, rho, r_max)
+        F = _discrete_residual(r, rho, R_MAX)
         resid = np.max(np.abs(F[1:-1]))
-        if resid <= 0.5 * tol:
+        if resid <= 0.5 * TOL:
             break
         if resid >= 0.9 * last:
             # stalled at the rounding floor of the stencil sums; certify
             # with the difference form, which does not carry it
-            certified = _discrete_residual(r, rho, r_max, differences=True)
-            if np.max(np.abs(certified[1:-1])) <= tol:
+            certified = _discrete_residual(r, rho, R_MAX, differences=True)
+            if np.max(np.abs(certified[1:-1])) <= TOL:
                 break
             raise RuntimeError(
                 f"vortex relaxation stalled at residual {resid:.3e} "
-                f"(iteration {it}, tol {tol:.1e})")
+                f"(iteration {it}, tol {TOL:.1e})")
         if not np.isfinite(resid):
             raise RuntimeError(f"vortex relaxation diverged at iteration {it}")
         # banded Jacobian: rows are (upper, diagonal, lower)
@@ -238,10 +226,10 @@ def solve_vortex_ode(r_max: float = 40.0, tol: float = 1e-10) -> RadialProfile:
     basis = np.column_stack([r[fit], r[fit] ** 3])
     coef, *_ = np.linalg.lstsq(basis, rho[fit], rcond=None)
     kappa = float(coef[0])
-    prof = RadialProfile(nodes=r, rho=rho, kappa=kappa, r_max=r_max)
+    prof = RadialProfile(nodes=r, rho=rho, kappa=kappa, r_max=R_MAX)
     final = np.max(np.abs(prof.ode_residual()))
-    if final > tol:
-        raise RuntimeError(f"converged residual {final:.3e} above tol {tol:.1e}")
+    if final > TOL:
+        raise RuntimeError(f"converged residual {final:.3e} above tol {TOL:.1e}")
     return prof
 
 

@@ -5,12 +5,14 @@ import ast
 import hashlib
 import json
 import os
+import re
+import runpy
 import subprocess
 import sys
 import tempfile
 import threading
 from concurrent.futures import Future
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,14 +24,13 @@ from gpvortex.ansatz import MAX_SPEED
 from gpvortex.cli import main
 from gpvortex.config import RunConfig, load_config
 from gpvortex.field_core import ComplexField, grid_l2
-from gpvortex.spectral import CONSTRAINT_SETS
 from gpvortex.tw_solver import (
     _perturbation,
     linearized_lu,
     load_branch,
     newton_solve,
 )
-from gpvortex.vortex_profile import RadialProfile, solve_vortex_ode
+from gpvortex.vortex_profile import RadialProfile
 
 FAST = ["--speeds", "0.2,0.17"]
 
@@ -68,8 +69,6 @@ def run_configs(draw):
         box_factor=draw(positive), h_target=draw(positive), max_nx=draw(odd_cap),
         newton_tol=draw(st.floats(1e-14, 1e-6)),
         r_ball=draw(st.floats(5.001, 50.0)),
-        constraint_sets=tuple(draw(st.lists(st.sampled_from(sorted(CONSTRAINT_SETS)),
-                                            unique=True))),
         basis_size=draw(st.integers(16, 400)), seed=draw(st.integers(0, 2**63)),
         stability_T=draw(positive), stability_dt=draw(positive),
         stability_samples=draw(st.integers(0, 20)),
@@ -94,15 +93,16 @@ def test_config_text_roundtrip_property(cfg):
 @pytest.mark.parametrize("key", ["jobs", "eta_shape", "kernel_speed",
                                  "kernel_box_factor", "neighbor_quad",
                                  "diag_box_factor", "diag_max_nx",
-                                 "max_newton_steps"])
+                                 "max_newton_steps", "constraint_sets"])
 def test_removed_config_keys_are_config_errors(tmp_path, capsys, key):
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=f"unknown configuration keys.*{key}"):
         load_config(None, {key: "1"})
     cfgfile = tmp_path / "old.cfg"
     cfgfile.write_text(f"{key} = 1\n")
     assert main(["--config", str(cfgfile), "--out", str(tmp_path / "out"),
-                 "report"]) == 2
+                 "spectrum"]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["--jobs", "2", "report"],
@@ -363,16 +363,16 @@ def test_cmd_vortex_failed_invariant_fails_the_report(tmp_path, capsys, monkeypa
     assert "stored checks failed: vortex_report" in capsys.readouterr().out
 
 
-def test_branch_ignores_profile_files_in_the_output_directory(tmp_path):
+def test_branch_ignores_profile_files_in_the_output_directory(tmp_path, profile):
     # the branch solves its vortex profile in the run: no profile file in
     # the output directory, from `vortex` or from elsewhere, changes it
     fresh, seeded = tmp_path / "fresh", tmp_path / "seeded"
     fresh.mkdir()
     (seeded / "out").mkdir(parents=True)
-    wide = solve_vortex_ode(r_max=80.0)
+    other = replace(profile, rho=0.99 * profile.rho)
     for name in ("vortex_profile.txt", "vortex_profile_p1.txt",
                  "vortex_profile_m1.txt"):
-        wide.save(seeded / "out" / name)
+        other.save(seeded / "out" / name)
     for sub in (fresh, seeded):
         assert run(["branch"], sub) == 0
     names = ["diagnostics.csv"] + [f"entry_{k:03d}.fld" for k in range(6)]
@@ -408,13 +408,14 @@ def test_cmd_branch_diag_and_resume(tmp_path, capsys):
     assert f"resume: {outdir}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("sets", ["none, bogus", "none, none"])
-def test_bad_constraint_sets_exit_2_before_any_solve(tmp_path, capsys, sets):
-    # an unknown or repeated set is refused before the branch is solved
-    assert run(["spectrum"], tmp_path, {"constraint_sets": sets}) == 2
+def test_repeated_speeds_exit_2_before_any_solve(tmp_path, capsys):
+    # a repeated speed is refused before the vortex stage writes anything
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        RunConfig(speeds=(0.1, 0.1))
+    assert main(["--out", str(tmp_path / "out"), "--speeds", "0.1,0.1",
+                 "vortex"]) == 2
     err = capsys.readouterr().err
-    assert "constraint_sets" in err and "phase4" in err
-    assert "Traceback" not in err
+    assert "strictly decreasing" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -718,6 +719,28 @@ def _src_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def test_spectrum_c05_prints_the_benchmark_reference(tmp_path):
+    # the counts and the five constants that the benchmark compares, at its
+    # seed and with its one BLAS thread: a change that moves the c = 0.05
+    # branch fields or the exp-norm path fails here.  The reference is read
+    # without importing the benchmark package.
+    workloads = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir,
+                                            "perfbench", "workloads.py"))
+    want = workloads["WORKLOADS"]["spectrum-c05"].reference["spectrum"]
+    env = {**_src_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    argv = [sys.executable, "-m", "gpvortex.cli", "--out", str(tmp_path / "out"),
+            "--seed", "1234", "--speeds", "0.05"]
+    for stage in ("branch", "spectrum"):
+        proc = subprocess.run(argv + [stage], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    line = re.fullmatch(r"c=0.05: negative_count=(\d+) near_zero=(\d+) "
+                        r"coercivity=(.*)", proc.stdout.splitlines()[-1])
+    assert line.group(1, 2) == ("1", "2")
+    printed = [kv.split("=", 1) for kv in line.group(3).split(", ")]
+    assert printed == [[k, v] for k, v in want.items()]
+
+
 def test_cli_import_leaves_scipy_interpolate_unloaded():
     # only a stage that solves a vortex profile or a branch needs it; the
     # import loads every layer module, which the benchmark's traced mode
@@ -772,18 +795,39 @@ def test_cmd_report_aggregates_and_refuses_mixed_hashes(tmp_path, capsys):
 
 
 def test_cmd_report_refuses_unconverged_constraint_set(tmp_path, capsys):
-    # at this basis size the three sets converge ("four" does not)
-    sets = {"constraint_sets": "none,three,phase4"}
-    assert run(["spectrum"], tmp_path, extra_cfg=sets) == 0
-    path = tmp_path / "out" / "spectrum_c0.2.json"
-    stored = json.loads(path.read_text())
-    assert all(v["converged"] for v in stored["coercivity_check"].values())
-    assert run(["report"], tmp_path, extra_cfg=sets) == 0
+    # at this basis size "four" does not converge at c = 0.2
+    assert run(["spectrum"], tmp_path) == 0
+    capsys.readouterr()
+    assert run(["report"], tmp_path) == 1
+    assert "spectrum_c0.2 four unconverged" in capsys.readouterr().out
+    paths = sorted((tmp_path / "out").glob("spectrum_c*.json"))
+    assert len(paths) == 2
+    for path in paths:
+        stored = json.loads(path.read_text())
+        assert set(stored["coercivity_check"]) == {"none", "three", "four",
+                                                   "phase4", "sym3"}
+        for check in stored["coercivity_check"].values():
+            check["converged"] = True
+        path.write_text(json.dumps(stored))
+    assert run(["report"], tmp_path) == 0
     stored["coercivity_check"]["phase4"]["converged"] = False
     path.write_text(json.dumps(stored))
     capsys.readouterr()
-    assert run(["report"], tmp_path, extra_cfg=sets) == 1
-    assert "spectrum_c0.2 phase4 unconverged" in capsys.readouterr().out
+    assert run(["report"], tmp_path) == 1
+    assert f"{path.stem} phase4 unconverged" in capsys.readouterr().out
+
+
+def test_cmd_report_prints_sections_in_name_order(tmp_path, capsys, monkeypatch):
+    # the printed report does not depend on the order the filesystem lists
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("beta", "alpha", "gamma"):
+        (out / f"{name}.json").write_text(json.dumps({"ok": True}))
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: sorted(listdir(path), reverse=True))
+    assert main(["--out", str(out), "report"]) == 0
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+    assert printed == ["[alpha]", "[beta]", "[gamma]"]
 
 
 def _tree_digest(root):

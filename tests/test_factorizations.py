@@ -9,10 +9,9 @@ quarter Newton (every stored branch field; its matrix is assembled from
 the quarter's rows alone), the exp-norm Ritz pencil (the unconverged
 ``sym3`` minimum mirrors that basis), and the implicit-midpoint matrix,
 on which minimum degree does not finish.  The spectrum stage factors
-each Ritz pencil once, whatever the order of its constraint sets, and
-the stability stage the midpoint matrix once for all its runs."""
+each Ritz pencil once, and the stability stage the midpoint matrix once
+for all its runs."""
 
-import dataclasses
 import json
 from collections import Counter
 
@@ -124,32 +123,25 @@ def branch02(profile):
 
 
 def test_spectrum_factors_each_ritz_pencil_once(branch02, monkeypatch):
-    # sym3 consumes the exp basis, so the stage runs it last in any order;
-    # an order that rebuilt the exp basis would show a second COLAMD LU
+    # sym3 consumes the exp basis and runs last; a plan that rebuilt the
+    # exp basis would show a second COLAMD LU
     cfg, branch = branch02
     g = branch.entries[branch.index_of(0.2)].field.grid
     n = 2 * (g.nx - 2) * (g.ny - 2)
-    splu = spla.splu
-    payloads = {}
-    for order in (cfg.constraint_sets, ("sym3", "phase4", "none")):
-        seen = []
+    splu, seen = spla.splu, []
 
-        def spy(A, **kwargs):
-            seen.append((kwargs.get("permc_spec", COLAMD), A.shape[0]))
-            return splu(A, **kwargs)
+    def spy(A, **kwargs):
+        seen.append((kwargs.get("permc_spec", COLAMD), A.shape[0]))
+        return splu(A, **kwargs)
 
-        monkeypatch.setattr(spla, "splu", spy)
-        payloads[order] = _spectrum_one(
-            dataclasses.replace(cfg, constraint_sets=order), branch, 0.2)
-        counts = Counter(seen)
-        assert counts.pop((COLAMD, n)) == 1
-        assert counts.pop((MMD, n)) == 1
-        assert counts and all(o == MMD and m < n for o, m in counts), seen
-    default, reordered = payloads.values()
-    for name in ("sym3", "phase4", "none"):
-        assert reordered["coercivity"][name] == default["coercivity"][name]
-        assert reordered["coercivity_check"][name] == default["coercivity_check"][name]
-    assert reordered["ritz"] == default["ritz"]
+    monkeypatch.setattr(spla, "splu", spy)
+    payload = _spectrum_one(cfg, branch, 0.2)
+    counts = Counter(seen)
+    assert counts.pop((COLAMD, n)) == 1
+    assert counts.pop((MMD, n)) == 1
+    assert counts and all(o == MMD and m < n for o, m in counts), seen
+    assert list(payload["coercivity"]) == ["none", "three", "four", "phase4", "sym3"]
+    assert payload["ritz"]["exp"]["sym3_columns"] <= payload["ritz"]["exp"]["columns"]
 
 
 def test_stability_factors_the_midpoint_matrix_once(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from conftest import vortex_gradient
 from gpvortex.vortex_profile import (
     evaluate_vortex,
     far_field_modulus,
-    solve_vortex_ode,
 )
 
 
@@ -73,15 +72,6 @@ def test_ode_residual_by_substitution(profile):
 
 def test_kappa_matches_shooting_oracle(profile):
     assert abs(profile.kappa - shooting_kappa()) <= 1e-6
-
-
-def test_preconditions():
-    with pytest.raises(ValueError):
-        solve_vortex_ode(r_max=5.0)
-    with pytest.raises(ValueError):
-        solve_vortex_ode(tol=1e-8)
-    with pytest.warns(UserWarning):
-        solve_vortex_ode(r_max=12.0)
 
 
 def test_evaluate_center_and_conjugate(profile):
