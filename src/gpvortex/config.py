@@ -209,7 +209,11 @@ def load_config(path=None, overrides=None) -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known
     if unknown:
-        raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
+        msg = f"unknown configuration keys: {sorted(unknown)}"
+        if "constraint_sets" in unknown:
+            msg += ("; constraint_sets is no longer a setting: spectrum always"
+                    " computes none, three, four, phase4 and sym3")
+        raise ValueError(msg)
     kwargs = {}
     for key, val in data.items():
         if isinstance(val, str):

@@ -419,6 +419,17 @@ def test_repeated_speeds_exit_2_before_any_solve(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sets", ["none, bogus", "none, none"])
+def test_bad_constraint_sets_exit_2_before_any_solve(tmp_path, capsys, sets):
+    # the deleted setting is refused before the branch is solved, and the
+    # message names the sets spectrum always computes
+    assert run(["spectrum"], tmp_path, {"constraint_sets": sets}) == 2
+    err = capsys.readouterr().err
+    assert "constraint_sets" in err and "phase4" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["5", ""])
 def test_bad_out_dir_in_config_exits_2(tmp_path, capsys, monkeypatch, value):
     # the file's out_dir, with no --out to override it: a number or an
