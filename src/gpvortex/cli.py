@@ -8,7 +8,11 @@ Exit codes: 0 pass, 1 numeric-check failure, 2 configuration error,
 ``RuntimeError`` -> 3.  Outputs depend only on the
 config and the seed, and every file carries the config hash: a stage
 reads back only the branches it stored under that hash, and solves the
-vortex profile in the run rather than reading a file.  ``spectrum``
+vortex profile in the run rather than reading a file.  ``branch``
+solves every speed on its spectral-scale box alone; its ``prop12.csv``
+adds to the box's energy and P2 the ansatz's far field outside the box
+(``linearization.ansatz_tail``), which the energy-momentum identities
+need.  ``spectrum``
 computes the paper's five coercivity constants at each speed in one
 fixed plan: ``none``, ``three`` and ``four`` in the C norm, then
 ``phase4`` and ``sym3`` in the expanded energy norm.  The one exception
@@ -114,8 +118,8 @@ def cmd_vortex(cfg: RunConfig, args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _branch_dir(cfg: RunConfig, diag: bool) -> str:
-    return os.path.join(cfg.out_dir, "branch_diag" if diag else "branch")
+def _branch_dir(cfg: RunConfig) -> str:
+    return os.path.join(cfg.out_dir, "branch")
 
 
 def _load_or_solve_branch(cfg: RunConfig, outdir: str, speeds, rule,
@@ -137,19 +141,18 @@ def _load_or_solve_branch(cfg: RunConfig, outdir: str, speeds, rule,
     return branch
 
 
-def _main_branch(cfg: RunConfig, diag: bool = False):
+def _main_branch(cfg: RunConfig):
     """The branch over every main speed and its derivative neighbours, on
-    the spectral-scale grids or, with ``diag``, the diagnostics-scale ones."""
-    return _load_or_solve_branch(cfg, _branch_dir(cfg, diag),
-                                 cfg.speeds_with_neighbors()[0],
-                                 cfg.diag_grid_rule if diag else cfg.grid_rule)
+    the spectral-scale grids."""
+    return _load_or_solve_branch(cfg, _branch_dir(cfg),
+                                 cfg.speeds_with_neighbors()[0], cfg.grid_rule)
 
 
 def cmd_branch(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    branch = _main_branch(cfg, args.diag)
-    rows = prop12_report(branch)
-    write_prop12_csv(rows, os.path.join(_branch_dir(cfg, args.diag), "prop12.csv"))
+    branch = _main_branch(cfg)
+    rows = prop12_report(branch, solve_vortex_ode())
+    write_prop12_csv(rows, os.path.join(_branch_dir(cfg), "prop12.csv"))
     ok = True
     for e in branch.entries:
         line = (f"c={e.c:.6f} residual={e.residual_norm:.2e} "
@@ -333,7 +336,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         raise ValueError(f"output directory {cfg.out_dir} does not exist")
     hashes = set()
     summary = {"config_hash": cfg.config_hash, "sections": {}}
-    branch_dir = _branch_dir(cfg, False)
+    branch_dir = _branch_dir(cfg)
     if os.path.isdir(branch_dir):
         branch = load_branch(branch_dir)
         hashes.add(branch.config_hash)
@@ -396,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "uses (one modulus serves windings +-1) and store it with "
                    "its checks")
 
-    p = sub.add_parser("branch", help="continue the travelling-wave branch")
-    p.add_argument("--diag", action="store_true",
-                   help="use the large-box diagnostics grid rule")
+    sub.add_parser("branch", help="continue the travelling-wave branch on the "
+                   "spectral-scale boxes and write prop12.csv, whose energy and "
+                   "momentum columns also come with the far-field tail")
 
     sub.add_parser("spectrum", help="coercivity and kernel diagnostics")
     sub.add_parser("stability", help="linearized time evolution")

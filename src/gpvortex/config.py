@@ -25,9 +25,6 @@ STABILITY_EDGE_MARGIN = 35.0
 # derivatives of the branch grow like 1/c^2 per order, so a c^2-scaled
 # offset keeps the centered-difference error uniform over the branch
 NEIGHBOR_QUAD = 0.5
-# box factor and node-count cap of the diagnostics-scale grids
-DIAG_BOX_FACTOR = 5.5
-DIAG_MAX_NX = 735
 
 # Least value of each integer field.  A node-count cap of 5 or fewer
 # leaves no interior for the margin widening of ``default_grid_rule``.
@@ -58,9 +55,11 @@ def _parse_scalar(text: str):
 
 @dataclass
 class RunConfig:
-    """Knobs for the full pipeline; the docstrings of ``grid_rule``,
-    ``diag_grid_rule`` and ``stability_grid_rule`` give the meaning of
-    the grid rules (spectral-scale, diagnostics-scale and stability boxes).
+    """Knobs for the full pipeline; the docstrings of ``grid_rule`` and
+    ``stability_grid_rule`` give the meaning of the two grid rules
+    (spectral-scale and stability boxes).  Every stage but ``stability``
+    runs on the spectral-scale boxes: the energy-momentum identities
+    read them with the far-field tail of ``linearization.ansatz_tail``.
     No field selects the constraint sets: ``spectrum`` always computes
     the paper's five constants in one fixed plan (see ``cli``).
 
@@ -119,11 +118,10 @@ class RunConfig:
         c_lo = anchor * (1.0 - self._neighbor_frac(anchor))
         return 1.0 / c_lo + max(BOUNDARY_MARGIN, self.r_ball)
 
-    def _rule(self, c: float, box_factor: float, max_nx: int,
-              reach: float = 0.0) -> Grid:
+    def _rule(self, c: float, reach: float) -> Grid:
         a = self._anchor(c)
-        return default_grid_rule(a, box_factor=box_factor, h_target=self.h_target,
-                                 max_nx=max_nx,
+        return default_grid_rule(a, box_factor=self.box_factor,
+                                 h_target=self.h_target, max_nx=self.max_nx,
                                  reach=max(reach, self._core_reach(a)))
 
     def grid_rule(self, c: float) -> Grid:
@@ -134,22 +132,16 @@ class RunConfig:
         1/c_lo + max(BOUNDARY_MARGIN, r_ball) + 2h, with c_lo the lowest
         speed of the triple, so the ansatz margin check and the
         orthogonality balls around the cores hold for every entry.  At the
-        default box factors every c <= 0.1 already leaves 19.5 or more
+        default box factor every c <= 0.1 already leaves 19.5 or more
         beyond the cores; only the small boxes of fast waves are widened."""
-        return self._rule(c, self.box_factor, self.max_nx)
-
-    def diag_grid_rule(self, c: float) -> Grid:
-        """Diagnostics-scale grid (DIAG_BOX_FACTOR, DIAG_MAX_NX), with the
-        margin guarantee of ``grid_rule``."""
-        return self._rule(c, DIAG_BOX_FACTOR, DIAG_MAX_NX)
+        return self._rule(c, 0.0)
 
     def stability_grid_rule(self, c: float) -> Grid:
         """The spectral-scale rule, widened so that the edge lies at least
         STABILITY_EDGE_MARGIN beyond the cores (at 1/anchor); it keeps the
         margin guarantee of ``grid_rule``."""
         a = self._anchor(c)
-        return self._rule(c, self.box_factor, self.max_nx,
-                          reach=1.0 / a + STABILITY_EDGE_MARGIN)
+        return self._rule(c, 1.0 / a + STABILITY_EDGE_MARGIN)
 
     def _neighbor_frac(self, c: float) -> float:
         """Relative offset of the derivative neighbours of main speed c."""

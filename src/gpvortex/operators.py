@@ -119,8 +119,10 @@ def linearized_matrix(Q: ComplexField, c: float) -> sp.csr_matrix:
 
 
 def interior_to_real(values: np.ndarray) -> np.ndarray:
-    """Pack the interior of a complex array into the real dof vector."""
-    v = values[1:-1, 1:-1].ravel()
+    """Pack the interior of a complex array into the real dof vector
+    [Re; Im], row-major over the interior nodes; a 1-D array is taken as
+    the interior already flattened."""
+    v = values[1:-1, 1:-1].ravel() if values.ndim == 2 else values
     return np.concatenate([v.real, v.imag])
 
 

@@ -126,14 +126,6 @@ def _real_rep(M: sp.spmatrix) -> sp.csr_matrix:
     return sp.bmat([[re, -im], [im, re]], format="csr")
 
 
-def _complex_to_real_vec(v: np.ndarray) -> np.ndarray:
-    return np.concatenate([v.real, v.imag])
-
-
-def _interior_diag(values: np.ndarray) -> np.ndarray:
-    return values[1:-1, 1:-1].ravel()
-
-
 def _edge_ops(Qi: np.ndarray, grid: Grid, psi_mult: np.ndarray):
     """Complex sparse operators mapping interior phi to the hatted
     gradient of psi = psi_mult * phi on interior-interior edges."""
@@ -182,8 +174,7 @@ def _gram_C(Q: ComplexField, pm: np.ndarray) -> sp.csr_matrix:
         term = (R.T @ W @ R).tocsr()
         G = term if G is None else G + term
     # Re^2(conj(Q) phi) = Re^2(psi) |Q|^4 exactly
-    a = _interior_diag(Q.values.real)
-    b = _interior_diag(Q.values.imag)
+    a, b = np.split(interior_to_real(Q.values), 2)
     M = sp.hstack([sp.diags(a), sp.diags(b)], format="csr")
     G = G + (M.T @ sp.diags(np.full(a.size, w)) @ M)
     return G.tocsr()
@@ -307,22 +298,22 @@ def _constraint_vector_nonzero_harmonic(Q: ComplexField, A_field: np.ndarray,
     its angular 0-harmonic about the ball's center)."""
     g = Q.grid
     w = g.hx * g.hy
-    Qi = _interior_diag(Q.values)
-    Ai = _interior_diag(A_field)
+    Qi = Q.values[1:-1, 1:-1].ravel()
+    Ai = A_field[1:-1, 1:-1].ravel()
     v = np.zeros(Qi.size, dtype=complex)
     for (M, ball) in chains:
         b = np.where(ball, w * Ai * np.conj(Qi), 0.0)
         v += b - (M.T @ b)
     v = np.conj(pm.ravel()) * v       # adjoint of psi = pm * phi
-    return _complex_to_real_vec(v)
+    return interior_to_real(v)
 
 
 def _constraint_vector_direct(Q: ComplexField, B_field: np.ndarray,
                               mask: np.ndarray) -> np.ndarray:
     g = Q.grid
     w = g.hx * g.hy
-    v = np.where(mask, w * _interior_diag(B_field), 0.0)
-    return _complex_to_real_vec(v.astype(complex))
+    v = np.where(mask, w * B_field[1:-1, 1:-1].ravel(), 0.0)
+    return interior_to_real(v)
 
 
 def assemble(Q: ComplexField, c: float, directions: DirectionSet,
@@ -377,7 +368,7 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     X, Y = np.meshgrid(grid.x[1:-1], grid.y[1:-1], indexing="ij")
     ball0 = (np.hypot(X, Y) <= R).ravel()
     v0 = np.conj(pm.ravel()) * np.where(ball0, -1j * w, 0.0)
-    constraints["phase0"] = _complex_to_real_vec(v0)
+    constraints["phase0"] = interior_to_real(v0)
 
     dirs = {
         "dx1": interior_to_real(gx.values),

@@ -1,10 +1,11 @@
-"""Shared fixtures: the radial profile and the two converged branches
-(spectral-scale and diagnostics-scale boxes), solved once per session;
-test fields, and as oracles the trapezoidal real pairing, the plain
-discrete form, the analytic vortex gradient (with the modulus slope it
-reads), the row-major Ritz basis build, the Kronecker-product assembly
-of the linearized matrix and the index construction of the quarter
-maps."""
+"""Shared fixtures: the radial profile and the converged branch on the
+spectral-scale boxes, solved once per session (the energy-momentum
+identities read it with the far-field tail of
+``linearization.ansatz_tail``); test fields, and as oracles the
+trapezoidal real pairing, the plain discrete form, the analytic vortex
+gradient (with the modulus slope it reads), the row-major Ritz basis
+build, the Kronecker-product assembly of the linearized matrix and the
+index construction of the quarter maps."""
 
 from __future__ import annotations
 
@@ -47,16 +48,6 @@ def branch_spec(profile, run_cfg, newton_tol):
     speeds, _ = run_cfg.speeds_with_neighbors()
     return continue_branch(speeds, newton_tol, profile,
                            grid_rule=run_cfg.grid_rule,
-                           config_hash=run_cfg.config_hash)
-
-
-@pytest.fixture(scope="session")
-def branch_diag(profile, run_cfg, newton_tol):
-    """Desk branch on the diagnostics-scale boxes (5.5/c) used for the
-    energy/momentum identities."""
-    speeds, _ = run_cfg.speeds_with_neighbors()
-    return continue_branch(speeds, newton_tol, profile,
-                           grid_rule=run_cfg.diag_grid_rule,
                            config_hash=run_cfg.config_hash)
 
 

@@ -22,7 +22,7 @@ import gpvortex
 from gpvortex import cli
 from gpvortex.ansatz import MAX_SPEED
 from gpvortex.cli import main
-from gpvortex.config import RunConfig, load_config
+from gpvortex.config import STABILITY_EDGE_MARGIN, RunConfig, load_config
 from gpvortex.field_core import ComplexField, grid_l2
 from gpvortex.tw_solver import (
     _perturbation,
@@ -106,11 +106,13 @@ def test_removed_config_keys_are_config_errors(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("argv", [["--jobs", "2", "report"],
-                                  ["spectrum", "--eta-check"]])
-def test_removed_flags_exit_2(tmp_path, argv):
+                                  ["spectrum", "--eta-check"],
+                                  ["branch", "--diag"]])
+def test_removed_flags_exit_2(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path / "out")] + FAST + argv)
     assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _config_reads() -> set:
@@ -327,10 +329,14 @@ def test_config_hash_ignores_out_dir(tmp_path):
 def test_grid_rule_margin_holds_for_every_neighbour(speeds):
     from gpvortex.ansatz import BOUNDARY_MARGIN
     cfg = RunConfig(speeds=speeds)
-    for rule in (cfg.grid_rule, cfg.diag_grid_rule):
-        for c in cfg.speeds_with_neighbors()[0]:
-            g = rule(c)
+    listed, anchors = cfg.speeds_with_neighbors()
+    for c in listed:
+        wide = cfg.stability_grid_rule(c)
+        for g in (cfg.grid_rule(c), wide):
             assert g.lx >= 1.0 / c + max(BOUNDARY_MARGIN, cfg.r_ball) + 2 * g.hx
+        # the stability box's own promise: its edge lies STABILITY_EDGE_MARGIN
+        # beyond the cores at 1/anchor
+        assert wide.lx >= 1.0 / anchors[c] + STABILITY_EDGE_MARGIN + 2 * wide.hx
 
 
 @pytest.mark.parametrize("key", ["stability_speed", "uniqueness_speed"])
@@ -393,19 +399,6 @@ def test_cmd_branch_and_resume(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "resume" in out
-
-
-def test_cmd_branch_diag_and_resume(tmp_path, capsys):
-    # the diagnostics-scale branch is stored apart from the spectral one
-    argv = ["--out", str(tmp_path / "out"), "--speeds", "0.2", "branch", "--diag"]
-    assert main(argv) == 0
-    outdir = tmp_path / "out" / "branch_diag"
-    names = {p.name for p in outdir.iterdir()}
-    assert {"manifest.txt", "diagnostics.csv", "prop12.csv"} <= names
-    assert not (tmp_path / "out" / "branch").exists()
-    capsys.readouterr()
-    assert main(argv) == 0
-    assert f"resume: {outdir}" in capsys.readouterr().out
 
 
 def test_repeated_speeds_exit_2_before_any_solve(tmp_path, capsys):

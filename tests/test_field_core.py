@@ -29,6 +29,7 @@ from gpvortex.spectral import (
     _gram_C,
     _gram_exp,
 )
+from gpvortex.tw_solver import continue_branch, default_grid_rule
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +164,16 @@ def psi_mult(Q):
     return mult_ratio(1.0, Q.values[1:-1, 1:-1], resolution_floor(Q.grid))[0]
 
 
-def test_expanded_norm_finite_and_stable_for_phase(entry01, branch_diag):
+def test_expanded_norm_finite_and_stable_for_phase(entry01, profile, newton_tol):
     Q = entry01.field
     iQ = ComplexField(Q.grid, 1j * Q.values)
     G = _gram_exp(Q, entry01.zeros, psi_mult(Q))
     val = gram_norm(G, iQ)
     assert np.isfinite(val) and val > 0
-    e_big = branch_diag.entries[branch_diag.index_of(entry01.c)]
+    # the same wave solved on a 5.5/c box
+    wide = default_grid_rule(entry01.c, box_factor=5.5)
+    e_big = continue_branch([entry01.c], newton_tol, profile,
+                            grid_rule=lambda c: wide).entries[0]
     iQb = ComplexField(e_big.field.grid, 1j * e_big.field.values)
     big = gram_norm(_gram_exp(e_big.field, e_big.zeros, psi_mult(e_big.field)), iQb)
     assert abs(big - val) <= 0.1 * val

@@ -14,8 +14,11 @@ from conftest import (
     quadratic_form_naive,
     vortex_gradient,
 )
+from gpvortex import linearization
+from gpvortex.ansatz import AnsatzParams, build_two_vortex
 from gpvortex.field_core import ComplexField, grid_l2
 from gpvortex.linearization import (
+    ansatz_tail,
     apply_L,
     build_directions,
     curl_energy_ratio,
@@ -26,7 +29,7 @@ from gpvortex.linearization import (
     quadratic_form_B,
     write_prop12_csv,
 )
-from gpvortex.tw_solver import residual
+from gpvortex.tw_solver import default_grid_rule, residual
 
 
 def test_apply_L_phase_direction_is_residual(entry01):
@@ -183,11 +186,32 @@ def test_curl_energy_ratio_bounded(branch_spec, run_cfg):
     assert max(ratios) <= 2.5 * min(ratios)
 
 
-def test_prop12_report_and_csv(branch_diag, run_cfg, tmp_path):
-    rows = prop12_report(branch_diag)
+def test_ansatz_tail_makes_box_values_box_independent(profile, monkeypatch):
+    # the ansatz at c = 0.1 on its spectral box (lx 30) and on lx 45: raw,
+    # E and P2 differ by 1.5% and 1.3%; with the tail by 3e-5 and 4e-5
+    params = AnsatzParams(10.0, profile)
+
+    def values(grid):
+        A = build_two_vortex(params, grid)
+        t_e, t_p = ansatz_tail(params, grid)
+        return np.array([energy(A), momentum(A)[1]]), np.array([t_e, t_p])
+
+    grids = [default_grid_rule(0.1, box_factor=f) for f in (3.0, 4.5)]
+    (raw, tail), (raw_w, tail_w) = map(values, grids)
+    assert np.all(np.abs(raw / raw_w - 1) >= 1e-2)
+    assert np.all(np.abs((raw + tail) / (raw_w + tail_w) - 1) <= 2e-4)
+    # the closed-form remainder beyond the last ring: doubling the cut
+    # moves E and P2 by 2.5e-6 and 5.2e-6
+    monkeypatch.setattr(linearization, "TAIL_RINGS", linearization.TAIL_RINGS + 1)
+    _, tail_2 = values(grids[0])
+    assert np.all(np.abs((raw + tail_2) / (raw + tail) - 1) <= 2e-5)
+
+
+def test_prop12_report_and_csv(branch_spec, profile, run_cfg, tmp_path):
+    rows = prop12_report(branch_spec, profile)
     assert len(rows) == len(run_cfg.speeds)
     for row in rows:
-        assert row["rel_dE_identity"] <= 0.05
+        assert row["rel_dE_identity_with_tail"] <= 0.05
         assert 0.7 <= row["c2_B_dc"] / (-2 * np.pi) <= 1.3
         assert 0.7 <= row["B_drot"] / (2 * np.pi) <= 1.3
     path = tmp_path / "prop12.csv"
@@ -195,7 +219,7 @@ def test_prop12_report_and_csv(branch_diag, run_cfg, tmp_path):
     lines = path.read_text().splitlines()
     # the header is the frozen schema file, not the tuple that writes it
     schema = os.path.join(os.path.dirname(gpvortex.__file__), "schema",
-                          "prop12_columns_v1.txt")
+                          "prop12_columns_v2.txt")
     with open(schema) as fh:
         frozen = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     assert lines[0] == ",".join(frozen)
