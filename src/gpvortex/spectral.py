@@ -88,6 +88,7 @@ CONSTRAINT_SETS = {
 }
 
 _PANEL = 16                     # basis columns per projection product
+KERNEL_PAIRS = 12               # eigenpairs nearest 0 that kernel_and_negative keeps
 
 
 @dataclass
@@ -559,21 +560,22 @@ def _sector_eigs(B: sp.csc_matrix, k: int):
                       v0=np.full(ns, 1.0 / np.sqrt(ns)), OPinv=inv)
 
 
-def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
-                        k: int = 12) -> dict:
+def kernel_and_negative(handle: OperatorHandle) -> dict:
     """Lowest eigenvalues of the operator against the plain mass matrix;
     counts below -tol_zero and the principal angles of the near-zero
-    cluster to the discrete translation span.
+    cluster to the discrete translation span.  ``tol_zero`` is a third of
+    the lowest eigenvalue's modulus.
 
     The eigenproblem is solved per symmetry sector on the blocks
     B_s = P_s^T A P_s (``operators.sector_maps``) of the form matrix,
     whose eigenvalues divided by ``weight`` are the operator's.  Each
-    sector gives its k eigenvalues nearest 0 (all but one where it has no
-    more than k rows), and the k of the union nearest 0 are kept, which
-    is the set a shift-invert solve on the full matrix returns.  A field
-    that breaks the symmetry couples the sectors and is refused with
-    ``RuntimeError``.  The report is a dict of JSON values: the kept
-    eigenvalues and their counts, in total and per sector."""
+    sector gives its ``KERNEL_PAIRS`` eigenvalues nearest 0 (all but one
+    where it has no more rows), and the ``KERNEL_PAIRS`` of the union
+    nearest 0 are kept, which is the set a shift-invert solve on the
+    full matrix returns.  A field that breaks the symmetry couples the
+    sectors and is refused with ``RuntimeError``.  The report is a dict
+    of JSON values: the kept eigenvalues and their counts, in total and
+    per sector."""
     A = handle.A
     bound = 1e-12 * abs(A).max()
     maps = sector_maps(handle.grid)
@@ -589,19 +591,18 @@ def kernel_and_negative(handle: OperatorHandle, tol_zero: float | None = None,
     # (eigenvalue, sector label, sector vector), sectors in map order
     found = []
     for label, B in blocks.items():
-        vals, vecs = _sector_eigs(B, min(k, B.shape[0] - 1))
+        vals, vecs = _sector_eigs(B, min(KERNEL_PAIRS, B.shape[0] - 1))
         found += [(v, label, vecs[:, j]) for j, v in enumerate(vals)]
     found.sort(key=lambda t: abs(t[0]))
-    kept = sorted(found[:k], key=lambda t: t[0])
+    kept = sorted(found[:KERNEL_PAIRS], key=lambda t: t[0])
     vals = np.array([t[0] for t in kept]) / handle.weight
     labels = np.array([t[1] for t in kept])
     vecs = np.column_stack([maps[t[1]] @ t[2] for t in kept])
 
-    if tol_zero is None:
-        # the lowest (on a passing spectrum, negative) eigenvalue sets the
-        # scale separating the kernel cluster; thresholds built from the
-        # B(dx1) floors drift across (c, h) and misclassify at small speeds
-        tol_zero = abs(vals[0]) / 3.0
+    # the lowest (on a passing spectrum, negative) eigenvalue sets the
+    # scale separating the kernel cluster; thresholds built from the
+    # B(dx1) floors drift across (c, h) and misclassify at small speeds
+    tol_zero = abs(vals[0]) / 3.0
     negative = vals < -tol_zero
     near = np.abs(vals) <= tol_zero
     sectors = {

@@ -244,12 +244,9 @@ def evaluate_vortex(profile: RadialProfile, winding: int, x, y,
     dx = x - center[0]
     dy = y - center[1]
     r = np.hypot(dx, dy)
-    out = np.zeros(np.broadcast(dx, dy).shape, dtype=complex)
-    nz = r > 0.0
-    phase = np.ones_like(out)
     zc = dx + 1j * dy
-    phase[nz] = zc[nz] / r[nz]
+    nz = r > 0.0
+    phase = np.divide(zc, r, out=np.ones_like(zc), where=nz)
     if winding == -1:
         phase = np.conj(phase)
-    out[nz] = profile.modulus(r[nz]) * phase[nz]
-    return out
+    return np.where(nz, profile.modulus(r) * phase, 0.0)

@@ -1,28 +1,105 @@
-"""Shared fixtures: the radial profile and the converged branch on the
-spectral-scale boxes, solved once per session (the energy-momentum
-identities read it with the far-field tail of
-``linearization.ansatz_tail``); test fields, and as oracles the
-trapezoidal real pairing, the plain discrete form, the analytic vortex
-gradient (with the modulus slope it reads), the row-major Ritz basis
-build, the Kronecker-product assembly of the linearized matrix and the
-index construction of the quarter maps."""
+"""Shared fixtures.
+
+``stored_run`` runs the CLI once per session at its defaults and seed
+1234, with one BLAS thread, as a user would: ``branch``, then
+``spectrum``, ``stability`` and ``uniqueness`` as three concurrent
+processes that read the stored branch.  Acceptance criteria 2, 3, 5,
+7 and 8 and the benchmark-reference test read that run's files and
+output; ``branch_spec`` is its stored branch on the spectral-scale
+boxes.  Layer tests keep their own fixtures: the radial profile,
+handles assembled from the stored branch, the kernel/index handle on a
+wider box; test fields, and as oracles the trapezoidal
+real pairing, the plain discrete form, the analytic vortex gradient
+(with the modulus slope it reads), the row-major Ritz basis build, the
+Kronecker-product assembly of the linearized matrix and the index
+construction of the quarter maps."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import gpvortex
 from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField
 from gpvortex.linearization import build_directions
-from gpvortex.tw_solver import continue_branch, default_grid_rule
+from gpvortex.tw_solver import continue_branch, default_grid_rule, load_branch
 from gpvortex.vortex_profile import RadialProfile, solve_vortex_ode
 
 # kernel/index operating point of ``kernel_handle``
 KERNEL_SPEED = 0.05
 KERNEL_BOX_FACTOR = 3.5
+
+# the stages of ``stored_run`` that only read the stored branch
+READER_STAGES = ("spectrum", "stability", "uniqueness")
+# the benchmark's BLAS setting: the printed sym3 digits follow the thread count
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
+# a stage that runs longer is taken as hung; the whole run takes about
+# 150 s on a 2-vCPU box
+STAGE_TIMEOUT_S = 1800
+
+
+def src_env() -> dict:
+    """The environment with this package's source first on the path."""
+    src = os.path.dirname(os.path.dirname(gpvortex.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@dataclass
+class StoredRun:
+    out: Path           # the run's output directory
+    stdout: dict        # stage -> what it printed
+
+
+@pytest.fixture(scope="session")
+def stored_run(tmp_path_factory):
+    """The default ``gpvortex --seed 1234`` run of ``branch``, then of the
+    three reader stages at once, in subprocesses with one BLAS thread."""
+    root = tmp_path_factory.mktemp("stored_run")
+    out = root / "out"
+    argv = [sys.executable, "-m", "gpvortex.cli", "--out", str(out), "--seed", "1234"]
+    env = {**src_env(), **ONE_BLAS_THREAD}
+
+    def start(stage):
+        with open(root / f"{stage}.stdout", "w") as so, \
+                open(root / f"{stage}.stderr", "w") as se:
+            return subprocess.Popen(argv + [stage], stdout=so, stderr=se, env=env)
+
+    def finish(stage, proc):
+        if proc.wait(timeout=STAGE_TIMEOUT_S) != 0:
+            pytest.fail(f"stored run: {stage} exited {proc.returncode}:\n"
+                        + (root / f"{stage}.stderr").read_text(), pytrace=False)
+        return (root / f"{stage}.stdout").read_text()
+
+    procs = {"branch": start("branch")}
+    try:
+        stdout = {"branch": finish("branch", procs["branch"])}
+        procs.update((stage, start(stage)) for stage in READER_STAGES)
+        for stage in READER_STAGES:
+            stdout[stage] = finish(stage, procs[stage])
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    return StoredRun(out, stdout)
+
+
+def read_prop12_csv(path) -> list[dict]:
+    """The rows of a ``prop12.csv``, every column as a float."""
+    header, *rows = Path(path).read_text().splitlines()
+    cols = header.split(",")
+    return [dict(zip(cols, map(float, row.split(",")))) for row in rows]
 
 
 @pytest.fixture(scope="session")
@@ -42,13 +119,12 @@ def newton_tol():
 
 
 @pytest.fixture(scope="session")
-def branch_spec(profile, run_cfg, newton_tol):
-    """Desk branch on the spectral-scale boxes (3/c), with derivative
-    neighbours at every main speed."""
-    speeds, _ = run_cfg.speeds_with_neighbors()
-    return continue_branch(speeds, newton_tol, profile,
-                           grid_rule=run_cfg.grid_rule,
-                           config_hash=run_cfg.config_hash)
+def branch_spec(stored_run, run_cfg):
+    """The branch ``stored_run`` stored: every main speed with its
+    derivative neighbours, on the spectral-scale boxes (3/c)."""
+    branch = load_branch(stored_run.out / "branch")
+    assert branch.config_hash == run_cfg.config_hash
+    return branch
 
 
 @pytest.fixture(scope="session")
@@ -65,19 +141,6 @@ def dirs01(branch_spec):
 def handle01(branch_spec, entry01, dirs01):
     from gpvortex.spectral import assemble
     return assemble(entry01.field, entry01.c, directions=dirs01)
-
-
-@pytest.fixture(scope="session")
-def spec_handles(branch_spec, run_cfg):
-    """Operator handles at the three main speeds on the spectral branch."""
-    from gpvortex.spectral import assemble
-    out = {}
-    for c in run_cfg.speeds:
-        idx = branch_spec.index_of(c)
-        e = branch_spec.entries[idx]
-        out[c] = assemble(e.field, e.c, R=run_cfg.r_ball,
-                          directions=build_directions(branch_spec, idx))
-    return out
 
 
 @pytest.fixture(scope="session")

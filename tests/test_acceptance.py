@@ -1,29 +1,29 @@
 """Acceptance suite: every criterion at its stated tolerance, one
 printed pass/fail line per criterion (run with -s to see them inline).
 
-Desk scale: grids <= 1024^2, speeds {0.1, 0.05, 0.03}.
+Desk scale: grids <= 1024^2, speeds {0.1, 0.05, 0.03}.  Criteria 2, 3,
+5, 7 and 8 read the files of the default CLI run (``stored_run``).
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from conftest import compact_test_field, edge_gradient_energy, quadratic_form_naive
-from gpvortex.field_core import ComplexField, grid_l2
-from gpvortex.linearization import (
-    apply_L,
-    build_directions,
-    fd_gradient,
-    prop12_report,
-    quadratic_form_B,
+from conftest import (
+    compact_test_field,
+    edge_gradient_energy,
+    quadratic_form_naive,
+    read_prop12_csv,
 )
+from gpvortex.field_core import ComplexField
+from gpvortex.linearization import fd_gradient, quadratic_form_B
 from gpvortex.operators import interior_to_real
-from gpvortex.spectral import constrained_coercivity, kernel_and_negative, ritz_basis
+from gpvortex.spectral import kernel_and_negative
 from gpvortex.tw_solver import (
     continue_branch,
     default_grid_rule,
-    linearized_lu,
     locate_zeros,
-    perturb_and_resolve,
     winding_number,
 )
 from test_vortex_profile import shooting_kappa
@@ -72,10 +72,14 @@ def test_criterion_2_branch(branch_spec, run_cfg):
           ", ".join(f"{v:.4f}" for v in cds.values()))
 
 
+def stored_json(stored_run, name):
+    return json.loads((stored_run.out / f"{name}.json").read_text())
+
+
 @pytest.fixture(scope="module")
-def prop12_rows(branch_spec, profile):
-    """``prop12_report`` of the spectral branch, keyed by main speed."""
-    return {r["c"]: r for r in prop12_report(branch_spec, profile)}
+def prop12_rows(stored_run):
+    """The stored run's ``prop12.csv``, keyed by main speed."""
+    return {r["c"]: r for r in read_prop12_csv(stored_run.out / "branch" / "prop12.csv")}
 
 
 def test_criterion_3_momentum_energy(branch_spec, prop12_rows, run_cfg):
@@ -154,13 +158,11 @@ def test_criterion_4_form_values(prop12_rows, run_cfg, profile, newton_tol):
           + "; drot: " + ", ".join(f"{v:.3f}" for v in r2))
 
 
-def test_criterion_5_coercivity(spec_handles, run_cfg):
-    four, three, none = {}, {}, {}
-    for c, h in spec_handles.items():
-        basis = ritz_basis(h, norm="C", size=run_cfg.basis_size)
-        none[c] = constrained_coercivity(h, basis, "none")
-        three[c] = constrained_coercivity(h, basis, "three")
-        four[c] = constrained_coercivity(h, basis, "four")
+def test_criterion_5_coercivity(stored_run, run_cfg):
+    values = {c: stored_json(stored_run, f"spectrum_c{c:g}")["coercivity"]
+              for c in run_cfg.speeds}
+    none, three, four = ({c: v[name] for c, v in values.items()}
+                         for name in ("none", "three", "four"))
     spread = max(four.values()) / min(four.values())
     check("5a 4-constraint constant positive with <= 3x spread",
           all(v > 0 for v in four.values()) and spread <= 3.0,
@@ -177,10 +179,14 @@ def test_criterion_5_coercivity(spec_handles, run_cfg):
           ", ".join(f"{v:.5f}" for v in none.values()))
     check("5d constraint-nesting monotonicity exact",
           all(none[c] <= three[c] <= four[c] for c in cs))
+    pos = [(c, v[name]) for c, v in values.items() for name in ("phase4", "sym3")]
+    check("5e phase4 and sym3 constants positive",
+          all(v > 0 for _, v in pos),
+          ", ".join(f"c={c:g}: {v:.4f}" for c, v in pos))
 
 
 def test_criterion_6_kernel_and_index(kernel_handle):
-    rep = kernel_and_negative(kernel_handle, k=16)
+    rep = kernel_and_negative(kernel_handle)
     check("6a exactly 1 eigenvalue below -tol_zero", rep["negative_count"] == 1,
           f"count = {rep['negative_count']}, tol = {rep['tol_zero']:.2e}")
     check("6b exactly 2 eigenvalues in [-tol_zero, tol_zero]",
@@ -191,32 +197,27 @@ def test_criterion_6_kernel_and_index(kernel_handle):
           ", ".join(f"{a:.4f}" for a in angles))
 
 
-def test_criterion_7_spectral_stability(spec_handles, run_cfg):
-    from gpvortex.spectral import evolve_linearized, midpoint_step, random_data
-
-    h = spec_handles[0.05]
-    step = midpoint_step(h, 0.2)
-    kern = evolve_linearized(h, step, h.directions["dx1"], T=50.0)
-    change = kern["relative_energy_change"][0]
+def test_criterion_7_spectral_stability(stored_run):
+    stored = stored_json(stored_run, "stability")
+    kern, *rand = stored["runs"]
+    assert (stored["c"], kern["kind"], len(rand)) == (0.05, "kernel_mode", 5)
+    change = kern["energy_change"]
     check("7a kernel-mode gradient energy constant to 1%",
           change <= 0.01, f"change = {change:.3e}")
-    out = evolve_linearized(h, step, random_data(h.grid, run_cfg.seed, 5), T=100.0)
-    rates, drifts = out["fitted_rate"], out["form_drift"]
+    rates = [r["fitted_rate"] for r in rand]
+    drifts = [r["form_drift"] for r in rand]
     check("7b fitted exponential rate <= 0.02 for 5 random data at c = 0.05",
           all(r <= 0.02 for r in rates), ", ".join(f"{r:.2e}" for r in rates))
     check("7c conserved form drifts <= 1%", all(d <= 0.01 for d in drifts),
           ", ".join(f"{d:.1e}" for d in drifts))
 
 
-def test_criterion_8_local_uniqueness(branch_spec, newton_tol):
-    entry = branch_spec.entries[branch_spec.index_of(0.1)]
-    delta = 1e-3
-    shapes = ("bump_re", "bump_im", "phase", "mixed", "random")
-    mism = []
-    lu = linearized_lu(entry.field, entry.c)
-    for shape in shapes:
-        rep = perturb_and_resolve(entry, delta, newton_tol, lu, shape=shape, seed=7)
-        mism.append(rep["mismatch"])
+def test_criterion_8_local_uniqueness(stored_run):
+    stored = stored_json(stored_run, "uniqueness")
+    assert (stored["c"], stored["delta"]) == (0.1, 1e-3)
+    assert [r["shape"] for r in stored["runs"]] \
+        == ["bump_re", "bump_im", "phase", "mixed", "random"]
+    mism = [r["mismatch"] for r in stored["runs"]]
     check("8a returns to Q with mismatch <= 1e-6",
           all(m <= 1e-6 for m in mism), ", ".join(f"{m:.1e}" for m in mism))
 

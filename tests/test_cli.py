@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpvortex
+from conftest import READER_STAGES, src_env
 from gpvortex import cli
 from gpvortex.ansatz import MAX_SPEED
 from gpvortex.cli import main
@@ -672,7 +673,7 @@ def test_cmd_spectrum_without_malloc_trim(threaded_spectrum, monkeypatch):
 
 
 def test_cmd_spectrum_worker_failure_exits_3(tmp_path, capsys, monkeypatch):
-    def failing(handle, tol_zero=None, k=12):
+    def failing(handle):
         raise RuntimeError("sector eigensolve diverged")
 
     coercivity = cli.constrained_coercivity
@@ -716,33 +717,39 @@ def test_cmd_spectrum_set_failure_exits_3(tmp_path, capsys, monkeypatch, where):
     assert list((tmp_path / "out").glob("spectrum_c*.json")) == []
 
 
-def _src_env() -> dict:
-    """The environment with this package's source first on the path."""
-    src = os.path.dirname(os.path.dirname(gpvortex.__file__))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
-def test_spectrum_c05_prints_the_benchmark_reference(tmp_path):
+def test_spectrum_c05_prints_the_benchmark_reference(stored_run):
     # the counts and the five constants that the benchmark compares, at its
     # seed and with its one BLAS thread: a change that moves the c = 0.05
-    # branch fields or the exp-norm path fails here.  The reference is read
-    # without importing the benchmark package.
+    # branch fields or the exp-norm path fails here.  The c = 0.05 triple
+    # of the default run is the one the benchmark solves alone.  The
+    # reference is read without importing the benchmark package.
     workloads = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir,
                                             "perfbench", "workloads.py"))
     want = workloads["WORKLOADS"]["spectrum-c05"].reference["spectrum"]
-    env = {**_src_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    argv = [sys.executable, "-m", "gpvortex.cli", "--out", str(tmp_path / "out"),
-            "--seed", "1234", "--speeds", "0.05"]
-    for stage in ("branch", "spectrum"):
-        proc = subprocess.run(argv + [stage], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-    line = re.fullmatch(r"c=0.05: negative_count=(\d+) near_zero=(\d+) "
-                        r"coercivity=(.*)", proc.stdout.splitlines()[-1])
+    pattern = re.compile(r"c=0.05: negative_count=(\d+) near_zero=(\d+) coercivity=(.*)")
+    [line] = filter(None, map(pattern.fullmatch,
+                              stored_run.stdout["spectrum"].splitlines()))
     assert line.group(1, 2) == ("1", "2")
     printed = [kv.split("=", 1) for kv in line.group(3).split(", ")]
     assert printed == [[k, v] for k, v in want.items()]
+
+
+def test_stored_run_solves_the_branch_once(stored_run):
+    # each reader stage loads the stored branch and solves no entry
+    for stage in READER_STAGES:
+        assert stored_run.stdout[stage].startswith(
+            f"resume: {stored_run.out / 'branch'} already solved; skipping\n")
+
+
+def test_report_on_the_stored_run_names_only_the_sym3_failure(stored_run, capsys):
+    # the unconverged c = 0.05 sym3 minimum (ROADMAP item 1) is the one
+    # failure that the default run records; any other false "ok" or
+    # unconverged set in a stored output fails here
+    assert main(["--out", str(stored_run.out), "--seed", "1234", "report"]) == 1
+    failures = [ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("[numeric-check FAIL]")]
+    assert failures == ["[numeric-check FAIL] stored checks failed: "
+                        "spectrum_c0.05 sym3 unconverged"]
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
@@ -756,7 +763,7 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
          "import sys, gpvortex.cli; print('scipy.interpolate' in sys.modules); "
          "print(' '.join(sorted(m[9:] for m in sys.modules "
          "if m.startswith('gpvortex.'))))"],
-        capture_output=True, text=True, env=_src_env(), check=True)
+        capture_output=True, text=True, env=src_env(), check=True)
     interpolate, loaded = proc.stdout.splitlines()
     assert interpolate == "False"
     assert set(layers) <= set(loaded.split())
@@ -863,7 +870,7 @@ def test_configuration_error_exit(tmp_path, capsys):
 def test_module_run_reaches_the_cli(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gpvortex.cli", "--out", str(tmp_path / "missing"),
-         "report"], capture_output=True, text=True, env=_src_env())
+         "report"], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 2
     assert "does not exist" in proc.stderr
 

@@ -87,7 +87,7 @@ CASES = {
     "ritz_exp": (lambda: ritz_basis(_handle(), norm="exp", size=20), COLAMD),
     "ritz_C": (lambda: ritz_basis(_handle(), norm="C", size=20), MMD),
     "evolve": (_evolve, COLAMD),
-    "sectors": (lambda: kernel_and_negative(_handle(), k=4), MMD),
+    "sectors": (lambda: kernel_and_negative(_handle()), MMD),
 }
 
 

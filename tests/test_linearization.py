@@ -12,6 +12,7 @@ from conftest import (
     edge_gradient_energy,
     inner_product,
     quadratic_form_naive,
+    read_prop12_csv,
     vortex_gradient,
 )
 from gpvortex import linearization
@@ -207,7 +208,7 @@ def test_ansatz_tail_makes_box_values_box_independent(profile, monkeypatch):
     assert np.all(np.abs((raw + tail_2) / (raw + tail) - 1) <= 2e-5)
 
 
-def test_prop12_report_and_csv(branch_spec, profile, run_cfg, tmp_path):
+def test_prop12_report_and_csv(branch_spec, profile, run_cfg, stored_run, tmp_path):
     rows = prop12_report(branch_spec, profile)
     assert len(rows) == len(run_cfg.speeds)
     for row in rows:
@@ -224,3 +225,6 @@ def test_prop12_report_and_csv(branch_spec, profile, run_cfg, tmp_path):
         frozen = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     assert lines[0] == ",".join(frozen)
     assert len(lines) == 1 + len(rows)
+    # the branch stage stored these rows, value for value
+    stored = read_prop12_csv(stored_run.out / "branch" / "prop12.csv")
+    assert stored == [{k: float(row[k]) for k in frozen} for row in rows]
