@@ -101,6 +101,18 @@ def test_coercivity_scaling_invariance(handle01):
         assert ray == pytest.approx(val, rel=1e-10)
 
 
+def test_coercivity_positive_sets(branch_spec, run_cfg):
+    # phase4 on the exp Ritz basis and sym3 on its sym3_basis, solved
+    # directly on handles rebuilt from the stored branch at every main speed
+    for c in run_cfg.speeds:
+        idx = branch_spec.index_of(c)
+        h = assemble(branch_spec.entries[idx].field, c, R=run_cfg.r_ball,
+                     directions=build_directions(branch_spec, idx))
+        basis = ritz_basis(h, norm="exp")
+        assert constrained_coercivity(h, basis, "phase4") > 0
+        assert constrained_coercivity(h, sym3_basis(h, basis), "sym3") > 0
+
+
 def test_coercivity_ball_radius_stability(entry01, dirs01):
     vals = []
     for R in (8.0, 10.0, 12.0):
