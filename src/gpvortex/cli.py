@@ -1,24 +1,24 @@
 """Command-line driver.
 
 Subcommands: vortex | branch | spectrum | stability | uniqueness | report.
-Exit codes: 0 pass, 1 numeric-check failure, 2 configuration error,
-3 solver failure.  ``main`` maps exceptions to them in one place:
+Exit codes: 0 pass, 1 numeric-check failure, 2 configuration error, 3
+solver failure.  ``main`` maps exceptions to them in one place:
 ``ValueError``/``KeyError`` and an unreadable config file (``OSError``)
 -> 2, ``FieldFileError`` (an unusable stored output) -> 1,
-``RuntimeError`` -> 3.  Outputs depend only on the
-config and the seed, and every file carries the config hash: a stage
-reads back only the branches it stored under that hash, and solves the
-vortex profile in the run rather than reading a file.  ``branch``
-solves every speed on its spectral-scale box alone; its ``prop12.csv``
-adds to the box's energy and P2 the ansatz's far field outside the box
+``RuntimeError`` -> 3.  Outputs depend only on the config and the seed,
+and every file carries the config hash: a stage reads back only the
+branches it stored under that hash, and solves the vortex profile in the
+run rather than reading a file.  ``branch`` solves every speed on its
+spectral-scale box alone; its ``prop12.csv`` adds to the box's energy
+and P2 the ansatz's far field outside the box
 (``linearization.ansatz_tail``), which the energy-momentum identities
-need.  ``spectrum``
-computes the paper's five coercivity constants at each speed in one
-fixed plan: ``none``, ``three`` and ``four`` in the C norm, then
-``phase4`` and ``sym3`` in the expanded energy norm.  The one exception
-is the unconverged ``sym3`` minimum of ``spectrum``: its digits follow
-the BLAS thread count until it is computed per symmetry sector (ROADMAP
-item 1).
+need.  ``spectrum`` computes the paper's five coercivity constants at
+each speed in one fixed plan: ``none``, ``three`` and ``four`` in the C
+norm, then ``phase4`` and ``sym3`` in the expanded energy norm.
+``stability`` builds only the operator of the one wave it evolves.  The
+one exception is the unconverged ``sym3`` minimum of ``spectrum``: its
+digits follow the BLAS thread count until it is computed per symmetry
+sector (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .spectral import (
     random_data,
     ritz_basis,
     sym3_basis,
+    translation_mode,
 )
 from .tw_solver import (
     continue_branch,
@@ -249,43 +250,38 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _stability_branch(cfg: RunConfig, branch):
-    """Branch and entry index the stability stage evolves on.
-
-    The translation mode d1 Q decays slowly, and a box edge too close to
-    the cores cuts it off, so its energy is not conserved to 1%.  The
-    spectral entry is used when ``stability_grid_rule`` keeps its grid;
-    otherwise the ``stability_speed`` triple on the widened box is
-    loaded from, or solved into, ``<out_dir>/branch_stability``."""
+def _stability_branch(cfg: RunConfig):
+    """The branch entry the stability stage evolves: read from the main
+    branch where ``stability_grid_rule`` keeps the spectral-scale grid,
+    else the one entry ``stability_speed`` loaded from, or solved into,
+    ``<out_dir>/branch_stability``.  A nearer box edge cuts off the slow
+    tail of the translation mode d1 Q, whose energy then drifts by >1%."""
     c = cfg.stability_speed
-    idx = branch.index_of(c)
-    if branch.entries[idx].field.grid == cfg.stability_grid_rule(c):
-        return branch, idx
-    wide = _load_or_solve_branch(
-        cfg, os.path.join(cfg.out_dir, "branch_stability"), cfg.neighbor_triple(c),
-        cfg.stability_grid_rule,
-        announce=f"stability: solving c = {c} on a box with edge margin "
-                 f">= {STABILITY_EDGE_MARGIN:g}")
-    return wide, 1
+    if cfg.grid_rule(c) == cfg.stability_grid_rule(c):
+        branch = _main_branch(cfg)
+    else:
+        branch = _load_or_solve_branch(
+            cfg, os.path.join(cfg.out_dir, "branch_stability"), [c],
+            cfg.stability_grid_rule,
+            announce=f"stability: solving c = {c} on a box with edge margin "
+                     f">= {STABILITY_EDGE_MARGIN:g}")
+    return branch.entries[branch.index_of(c)]
 
 
 def cmd_stability(cfg: RunConfig, args) -> int:
     _require_main_speed(cfg, "stability_speed")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    branch, idx = _stability_branch(cfg, _main_branch(cfg))
-    e = branch.entries[idx]
-    handle = assemble(e.field, e.c, R=cfg.r_ball,
-                      directions=build_directions(branch, idx))
+    e = _stability_branch(cfg)
     g = e.field.grid
     # one factorization serves the kernel mode and the block of random data
-    step = midpoint_step(handle, cfg.stability_dt)
+    step = midpoint_step(e.field, e.c, cfg.stability_dt)
     samples = [f"random_{k}" for k in range(cfg.stability_samples)]
     runs = []
-    for kinds, U0, T in ((["kernel_mode"], handle.directions["dx1"], 50.0),
+    for kinds, U0, T in ((["kernel_mode"], translation_mode(e.field), 50.0),
                          (samples, random_data(g, cfg.seed, len(samples)),
                           cfg.stability_T)):
         if kinds:
-            out = evolve_linearized(handle, step, U0, T)
+            out = evolve_linearized(step, U0, T)
             runs += [{"kind": kind, "steps": len(out["times"]) - 1,
                       "fitted_rate": float(out["fitted_rate"][j]),
                       "energy_change": float(out["relative_energy_change"][j]),

@@ -57,9 +57,9 @@ def _parse_scalar(text: str):
 class RunConfig:
     """Knobs for the full pipeline; the docstrings of ``grid_rule`` and
     ``stability_grid_rule`` give the meaning of the two grid rules
-    (spectral-scale and stability boxes).  Every stage but ``stability``
-    runs on the spectral-scale boxes: the energy-momentum identities
-    read them with the far-field tail of ``linearization.ansatz_tail``.
+    (spectral-scale and stability boxes).  Only ``stability`` may widen a
+    box, where it solves its one entry alone; the energy-momentum
+    identities read the spectral-scale boxes with ``ansatz_tail``.
     No field selects the constraint sets: ``spectrum`` always computes
     the paper's five constants in one fixed plan (see ``cli``).
 

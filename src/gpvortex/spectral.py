@@ -5,25 +5,22 @@ evolution.
 
 The operator is assembled in the real 2m formulation (the 2 Re(conj(Q)
 phi) Q term is only real-linear); symmetry holds for the plain real
-pairing with uniform cell weights.  The handle keeps one matrix of it,
-the form matrix A = weight L: the eigenvalues of L are those of A
-divided by ``weight``, and the evolution builds its matrices from
-A / weight.  Constrained minimal Rayleigh quotients are computed by
-dense Rayleigh-Ritz projection onto a shared shift-inverted Krylov
-subspace: all constraint sets of one norm are reduced in the same
-basis, so the monotonicity of the minima under constraint nesting is
-exact linear algebra per run.
+pairing with uniform cell weights.  One matrix of it is kept, the form
+matrix A = weight L (``_form_matrix``): the eigenvalues of L are those
+of A divided by ``weight``.  Constrained minimal Rayleigh quotients are
+computed by dense Rayleigh-Ritz projection onto a shared shift-inverted
+Krylov subspace: all constraint sets of one norm are reduced in the
+same basis, so the monotonicity of the minima under constraint nesting
+is exact linear algebra per run.
 
 The kernel/negative-index eigensolve runs per symmetry sector: Q is even
 in x1 and conjugate-even in x2, so the operator is block diagonal in the
 four sectors of ``operators.sector_maps``.  The Ritz bases are on the
 full space.
 
-The linearized evolution takes its propagator as a value:
-``midpoint_step`` factors the implicit-midpoint matrix once, and
-``evolve_linearized`` advances an n x k block of initial data with it,
-one block solve per step, so every run at one step size shares one
-factorization and the handle holds none.
+The linearized evolution needs L alone: ``midpoint_step`` builds A at a
+wave, without the handle, and factors the implicit-midpoint matrix once;
+``evolve_linearized`` advances a block of initial data on it.
 
 A Ritz basis is a value: ``ritz_basis`` returns it, and the caller
 hands it to ``constrained_coercivity`` for each constraint set of its
@@ -73,6 +70,7 @@ from .operators import (
     _transport_laplacian,
     interior_to_real,
     linearized_matrix,
+    real_to_interior,
     sector_maps,
 )
 from .tw_solver import locate_zeros
@@ -94,8 +92,8 @@ KERNEL_PAIRS = 12               # eigenpairs nearest 0 that kernel_and_negative 
 @dataclass
 class OperatorHandle:
     """Assembled form matrix, Gram matrices, constraint vectors and the
-    direction fields, all over the interior real dofs.  The operator
-    matrix is ``A / weight``."""
+    direction fields, all over the interior real dofs, for the spectrum
+    stage.  The operator matrix is ``A / weight``."""
 
     A: sp.csr_matrix            # form matrix, weight * operator (symmetric)
     G_C: sp.csr_matrix
@@ -317,6 +315,21 @@ def _constraint_vector_direct(Q: ComplexField, B_field: np.ndarray,
     return interior_to_real(v)
 
 
+def _form_matrix(Q: ComplexField, c: float):
+    """The form matrix A = weight L at Q, checked symmetric, and weight."""
+    w = Q.grid.hx * Q.grid.hy
+    A = (linearized_matrix(Q, c) * w).tocsr()
+    asym = abs(A - A.T).max()
+    if asym > 1e-12 * max(1.0, abs(A).max()):
+        raise RuntimeError(f"assembled operator not symmetric: defect {asym}")
+    return A, w
+
+
+def translation_mode(Q: ComplexField) -> np.ndarray:
+    """The 4th-order d1 Q as a real dof vector: ``dx1`` and the evolved kernel mode."""
+    return interior_to_real(_grad4(Q.values, Q.grid.hx, 0))
+
+
 def assemble(Q: ComplexField, c: float, directions: DirectionSet,
              R: float = 10.0) -> OperatorHandle:
     """Assemble the operator matrix, Gram matrices, and the orthogonality
@@ -330,11 +343,7 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     if R <= 5.0:
         raise ValueError("orthogonality ball radius must exceed 5")
     zeros = locate_zeros(Q)
-    w = grid.hx * grid.hy
-    A = (linearized_matrix(Q, c) * w).tocsr()
-    asym = abs(A - A.T).max()
-    if asym > 1e-12 * max(1.0, abs(A).max()):
-        raise RuntimeError(f"assembled operator not symmetric: defect {asym}")
+    A, w = _form_matrix(Q, c)
     # psi = pm phi in both norms and in the localized constraints
     pm = mult_ratio(1.0, Q.values[1:-1, 1:-1], resolution_floor(grid))[0]
     G_C = _gram_C(Q, pm)
@@ -345,8 +354,9 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     # only kernel defect left is the product-rule error of the cubic term
     # (h^4) -- an order better than the operator itself, which is what the
     # kernel-angle and floor diagnostics need.
-    gx = ComplexField(grid, _grad4(Q.values, grid.hx, 0))
-    gy = ComplexField(grid, _grad4(Q.values, grid.hy, 1))
+    dx1 = translation_mode(Q)
+    gx = real_to_interior(dx1, grid)
+    gy = _grad4(Q.values, grid.hy, 1)
     drot = directions.drot.values
     dc_vals = directions.dc.values
 
@@ -355,15 +365,15 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     iQ = 1j * Q.values
 
     constraints = {
-        "tx1": _constraint_vector_nonzero_harmonic(Q, gx.values, chains, pm),
-        "tx2": _constraint_vector_nonzero_harmonic(Q, gy.values, chains, pm),
+        "tx1": _constraint_vector_nonzero_harmonic(Q, gx, chains, pm),
+        "tx2": _constraint_vector_nonzero_harmonic(Q, gy, chains, pm),
         "tc": _constraint_vector_nonzero_harmonic(Q, dc_vals, chains, pm),
         "trot": _constraint_vector_nonzero_harmonic(Q, drot, chains, pm),
         "sym_c": _constraint_vector_direct(Q, dc_vals, ball_mask),
-        "sym_x2": _constraint_vector_direct(Q, gy.values, ball_mask),
+        "sym_x2": _constraint_vector_direct(Q, gy, ball_mask),
         "sym_phase": _constraint_vector_direct(Q, iQ, ball_mask),
         # the corollary's plain real pairing with i d2 Q over the interior
-        "idx2": interior_to_real(1j * gy.values),
+        "idx2": interior_to_real(1j * gy),
     }
     # phase condition on the central ball
     X, Y = np.meshgrid(grid.x[1:-1], grid.y[1:-1], indexing="ij")
@@ -372,8 +382,8 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     constraints["phase0"] = interior_to_real(v0)
 
     dirs = {
-        "dx1": interior_to_real(gx.values),
-        "dx2": interior_to_real(gy.values),
+        "dx1": dx1,
+        "dx2": interior_to_real(gy),
         "dc": interior_to_real(dc_vals),
         "drot": interior_to_real(drot),
         "iQ": interior_to_real(iQ),
@@ -397,12 +407,7 @@ def ritz_basis(handle: OperatorHandle, norm: str = "C", size: int = 160,
     it again gives the same bits.  The shift is
     sigma = -max(3 |R(dc)|, 1e-4), set from the Rayleigh quotient R of the
     speed derivative dc in the pencil alone, not from the pencil's lowest
-    eigenvalue.
-
-    The C-norm pencil is factored with a minimum-degree ordering.  The
-    exp-norm pencil keeps COLAMD: the unconverged ``sym3`` minimum is
-    computed in the mirrored exp-norm basis, and its printed digits move
-    with the rounding of this factor."""
+    eigenvalue."""
     G = handle.G_C if norm == "C" else handle.G_exp
     dc = handle.directions["dc"]
     ray_dc = float(dc @ (handle.A @ dc)) / float(dc @ (G @ dc))
@@ -456,11 +461,8 @@ def _compact_columns(Z: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def sym3_basis(handle: OperatorHandle, basis: RitzBasis) -> RitzBasis:
     """Orthonormal basis of the x1-even parts of the plain Ritz basis
-    ``basis``, for the ``sym3`` set.
-
-    It consumes ``basis``: the mirror, the QR and the column selection
-    overwrite its buffer, which the returned basis keeps, and ``basis``
-    is emptied, so no set can run on it afterwards."""
+    ``basis``, for the ``sym3`` set, built in the buffer of ``basis``,
+    which is emptied, so no set can run on it afterwards."""
     Z, basis.Z, basis.Ah, basis.Gh = basis.Z, None, None, None
     _mirror_x1_in_place(Z, handle.grid)
     q, r = sla.qr(Z, mode="economic", overwrite_a=True, check_finite=False)
@@ -483,8 +485,7 @@ def constrained_coercivity(handle: OperatorHandle, basis: RitzBasis,
     """Minimal generalized Rayleigh quotient of the form against the norm
     of ``basis`` over the subspace cut out by the constraint set, in that
     basis: a plain one from ``ritz_basis``, or for ``"sym3"`` the mirrored
-    one from ``sym3_basis``, which consumes the plain exp-norm basis, so
-    the other exp-norm sets run first.
+    one from ``sym3_basis``, so the other exp-norm sets run first.
 
     All constraint sets of one norm share the basis and its projections,
     so nested sets give exactly monotone minima.  Each set runs only on a
@@ -635,20 +636,23 @@ def kernel_and_negative(handle: OperatorHandle) -> dict:
 
 @dataclass
 class MidpointStep:
-    """The implicit-midpoint step of du/dt = J L u at step ``dt``:
-    u -> M^{-1} (2I - M) u = 2 M^{-1} u - u with M = I - (dt/2) J L."""
+    """The implicit-midpoint step u -> 2 M^{-1} u - u of du/dt = J L u."""
 
-    lu: spla.SuperLU            # factors of M
+    lu: spla.SuperLU            # factors of M = I - (dt/2) J L
     dt: float
+    A: sp.csr_matrix            # form matrix, weight * operator (symmetric)
+    weight: float
+    grid: Grid
 
 
-def midpoint_step(handle: OperatorHandle, dt: float) -> MidpointStep:
-    """The step at ``dt``, with L = A / weight and J = [[0, I], [-I, 0]]; M
-    is factored here, with COLAMD (see the module docstring)."""
-    m = handle.A.shape[0] // 2
-    M = sp.identity(2 * m, format="csc") - (0.5 * dt / handle.weight) * sp.vstack(
-        [handle.A[m:], -handle.A[:m]], format="csc")           # J A, rows swapped
-    return MidpointStep(spla.splu(M, permc_spec="COLAMD"), float(dt))
+def midpoint_step(Q: ComplexField, c: float, dt: float) -> MidpointStep:
+    """The step at ``dt`` at the wave (Q, c), with L = A / weight and
+    J = [[0, I], [-I, 0]]; M is factored here, with COLAMD (see above)."""
+    A, w = _form_matrix(Q, c)
+    m = A.shape[0] // 2
+    M = sp.identity(2 * m, format="csc") - (0.5 * dt / w) * sp.vstack(
+        [A[m:], -A[:m]], format="csc")                         # J A, rows swapped
+    return MidpointStep(spla.splu(M, permc_spec="COLAMD"), float(dt), A, w, Q.grid)
 
 
 def random_data(grid: Grid, seed: int, count: int) -> np.ndarray:
@@ -670,17 +674,16 @@ def random_data(grid: Grid, seed: int, count: int) -> np.ndarray:
     return U
 
 
-def evolve_linearized(handle: OperatorHandle, step: MidpointStep,
-                      U0: np.ndarray, T: float) -> dict:
+def evolve_linearized(step: MidpointStep, U0: np.ndarray, T: float) -> dict:
     """Implicit-midpoint integration of i du/dt = L u in the real
     formulation, to time ``T`` on the factored ``step`` (``midpoint_step``),
     for every column of the n x k block ``U0`` at once (a vector is one
-    column): each step is one block solve.  Returns the step times and,
+    column), one block solve per step.  Returns the step times and,
     per column, the fitted exponential rate of the gradient energy, the
     drift of the conserved form u^T A u and the largest relative change
     of the gradient energy."""
-    g = handle.grid
-    m = handle.A.shape[0] // 2
+    g = step.grid
+    m = step.A.shape[0] // 2
     X = np.asarray(U0, dtype=float).reshape(2 * m, -1)
     phi = np.zeros((X.shape[1], g.nx, g.ny), dtype=complex)   # zero boundary ring
     inner = phi[:, 1:-1, 1:-1]
@@ -694,8 +697,8 @@ def evolve_linearized(handle: OperatorHandle, step: MidpointStep,
         # <-lap phi, phi> with phi = u + iv, on the residual's stencil
         inner[...] = (X[:m] + 1j * X[m:]).T.reshape(inner.shape)
         energies[j] = np.sum((inner.conj() * _transport_laplacian(phi, g, 0.0)).real,
-                             axis=(1, 2)) * handle.weight
-        forms[j] = np.einsum("ij,ij->j", X, handle.A @ X)
+                             axis=(1, 2)) * step.weight
+        forms[j] = np.einsum("ij,ij->j", X, step.A @ X)
     return {
         "times": times,
         "fitted_rate": np.polyfit(times, np.log(np.maximum(energies, 1e-300)), 1)[0],

@@ -771,19 +771,44 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
 
 def test_cmd_stability_resumes_widened_branch(tmp_path, capsys):
     # c = 0.2 on the 201-node spectral box leaves an edge margin of 10, so
-    # the stage solves its triple on the widened stability box once
+    # the stage solves that one entry on the widened stability box once,
+    # and never the main branch
     assert run(["stability"], tmp_path) == 0
     out = capsys.readouterr().out
     assert "stability: solving" in out
     first = json.loads((tmp_path / "out" / "stability.json").read_text())
     stored = tmp_path / "out" / "branch_stability"
-    assert len((stored / "diagnostics.csv").read_text().splitlines()) == 1 + 3
+    assert len((stored / "diagnostics.csv").read_text().splitlines()) == 1 + 1
+    assert not (tmp_path / "out" / "branch").exists()
     assert run(["stability"], tmp_path) == 0
     out = capsys.readouterr().out
     assert f"resume: {stored}" in out
     assert "stability: solving" not in out
     again = json.loads((tmp_path / "out" / "stability.json").read_text())
     assert again == first
+
+
+@pytest.mark.parametrize("box_factor", [3.0, 10.0])
+def test_stability_builds_no_coercivity_handle(tmp_path, monkeypatch, box_factor):
+    # the evolution needs L alone: neither the coercivity handle nor the
+    # derivative directions, on a widened box (box factor 3: edge margin
+    # 10 at c = 0.2) or on the spectral-scale one (box factor 10: 45)
+    def refuse(*args, **kwargs):
+        raise AssertionError("stability built a coercivity handle")
+
+    monkeypatch.setattr(cli, "assemble", refuse)
+    monkeypatch.setattr(cli, "build_directions", refuse)
+    cfg = RunConfig(speeds=(0.2, 0.17), box_factor=box_factor, max_nx=201)
+    widened = cfg.grid_rule(0.2) != cfg.stability_grid_rule(0.2)
+    assert widened == (box_factor == 3.0)
+    assert run(["stability"], tmp_path, {"box_factor": box_factor}) == 0
+    payload = json.loads((tmp_path / "out" / "stability.json").read_text())
+    assert payload["ok"] is True
+    assert payload["lx"] - 1.0 / payload["c"] >= STABILITY_EDGE_MARGIN
+    assert payload["runs"][0]["energy_change"] <= 0.01
+    assert all(r["fitted_rate"] <= 0.02 and r["form_drift"] <= 0.01
+               for r in payload["runs"])
+    assert (tmp_path / "out" / "branch").exists() != widened
 
 
 def test_cmd_report_aggregates_and_refuses_mixed_hashes(tmp_path, capsys):

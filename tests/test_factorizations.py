@@ -76,9 +76,8 @@ def _newton(chord: bool) -> None:
 
 
 def _evolve() -> None:
-    h = _handle()
-    u0 = np.random.default_rng(2).standard_normal(h.A.shape[0])
-    evolve_linearized(h, midpoint_step(h, 0.5), u0, T=0.5)
+    u0 = np.random.default_rng(2).standard_normal(2 * (GRID.nx - 2) * (GRID.ny - 2))
+    evolve_linearized(midpoint_step(_field(), SPEED, 0.5), u0, T=0.5)
 
 
 CASES = {
@@ -146,19 +145,19 @@ def test_spectrum_factors_each_ritz_pencil_once(branch02, monkeypatch):
 
 def test_stability_factors_the_midpoint_matrix_once(tmp_path, monkeypatch):
     # the kernel mode and the block of random data evolve on one
-    # factorization that the stage holds, not a cache on the handle
-    handles, seen = [], []
-    assemble, splu = cli.assemble, spla.splu
+    # factorization that the stage holds in its midpoint step
+    steps, seen = [], []
+    step_at, splu = cli.midpoint_step, spla.splu
 
     def kept(*args, **kwargs):
-        handles.append(assemble(*args, **kwargs))
-        return handles[-1]
+        steps.append(step_at(*args, **kwargs))
+        return steps[-1]
 
     def spy(A, **kwargs):
         seen.append((kwargs.get("permc_spec", COLAMD), A.shape[0]))
         return splu(A, **kwargs)
 
-    monkeypatch.setattr(cli, "assemble", kept)
+    monkeypatch.setattr(cli, "midpoint_step", kept)
     monkeypatch.setattr(spla, "splu", spy)
     cfg = {"max_nx": 201, "newton_tol": 1e-10, "stability_T": 10.0,
            "stability_dt": 0.5, "stability_samples": 3,
@@ -168,10 +167,10 @@ def test_stability_factors_the_midpoint_matrix_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["--config", str(cfgfile), "--out", str(out),
                  "--speeds", "0.2", "stability"]) == 0
-    (handle,) = handles
-    n = handle.A.shape[0]
+    (step,) = steps
+    n = step.A.shape[0]
     assert seen.count((COLAMD, n)) == 1
-    assert not hasattr(handle, "_evolve") and not hasattr(handle, "A_op")
+    assert set(vars(step)) == {"lu", "dt", "A", "weight", "grid"}
     payload = json.loads((out / "stability.json").read_text())
     assert [r["kind"] for r in payload["runs"]] \
         == ["kernel_mode", "random_0", "random_1", "random_2"]

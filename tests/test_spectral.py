@@ -30,6 +30,7 @@ from gpvortex.spectral import (
     random_data,
     ritz_basis,
     sym3_basis,
+    translation_mode,
 )
 from gpvortex.tw_solver import continue_branch
 
@@ -245,44 +246,45 @@ def test_corollary_positivity(handle01, entry01, dirs01):
 
 
 @pytest.fixture(scope="module")
-def stability_handle01(profile, run_cfg, newton_tol):
-    """c = 0.1 handle on the grid the stability stage evolves on: the
-    3/c box leaves 20 between the cores and the edge, which cuts off the
-    tail of the translation mode (energy change 3.1% over T = 50)."""
-    br = continue_branch(run_cfg.neighbor_triple(0.1), newton_tol, profile,
-                         grid_rule=run_cfg.stability_grid_rule)
-    return assemble(br.entries[1].field, br.entries[1].c, R=run_cfg.r_ball,
-                    directions=build_directions(br, 1))
+def stability_entry01(profile, run_cfg, newton_tol):
+    """The c = 0.1 entry alone on the grid the stability stage evolves
+    on: the 3/c box leaves 20 between the cores and the edge, which cuts
+    off the tail of the translation mode (energy change 3.1% over
+    T = 50)."""
+    (entry,) = continue_branch([0.1], newton_tol, profile,
+                               grid_rule=run_cfg.stability_grid_rule).entries
+    return entry
 
 
-def test_evolution_kernel_mode(stability_handle01):
-    h = stability_handle01
-    assert h.grid.lx - 1.0 / h.c >= STABILITY_EDGE_MARGIN
-    out = evolve_linearized(h, midpoint_step(h, 0.2), h.directions["dx1"], T=50.0)
+def test_evolution_kernel_mode(stability_entry01):
+    e = stability_entry01
+    assert e.field.grid.lx - 1.0 / e.c >= STABILITY_EDGE_MARGIN
+    out = evolve_linearized(midpoint_step(e.field, e.c, 0.2),
+                            translation_mode(e.field), T=50.0)
     assert out["relative_energy_change"][0] <= 0.01
     assert out["form_drift"][0] <= 0.01
 
 
 @pytest.fixture(scope="module")
-def step01(handle01):
-    return midpoint_step(handle01, 0.2)
+def step01(entry01):
+    return midpoint_step(entry01.field, entry01.c, 0.2)
 
 
-def test_evolution_random_no_growth_and_conservation(handle01, step01):
-    out = evolve_linearized(handle01, step01, random_data(handle01.grid, 9, 1), T=50.0)
+def test_evolution_random_no_growth_and_conservation(step01):
+    out = evolve_linearized(step01, random_data(step01.grid, 9, 1), T=50.0)
     assert out["fitted_rate"][0] <= 0.02
     assert out["form_drift"][0] <= 0.01
 
 
-def test_block_evolution_matches_single_columns(handle01, step01):
+def test_block_evolution_matches_single_columns(step01):
     # a block advances each column as a run of its own would.  The form is
     # conserved, so its drift is rounding noise (about 1e-14 of the form);
     # it is compared to 1e-10 of the form, which is its own unit
-    U0 = random_data(handle01.grid, 5, 3)
-    block = evolve_linearized(handle01, step01, U0, T=10.0)
+    U0 = random_data(step01.grid, 5, 3)
+    block = evolve_linearized(step01, U0, T=10.0)
     assert block["fitted_rate"].shape == (3,)
     for j in range(3):
-        one = evolve_linearized(handle01, step01, U0[:, j], T=10.0)
+        one = evolve_linearized(step01, U0[:, j], T=10.0)
         np.testing.assert_array_equal(one["times"], block["times"])
         for key in ("fitted_rate", "relative_energy_change"):
             np.testing.assert_allclose(block[key][j], one[key][0], rtol=1e-10, atol=0.0)
