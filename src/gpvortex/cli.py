@@ -36,7 +36,13 @@ import numpy as np
 from . import __version__
 from .config import STABILITY_EDGE_MARGIN, RunConfig, load_config
 from .field_core import FieldFileError, _atomic_write
-from .linearization import build_directions, prop12_report, write_prop12_csv
+from .linearization import (
+    build_directions,
+    prop12_report,
+    translation_pair,
+    write_prop12_csv,
+)
+from .operators import interior_to_real
 from .spectral import (
     assemble,
     constrained_coercivity,
@@ -46,7 +52,6 @@ from .spectral import (
     random_data,
     ritz_basis,
     sym3_basis,
-    translation_mode,
 )
 from .tw_solver import (
     continue_branch,
@@ -277,7 +282,8 @@ def cmd_stability(cfg: RunConfig, args) -> int:
     step = midpoint_step(e.field, e.c, cfg.stability_dt)
     samples = [f"random_{k}" for k in range(cfg.stability_samples)]
     runs = []
-    for kinds, U0, T in ((["kernel_mode"], translation_mode(e.field), 50.0),
+    kernel_mode = interior_to_real(translation_pair(e.field)[0].values)
+    for kinds, U0, T in ((["kernel_mode"], kernel_mode, 50.0),
                          (samples, random_data(g, cfg.seed, len(samples)),
                           cfg.stability_T)):
         if kinds:
@@ -349,6 +355,10 @@ def cmd_report(cfg: RunConfig, args) -> int:
                     raise ValueError("not a JSON object")
             except ValueError as exc:   # also JSONDecodeError, UnicodeDecodeError
                 raise FieldFileError(f"{path}: unusable JSON: {exc}") from exc
+            checks = payload.get("coercivity_check", {})
+            if not isinstance(checks, dict) or not all(
+                    isinstance(v, dict) and "converged" in v for v in checks.values()):
+                raise FieldFileError(f"{path}: malformed coercivity_check")
             if "config_hash" in payload:
                 hashes.add(payload["config_hash"])
             summary["sections"][name[:-5]] = payload

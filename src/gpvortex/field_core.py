@@ -1,11 +1,12 @@
 """2-D complex fields on uniform rectangular grids.
 
-The 2nd-order centered gradient (one-sided at the boundary), the grid
-L2 norm, the symmetrization onto fields even in x1 and conjugate-even
-in x2, the floored ratio psi = phi/Q behind the multiplicative norms,
-the smooth cutoff around the vortex zeros, bilinear sampling on points
-and circles, and the checksummed binary field files.  The Laplacian
-lives with the other interior stencils in ``operators``.
+The grid L2 norm, the symmetrization onto fields even in x1 and
+conjugate-even in x2, the floored ratio psi = phi/Q behind the
+multiplicative norms, the smooth cutoff around the vortex zeros,
+bilinear sampling on points and circles, and the checksummed binary
+field files.  The Laplacian lives with the other interior stencils in
+``operators``, and the derivative of a wave with its directions in
+``linearization``.
 
 The norms themselves are discretized once, as the Gram matrices of
 ``spectral``.
@@ -119,14 +120,7 @@ def symmetrize(f: ComplexField) -> ComplexField:
 
 
 # ----------------------------------------------------------------------
-# discrete differential operators
-
-def fd_gradient(f: ComplexField) -> tuple[ComplexField, ComplexField]:
-    """Second-order centered differences, one-sided at the boundary."""
-    gx = np.gradient(f.values, f.grid.hx, axis=0, edge_order=2)
-    gy = np.gradient(f.values, f.grid.hy, axis=1, edge_order=2)
-    return ComplexField(f.grid, gx), ComplexField(f.grid, gy)
-
+# norms
 
 def grid_l2(values, grid: Grid) -> float:
     """Uniform-weight grid L2 norm sqrt(sum |v|^2 hx hy)."""

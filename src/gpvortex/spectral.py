@@ -65,12 +65,11 @@ from .field_core import (
     mult_ratio,
     resolution_floor,
 )
-from .linearization import DirectionSet, _grad4
+from .linearization import DirectionSet
 from .operators import (
     _transport_laplacian,
     interior_to_real,
     linearized_matrix,
-    real_to_interior,
     sector_maps,
 )
 from .tw_solver import locate_zeros
@@ -325,20 +324,16 @@ def _form_matrix(Q: ComplexField, c: float):
     return A, w
 
 
-def translation_mode(Q: ComplexField) -> np.ndarray:
-    """The 4th-order d1 Q as a real dof vector: ``dx1`` and the evolved kernel mode."""
-    return interior_to_real(_grad4(Q.values, Q.grid.hx, 0))
-
-
 def assemble(Q: ComplexField, c: float, directions: DirectionSet,
              R: float = 10.0) -> OperatorHandle:
     """Assemble the operator matrix, Gram matrices, and the orthogonality
     constraint vectors at a converged wave: the localized ones on the
     balls of radius ``R`` and the whole-box row i d2 Q of the corollary.
 
-    ``directions`` must be those of Q (``build_directions``): its dc (the
-    centered difference over the neighbouring branch entries) and drot
-    enter the constraints."""
+    ``directions`` must be those of Q (``build_directions``): its
+    translation pair, dc (the centered difference over the neighbouring
+    branch entries) and drot enter the constraints and the direction
+    vectors as they are; none is recomputed here."""
     grid = Q.grid
     if R <= 5.0:
         raise ValueError("orthogonality ball radius must exceed 5")
@@ -349,14 +344,7 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     G_C = _gram_C(Q, pm)
     G_exp = _gram_exp(Q, zeros, pm)
 
-    # 4th-order translation directions: the constant-coefficient stencil
-    # blocks of the operator commute with any centered difference, so the
-    # only kernel defect left is the product-rule error of the cubic term
-    # (h^4) -- an order better than the operator itself, which is what the
-    # kernel-angle and floor diagnostics need.
-    dx1 = translation_mode(Q)
-    gx = real_to_interior(dx1, grid)
-    gy = _grad4(Q.values, grid.hy, 1)
+    gx, gy = directions.dx1.values, directions.dx2.values
     drot = directions.drot.values
     dc_vals = directions.dc.values
 
@@ -382,7 +370,7 @@ def assemble(Q: ComplexField, c: float, directions: DirectionSet,
     constraints["phase0"] = interior_to_real(v0)
 
     dirs = {
-        "dx1": dx1,
+        "dx1": interior_to_real(gx),
         "dx2": interior_to_real(gy),
         "dc": interior_to_real(dc_vals),
         "drot": interior_to_real(drot),

@@ -292,7 +292,7 @@ def _solve_run(c_values, grid: Grid, newton_tol: float,
         entries.append(BranchEntry(
             c=c, field=Q, half_separation=d_tilde,
             residual_norm=info["residual"], energy=energy(Q),
-            p2=momentum(Q)[1], newton_steps=info["steps"],
+            p2=momentum(Q), newton_steps=info["steps"],
             newton_history=tuple(info["history"])))
         gamma = Q.values - base.values
     return entries

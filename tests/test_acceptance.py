@@ -13,11 +13,12 @@ import pytest
 from conftest import (
     compact_test_field,
     edge_gradient_energy,
+    momentum_p1,
     quadratic_form_naive,
     read_prop12_csv,
 )
 from gpvortex.field_core import ComplexField
-from gpvortex.linearization import fd_gradient, quadratic_form_B
+from gpvortex.linearization import quadratic_form_B, translation_pair
 from gpvortex.operators import interior_to_real
 from gpvortex.spectral import kernel_and_negative
 from gpvortex.tw_solver import (
@@ -85,10 +86,8 @@ def prop12_rows(stored_run):
 def test_criterion_3_momentum_energy(branch_spec, prop12_rows, run_cfg):
     # the box cuts 14% off dE/dc; E, P2 and their derivatives are read
     # with the ansatz's far field outside the box (``ansatz_tail``)
-    from gpvortex.linearization import momentum
-
     mains = [branch_spec.entries[branch_spec.index_of(c)] for c in run_cfg.speeds]
-    p1s = [abs(momentum(e.field)[0]) for e in mains]
+    p1s = [abs(momentum_p1(e.field)) for e in mains]
     check("3a |P1| <= 1e-10", all(p <= 1e-10 for p in p1s),
           ", ".join(f"{p:.1e}" for p in p1s))
     rows = [prop12_rows[c] for c in run_cfg.speeds]
@@ -130,7 +129,7 @@ def test_criterion_4_form_values(prop12_rows, run_cfg, profile, newton_tol):
                                    max_nx=(run_cfg.max_nx + 1) // 2 + 1)
         br = continue_branch([c], newton_tol, profile, grid_rule=lambda s: grid_c)
         e = br.entries[0]
-        gx, gy = fd_gradient(e.field)
+        gx, gy = translation_pair(e.field)
         floors[c] = (quadratic_form_B(gx, e.field, c),
                      quadratic_form_B(gy, e.field, c))
     ok, detail = True, []
@@ -156,6 +155,12 @@ def test_criterion_4_form_values(prop12_rows, run_cfg, profile, newton_tol):
           all(v <= 0.05 for v in r1 + r2),
           "dc: " + ", ".join(f"{v:.3f}" for v in r1)
           + "; drot: " + ", ".join(f"{v:.3f}" for v in r2))
+    # the kernel directions against the form's scale: with the 2nd-order
+    # stencil they read 3.0e-4 to 7.2e-4 of B(drot)
+    kern = [abs(rows[c][key] / rows[c]["B_drot"]) for c in run_cfg.speeds
+            for key in ("B_dx1", "B_dx2")]
+    check("4e |B(dx1)|, |B(dx2)| <= 1e-4 |B(drot)|",
+          all(v <= 1e-4 for v in kern), ", ".join(f"{v:.1e}" for v in kern))
 
 
 def test_criterion_5_coercivity(stored_run, run_cfg):

@@ -214,6 +214,40 @@ def test_every_definition_is_reached_from_the_cli():
     assert sorted(_unreached_definitions() - allowed) == []
 
 
+def _gradient_callers() -> set:
+    """``module.function`` (``module.Class.method`` for a method) of each
+    definition in the package that calls ``np.gradient``."""
+    pkg = os.path.dirname(gpvortex.__file__)
+    callers = set()
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "gradient"
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "np"):
+                callers.add(qual)
+            visit(child, qual)
+
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                visit(ast.parse(fh.read()), name[:-3])
+    return callers
+
+
+def test_np_gradient_only_in_the_shared_stencil():
+    # every derivative of a wave comes from one stencil; the radial
+    # profile's own mesh is the one other caller
+    allowed = {"vortex_profile.RadialProfile.curvature_maxima"}
+    callers = _gradient_callers()
+    assert "linearization._grad4" in callers
+    assert sorted(callers - {"linearization._grad4"} - allowed) == []
+
+
 def _defaulted_parameters() -> dict:
     """``function.parameter`` -> (function name, position in a call or
     None for keyword-only, parameter name) for each parameter with a
@@ -461,9 +495,12 @@ def test_cmd_report_unusable_branch_exits_1(tmp_path, capsys, manifest):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("text", ['{"ok": tru', "3"])
+@pytest.mark.parametrize("text", ['{"ok": tru', "3", '{"coercivity_check": 5}',
+                                  '{"coercivity_check": {"none": 1}}'])
 def test_cmd_report_unparsable_json_exits_1(tmp_path, capsys, text):
-    # a truncated stored output, or one that is not a JSON object
+    # a truncated stored output, one that is not a JSON object, or one
+    # whose coercivity_check is not a mapping of sets to checks with
+    # "converged"
     path = tmp_path / "out" / "spectrum_c0.2.json"
     path.parent.mkdir()
     path.write_text(text)

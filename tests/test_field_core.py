@@ -14,13 +14,13 @@ from gpvortex.field_core import (
     CutoffEta,
     Grid,
     FieldFileError,
-    fd_gradient,
     load_field,
     mult_ratio,
     resolution_floor,
     save_field,
     symmetrize,
 )
+from gpvortex.linearization import translation_pair
 from gpvortex.operators import _transport_laplacian, interior_to_real
 from gpvortex.spectral import (
     _ball_harmonic_chain,
@@ -54,27 +54,31 @@ def test_grid_validation():
 
 def test_gradient_exact_on_affine_and_quadratic(grid):
     f = field_of(grid, lambda X, Y: 2.0 + 3.0 * X - 1.5 * Y)
-    gx, gy = fd_gradient(f)
+    gx, gy = translation_pair(f)
     assert np.allclose(gx.values, 3.0, atol=1e-12)
     assert np.allclose(gy.values, -1.5, atol=1e-12)
     f2 = field_of(grid, lambda X, Y: X**2)
-    gx2, _ = fd_gradient(f2)
+    gx2, _ = translation_pair(f2)
     X, _ = grid.mesh
     assert np.allclose(gx2.values[1:-1, :], 2.0 * X[1:-1, :], atol=1e-11)
 
 
 def test_gradient_constant_zero(grid):
     f = field_of(grid, lambda X, Y: np.full_like(X, 2.7))
-    gx, gy = fd_gradient(f)
-    assert np.max(np.abs(gx.values)) == 0.0
-    assert np.max(np.abs(gy.values)) == 0.0
+    gx, gy = translation_pair(f)
+    # exact on the 2nd-order ring; inside, the 4-term stencil rounds
+    # 7 * 2.7 (3.7e-16 here)
+    for d, axis in ((gx, 0), (gy, 1)):
+        v = np.moveaxis(d.values, axis, 0)
+        assert np.max(np.abs(v[[0, 1, -2, -1]])) == 0.0
+        assert np.max(np.abs(v)) <= np.finfo(float).eps * 2.7 / grid.hx
 
 
 def test_gradient_wave_error_bound(grid):
     k = np.array([0.3, 0.2])
     X, Y = grid.mesh
     f = ComplexField(grid, np.exp(1j * (k[0] * X + k[1] * Y)))
-    gx, gy = fd_gradient(f)
+    gx, gy = translation_pair(f)
     exact = 1j * k[0] * f.values
     err = np.max(np.abs(gx.values[1:-1, :] - exact[1:-1, :]))
     bound = (np.linalg.norm(k) ** 3 / 6.0) * max(grid.hx, grid.hy) ** 2

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gpvortex
 
@@ -11,13 +12,14 @@ from conftest import (
     compact_test_field,
     edge_gradient_energy,
     inner_product,
+    momentum_p1,
     quadratic_form_naive,
     read_prop12_csv,
     vortex_gradient,
 )
 from gpvortex import linearization
 from gpvortex.ansatz import AnsatzParams, build_two_vortex
-from gpvortex.field_core import ComplexField, grid_l2
+from gpvortex.field_core import ComplexField, Grid, grid_l2, symmetrize
 from gpvortex.linearization import (
     ansatz_tail,
     apply_L,
@@ -28,9 +30,13 @@ from gpvortex.linearization import (
     momentum,
     prop12_report,
     quadratic_form_B,
+    translation_pair,
     write_prop12_csv,
 )
+from gpvortex.operators import interior_to_real, sector_maps
 from gpvortex.tw_solver import default_grid_rule, residual
+
+odd_nodes = st.integers(2, 20).map(lambda k: 2 * k + 1)       # 5 ... 41
 
 
 def test_apply_L_phase_direction_is_residual(entry01):
@@ -106,12 +112,12 @@ def test_energy_momentum_vacuum(entry01):
     g = entry01.field.grid
     one = ComplexField(g, np.ones((g.nx, g.ny), complex))
     assert energy(one) == 0.0
-    assert momentum(one) == (0.0, 0.0)
+    assert (momentum_p1(one), momentum(one)) == (0.0, 0.0)
 
 
 def test_momentum_p1_vanishes(branch_spec):
     for e in branch_spec.entries:
-        p1, p2 = momentum(e.field)
+        p1, p2 = momentum_p1(e.field), momentum(e.field)
         assert abs(p1) <= 1e-10
         assert p2 > 0
 
@@ -120,6 +126,41 @@ def test_momentum_p2_corridor(branch_spec, run_cfg):
     for c in run_cfg.speeds:
         e = branch_spec.entries[branch_spec.index_of(c)]
         assert 0.8 <= e.c * e.p2 / (2 * np.pi) <= 1.2
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=odd_nodes, ny=odd_nodes, lx=st.floats(0.5, 20.0), ly=st.floats(0.5, 20.0),
+       degree=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_translation_stencil_exact_on_polynomials(nx, ny, lx, ly, degree, seed):
+    # p(x1) + i q(x2) of degree <= 4: 4th order inside, 2nd order at the
+    # ring, so exact on degree <= 4 at nodes 2 ... n-3 and on degree <= 2
+    # at every node
+    g = Grid(lx, ly, nx, ny)
+    a, b = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, degree + 1))
+    X, Y = g.mesh
+    f = ComplexField(g, np.polyval(a, X) + 1j * np.polyval(b, Y))
+    for d, coef, t, axis in zip(translation_pair(f), (a, 1j * b), (X, Y), (0, 1)):
+        err = np.moveaxis(np.abs(d.values - np.polyval(np.polyder(coef), t)), axis, 0)
+        # the derivative's scale: the polynomial's bound over the half-width
+        half = (lx, ly)[axis]
+        scale = np.sum(np.abs(coef) * half ** np.arange(degree, -1, -1.0)) / half
+        assert np.max(err if degree <= 2 else err[2:-2]) <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=odd_nodes, ny=odd_nodes, seed=st.integers(0, 2**32 - 1))
+def test_translation_pair_lies_in_its_sectors(nx, ny, seed):
+    # on a field even in x1 and conjugate-even in x2, d1 Q is odd in x1
+    # and conjugate-even in x2, the (-, +) sector; d2 Q is (+, -)
+    g = Grid(0.5 * nx, 0.3 * ny, nx, ny)
+    rng = np.random.default_rng(seed)
+    Q = symmetrize(ComplexField(g, rng.standard_normal((nx, ny))
+                               + 1j * rng.standard_normal((nx, ny))))
+    maps = sector_maps(g)
+    for d, label in zip(translation_pair(Q), ("-+", "+-")):
+        x = interior_to_real(d.values)
+        P = maps[label]
+        assert np.linalg.norm(x - P @ (P.T @ x)) <= 1e-13 * np.linalg.norm(x)
 
 
 def test_directions_rotation_pointwise(entry01, dirs01):
@@ -181,8 +222,10 @@ def test_form_values_on_directions(branch_spec, run_cfg):
 
 
 def test_curl_energy_ratio_bounded(branch_spec, run_cfg):
-    ratios = [curl_energy_ratio(branch_spec.entries[branch_spec.index_of(c)].field, c)
-              for c in run_cfg.speeds]
+    idx = [branch_spec.index_of(c) for c in run_cfg.speeds]
+    ratios = [curl_energy_ratio(build_directions(branch_spec, i),
+                                branch_spec.entries[i].field, branch_spec.entries[i].c)
+              for i in idx]
     assert all(np.isfinite(r) and r > 0 for r in ratios)
     assert max(ratios) <= 2.5 * min(ratios)
 
@@ -195,7 +238,7 @@ def test_ansatz_tail_makes_box_values_box_independent(profile, monkeypatch):
     def values(grid):
         A = build_two_vortex(params, grid)
         t_e, t_p = ansatz_tail(params, grid)
-        return np.array([energy(A), momentum(A)[1]]), np.array([t_e, t_p])
+        return np.array([energy(A), momentum(A)]), np.array([t_e, t_p])
 
     grids = [default_grid_rule(0.1, box_factor=f) for f in (3.0, 4.5)]
     (raw, tail), (raw_w, tail_w) = map(values, grids)
