@@ -39,7 +39,7 @@ from .field_core import FieldFileError, _atomic_write
 from .linearization import (
     build_directions,
     prop12_report,
-    translation_pair,
+    translation_direction,
     write_prop12_csv,
 )
 from .operators import interior_to_real
@@ -282,7 +282,7 @@ def cmd_stability(cfg: RunConfig, args) -> int:
     step = midpoint_step(e.field, e.c, cfg.stability_dt)
     samples = [f"random_{k}" for k in range(cfg.stability_samples)]
     runs = []
-    kernel_mode = interior_to_real(translation_pair(e.field)[0].values)
+    kernel_mode = interior_to_real(translation_direction(e.field, 0).values)
     for kinds, U0, T in ((["kernel_mode"], kernel_mode, 50.0),
                          (samples, random_data(g, cfg.seed, len(samples)),
                           cfg.stability_T)):

@@ -14,12 +14,14 @@ finite, and on the grid the split recombines to this pairing for any
 cutoff, so it is not carried here.
 
 Every pointwise first derivative of a wave comes from one stencil,
-``_grad4``: 4th order inside, 2nd at the ring.  ``translation_pair``
-builds (d1 Q, d2 Q) once per field for the directions, the curl ratio,
-and the kernel mode and constraints of ``spectral``; ``momentum`` takes
-d2 Q alone.  It is 4th order for the kernel: the constant-coefficient
-stencil blocks of L commute with any centered difference, so the only
-kernel defect of dk Q is the product-rule error of the cubic term, h^4.
+``translation_direction``: 4th order inside, 2nd on the two nodes at
+each end of its axis.  It builds d1 Q and d2 Q once per field, each only
+where a stage reads it: both for the directions, the curl ratio, and the
+constraints of ``spectral``; d1 Q alone for the kernel mode of
+``stability``; d2 Q alone for ``momentum``.  It is 4th order for the
+kernel: the constant-coefficient stencil blocks of L commute with any
+centered difference, so the only kernel defect of dk Q is the
+product-rule error of the cubic term, h^4.
 At 2nd order B(d1 Q) read 1.9e-3 to 4.6e-3 on the default grids; at
 4th order it reads 3e-5 to 1.4e-4.
 
@@ -102,7 +104,7 @@ def momentum(Q: ComplexField) -> float:
     g = Q.grid
     w = g.hx * g.hy
     v = Q.values
-    dv = _grad4(v, g.hy, 1)
+    dv = translation_direction(Q, 1).values
     return 0.5 * float(np.sum((1j * dv * (np.conj(v) - 1.0)).real) * w)
 
 
@@ -156,25 +158,24 @@ class DirectionSet:
     drot: ComplexField
 
 
-def _grad4(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """4th-order centered first derivative, 2nd-order near the edges."""
-    out = np.gradient(v, h, axis=axis, edge_order=2)
-    vv = np.moveaxis(v, axis, 0)
-    oo = np.moveaxis(out, axis, 0)
-    oo[2:-2] = (-vv[4:] + 8.0 * vv[3:-1] - 8.0 * vv[1:-3] + vv[:-4]) / (12.0 * h)
-    return out
-
-
-def translation_pair(Q: ComplexField) -> tuple[ComplexField, ComplexField]:
-    """The translation directions (d1 Q, d2 Q) by ``_grad4``."""
+def translation_direction(Q: ComplexField, axis: int) -> ComplexField:
+    """The translation direction d1 Q (``axis`` 0) or d2 Q (``axis`` 1):
+    the 4th-order centered difference, and the 2nd-order one of
+    ``np.gradient`` on the two nodes at each end of the axis."""
     g = Q.grid
-    return (ComplexField(g, _grad4(Q.values, g.hx, 0)),
-            ComplexField(g, _grad4(Q.values, g.hy, 1)))
+    h = (g.hx, g.hy)[axis]
+    v = np.moveaxis(Q.values, axis, 0)
+    out = np.empty_like(Q.values)
+    d = np.moveaxis(out, axis, 0)
+    d[:2] = np.gradient(v[:3], h, axis=0, edge_order=2)[:2]
+    d[-2:] = np.gradient(v[-3:], h, axis=0, edge_order=2)[1:]
+    d[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
+    return ComplexField(g, out)
 
 
 def rotation_direction(dx1: ComplexField, dx2: ComplexField) -> ComplexField:
     """-x_perp . grad Q = x2 d1 Q - x1 d2 Q, pointwise, from the pair
-    (d1 Q, d2 Q) of ``translation_pair``; the x-lever multiplies its
+    (d1 Q, d2 Q) of ``translation_direction``; the x-lever multiplies its
     stencil error by the vortex separation."""
     X, Y = dx1.grid.mesh
     return ComplexField(dx1.grid, Y * dx1.values - X * dx2.values)
@@ -193,7 +194,7 @@ def build_directions(branch, index: int) -> DirectionSet:
     dc_step = max(abs(hi.c - c), abs(c - lo.c))
     if dc_step > 0.1 * c + 1e-15:
         raise ValueError(f"neighbour spacing {dc_step} exceeds 0.1 c")
-    dx1, dx2 = translation_pair(mid.field)
+    dx1, dx2 = (translation_direction(mid.field, axis) for axis in (0, 1))
     dc_vals = (hi.field.values - lo.field.values) / (hi.c - lo.c)
     return DirectionSet(dx1=dx1, dx2=dx2, dc=ComplexField(mid.field.grid, dc_vals),
                         drot=rotation_direction(dx1, dx2))

@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 import gpvortex
 from gpvortex.config import RunConfig
 from gpvortex.field_core import ComplexField
-from gpvortex.linearization import build_directions, translation_pair
+from gpvortex.linearization import build_directions, translation_direction
 from gpvortex.tw_solver import continue_branch, default_grid_rule, load_branch
 from gpvortex.vortex_profile import RadialProfile, solve_vortex_ode
 
@@ -305,10 +305,10 @@ def quadratic_form_naive(phi: ComplexField, Q: ComplexField, c: float) -> float:
 
 
 def momentum_p1(Q: ComplexField) -> float:
-    """P1 = 1/2 <i d1 Q, Q - 1>, with d1 Q from ``translation_pair``; it
+    """P1 = 1/2 <i d1 Q, Q - 1>, with d1 Q from ``translation_direction``; it
     vanishes on the symmetric waves, so ``momentum`` computes P2 alone."""
     g = Q.grid
-    dv = translation_pair(Q)[0].values
+    dv = translation_direction(Q, 0).values
     return 0.5 * float(np.sum((1j * dv * (np.conj(Q.values) - 1.0)).real)
                        * g.hx * g.hy)
 

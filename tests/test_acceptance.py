@@ -18,7 +18,7 @@ from conftest import (
     read_prop12_csv,
 )
 from gpvortex.field_core import ComplexField
-from gpvortex.linearization import quadratic_form_B, translation_pair
+from gpvortex.linearization import quadratic_form_B, translation_direction
 from gpvortex.operators import interior_to_real
 from gpvortex.spectral import kernel_and_negative
 from gpvortex.tw_solver import (
@@ -129,7 +129,7 @@ def test_criterion_4_form_values(prop12_rows, run_cfg, profile, newton_tol):
                                    max_nx=(run_cfg.max_nx + 1) // 2 + 1)
         br = continue_branch([c], newton_tol, profile, grid_rule=lambda s: grid_c)
         e = br.entries[0]
-        gx, gy = translation_pair(e.field)
+        gx, gy = (translation_direction(e.field, axis) for axis in (0, 1))
         floors[c] = (quadratic_form_B(gx, e.field, c),
                      quadratic_form_B(gy, e.field, c))
     ok, detail = True, []

@@ -244,8 +244,8 @@ def test_np_gradient_only_in_the_shared_stencil():
     # profile's own mesh is the one other caller
     allowed = {"vortex_profile.RadialProfile.curvature_maxima"}
     callers = _gradient_callers()
-    assert "linearization._grad4" in callers
-    assert sorted(callers - {"linearization._grad4"} - allowed) == []
+    assert "linearization.translation_direction" in callers
+    assert sorted(callers - {"linearization.translation_direction"} - allowed) == []
 
 
 def _defaulted_parameters() -> dict:

@@ -20,7 +20,7 @@ from gpvortex.field_core import (
     save_field,
     symmetrize,
 )
-from gpvortex.linearization import translation_pair
+from gpvortex.linearization import translation_direction
 from gpvortex.operators import _transport_laplacian, interior_to_real
 from gpvortex.spectral import (
     _ball_harmonic_chain,
@@ -54,31 +54,32 @@ def test_grid_validation():
 
 def test_gradient_exact_on_affine_and_quadratic(grid):
     f = field_of(grid, lambda X, Y: 2.0 + 3.0 * X - 1.5 * Y)
-    gx, gy = translation_pair(f)
+    gx, gy = (translation_direction(f, axis) for axis in (0, 1))
     assert np.allclose(gx.values, 3.0, atol=1e-12)
     assert np.allclose(gy.values, -1.5, atol=1e-12)
     f2 = field_of(grid, lambda X, Y: X**2)
-    gx2, _ = translation_pair(f2)
+    gx2 = translation_direction(f2, 0)
     X, _ = grid.mesh
     assert np.allclose(gx2.values[1:-1, :], 2.0 * X[1:-1, :], atol=1e-11)
 
 
 def test_gradient_constant_zero(grid):
     f = field_of(grid, lambda X, Y: np.full_like(X, 2.7))
-    gx, gy = translation_pair(f)
-    # exact on the 2nd-order ring; inside, the 4-term stencil rounds
-    # 7 * 2.7 (3.7e-16 here)
+    gx, gy = (translation_direction(f, axis) for axis in (0, 1))
+    # exact on the 2nd-order rows at each end; inside, the stencil's first
+    # sum -2.7 + 8 * 2.7 is the one operation that rounds, and the rest
+    # cancel exactly, so the derivative is that rounding over 12 h
     for d, axis in ((gx, 0), (gy, 1)):
         v = np.moveaxis(d.values, axis, 0)
         assert np.max(np.abs(v[[0, 1, -2, -1]])) == 0.0
-        assert np.max(np.abs(v)) <= np.finfo(float).eps * 2.7 / grid.hx
+        assert np.max(np.abs(v)) <= np.spacing(7 * 2.7) / (12 * grid.hx)
 
 
 def test_gradient_wave_error_bound(grid):
     k = np.array([0.3, 0.2])
     X, Y = grid.mesh
     f = ComplexField(grid, np.exp(1j * (k[0] * X + k[1] * Y)))
-    gx, gy = translation_pair(f)
+    gx, gy = (translation_direction(f, axis) for axis in (0, 1))
     exact = 1j * k[0] * f.values
     err = np.max(np.abs(gx.values[1:-1, :] - exact[1:-1, :]))
     bound = (np.linalg.norm(k) ** 3 / 6.0) * max(grid.hx, grid.hy) ** 2

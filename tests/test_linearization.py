@@ -30,7 +30,7 @@ from gpvortex.linearization import (
     momentum,
     prop12_report,
     quadratic_form_B,
-    translation_pair,
+    translation_direction,
     write_prop12_csv,
 )
 from gpvortex.operators import interior_to_real, sector_maps
@@ -139,7 +139,8 @@ def test_translation_stencil_exact_on_polynomials(nx, ny, lx, ly, degree, seed):
     a, b = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, degree + 1))
     X, Y = g.mesh
     f = ComplexField(g, np.polyval(a, X) + 1j * np.polyval(b, Y))
-    for d, coef, t, axis in zip(translation_pair(f), (a, 1j * b), (X, Y), (0, 1)):
+    for d, coef, t, axis in zip((translation_direction(f, k) for k in (0, 1)),
+                                (a, 1j * b), (X, Y), (0, 1)):
         err = np.moveaxis(np.abs(d.values - np.polyval(np.polyder(coef), t)), axis, 0)
         # the derivative's scale: the polynomial's bound over the half-width
         half = (lx, ly)[axis]
@@ -149,7 +150,7 @@ def test_translation_stencil_exact_on_polynomials(nx, ny, lx, ly, degree, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(nx=odd_nodes, ny=odd_nodes, seed=st.integers(0, 2**32 - 1))
-def test_translation_pair_lies_in_its_sectors(nx, ny, seed):
+def test_translation_directions_lie_in_their_sectors(nx, ny, seed):
     # on a field even in x1 and conjugate-even in x2, d1 Q is odd in x1
     # and conjugate-even in x2, the (-, +) sector; d2 Q is (+, -)
     g = Grid(0.5 * nx, 0.3 * ny, nx, ny)
@@ -157,7 +158,7 @@ def test_translation_pair_lies_in_its_sectors(nx, ny, seed):
     Q = symmetrize(ComplexField(g, rng.standard_normal((nx, ny))
                                + 1j * rng.standard_normal((nx, ny))))
     maps = sector_maps(g)
-    for d, label in zip(translation_pair(Q), ("-+", "+-")):
+    for d, label in zip((translation_direction(Q, k) for k in (0, 1)), ("-+", "+-")):
         x = interior_to_real(d.values)
         P = maps[label]
         assert np.linalg.norm(x - P @ (P.T @ x)) <= 1e-13 * np.linalg.norm(x)
@@ -166,11 +167,9 @@ def test_translation_pair_lies_in_its_sectors(nx, ny, seed):
 def test_directions_rotation_pointwise(entry01, dirs01):
     g = entry01.field.grid
     X, Y = g.mesh
-    gx, gy = np.gradient(entry01.field.values, g.hx, axis=0, edge_order=2), None
-    # spot check the defining identity -x_perp . grad Q at a few nodes
-    from gpvortex.linearization import _grad4
-    gx4 = _grad4(entry01.field.values, g.hx, 0)
-    gy4 = _grad4(entry01.field.values, g.hy, 1)
+    # the defining identity -x_perp . grad Q at every node
+    gx4 = translation_direction(entry01.field, 0).values
+    gy4 = translation_direction(entry01.field, 1).values
     expect = Y * gx4 - X * gy4
     assert np.array_equal(dirs01.drot.values, expect)
 

@@ -14,7 +14,7 @@ from conftest import compact_test_field, ritz_basis_c_order, vortex_gradient
 from gpvortex.cli import _write_json
 from gpvortex.config import STABILITY_EDGE_MARGIN
 from gpvortex.field_core import ComplexField, Grid
-from gpvortex.linearization import build_directions, quadratic_form_B, translation_pair
+from gpvortex.linearization import build_directions, quadratic_form_B, translation_direction
 from gpvortex.operators import interior_to_real, linearized_matrix, sector_maps
 from gpvortex.spectral import (
     CONSTRAINT_SETS,
@@ -259,7 +259,7 @@ def test_evolution_kernel_mode(stability_entry01):
     e = stability_entry01
     assert e.field.grid.lx - 1.0 / e.c >= STABILITY_EDGE_MARGIN
     out = evolve_linearized(midpoint_step(e.field, e.c, 0.2),
-                            interior_to_real(translation_pair(e.field)[0].values),
+                            interior_to_real(translation_direction(e.field, 0).values),
                             T=50.0)
     assert out["relative_energy_change"][0] <= 0.01
     assert out["form_drift"][0] <= 0.01
