@@ -97,7 +97,7 @@ def _require_main_speed(cfg: RunConfig, name: str) -> None:
                          f"{', '.join(map(str, cfg.speeds))}")
 
 
-def cmd_vortex(cfg: RunConfig, args) -> int:
+def cmd_vortex(cfg: RunConfig) -> int:
     """Store the vortex profile the branch solves, with its checks."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     prof = solve_vortex_ode()
@@ -128,36 +128,37 @@ def _branch_dir(cfg: RunConfig) -> str:
     return os.path.join(cfg.out_dir, "branch")
 
 
-def _load_or_solve_branch(cfg: RunConfig, outdir: str, speeds, rule,
-                          announce: str = ""):
-    """Branch at ``speeds`` on the grid rule ``rule``, kept in ``outdir``:
-    loaded when it carries this config's hash and every entry, else
-    solved (after printing ``announce``, if given) and saved."""
+def _load_or_solve_branch(cfg: RunConfig, outdir: str, runs, announce: str = ""):
+    """Branch over ``runs``, the (grid, speeds) pairs the config names,
+    kept in ``outdir``: loaded when it carries this config's hash and
+    every entry, else solved (after printing ``announce``, if given) and
+    saved."""
     if os.path.isdir(outdir):
         branch = load_branch(outdir)
         if (branch.config_hash == cfg.config_hash
-                and len(branch.entries) == len(speeds)):
+                and len(branch.entries) == sum(len(speeds) for _, speeds in runs)):
             print(f"resume: {outdir} already solved; skipping")
             return branch
     if announce:
         print(announce)
-    branch = continue_branch(speeds, cfg.newton_tol, solve_vortex_ode(),
-                             grid_rule=rule, config_hash=cfg.config_hash)
+    branch = continue_branch(runs, cfg.newton_tol, solve_vortex_ode(),
+                             config_hash=cfg.config_hash)
     save_branch(branch, outdir)
     return branch
 
 
 def _main_branch(cfg: RunConfig):
-    """The branch over every main speed and its derivative neighbours, on
-    the spectral-scale grids."""
-    return _load_or_solve_branch(cfg, _branch_dir(cfg),
-                                 cfg.speeds_with_neighbors()[0], cfg.grid_rule)
+    """The branch over every main speed and its derivative neighbours,
+    each triple on the spectral-scale grid of its main speed."""
+    return _load_or_solve_branch(
+        cfg, _branch_dir(cfg),
+        [(cfg.grid_rule(c), cfg.neighbor_triple(c)) for c in cfg.speeds])
 
 
-def cmd_branch(cfg: RunConfig, args) -> int:
+def cmd_branch(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     branch = _main_branch(cfg)
-    rows = prop12_report(branch, solve_vortex_ode())
+    rows = prop12_report(branch, cfg.speeds, solve_vortex_ode())
     write_prop12_csv(rows, os.path.join(_branch_dir(cfg), "prop12.csv"))
     ok = True
     for e in branch.entries:
@@ -237,7 +238,7 @@ def _spectrum_one(cfg: RunConfig, branch, c: float) -> dict:
     return payload
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
+def cmd_spectrum(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     branch = _main_branch(cfg)
     ok = True
@@ -266,14 +267,14 @@ def _stability_branch(cfg: RunConfig):
         branch = _main_branch(cfg)
     else:
         branch = _load_or_solve_branch(
-            cfg, os.path.join(cfg.out_dir, "branch_stability"), [c],
-            cfg.stability_grid_rule,
+            cfg, os.path.join(cfg.out_dir, "branch_stability"),
+            [(cfg.stability_grid_rule(c), [c])],
             announce=f"stability: solving c = {c} on a box with edge margin "
                      f">= {STABILITY_EDGE_MARGIN:g}")
     return branch.entries[branch.index_of(c)]
 
 
-def cmd_stability(cfg: RunConfig, args) -> int:
+def cmd_stability(cfg: RunConfig) -> int:
     _require_main_speed(cfg, "stability_speed")
     os.makedirs(cfg.out_dir, exist_ok=True)
     e = _stability_branch(cfg)
@@ -304,7 +305,7 @@ def cmd_stability(cfg: RunConfig, args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def cmd_uniqueness(cfg: RunConfig, args) -> int:
+def cmd_uniqueness(cfg: RunConfig) -> int:
     _require_main_speed(cfg, "uniqueness_speed")
     os.makedirs(cfg.out_dir, exist_ok=True)
     branch = _main_branch(cfg)
@@ -330,7 +331,7 @@ def cmd_uniqueness(cfg: RunConfig, args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def cmd_report(cfg: RunConfig, args) -> int:
+def cmd_report(cfg: RunConfig) -> int:
     """Aggregate the stored outputs into ``summary.json``; exit 1 when a
     stored output records a failed check (``"ok": false``) or a constraint
     set whose minimum did not converge (``coercivity_check``)."""
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
         "report": cmd_report,
     }[args.command]
     try:
-        return handler(cfg, args)
+        return handler(cfg)
     except FieldFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

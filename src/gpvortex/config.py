@@ -8,8 +8,6 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .ansatz import BOUNDARY_MARGIN, MAX_SPEED, NEIGHBOR_FRAC_CAP
 from .field_core import Grid
 from .tw_solver import MAX_UNIQUENESS_DELTA, default_grid_rule
@@ -97,8 +95,12 @@ class RunConfig:
         if not self.speeds or any(not (_is_a(c, numbers.Real) and 0.0 < c <= MAX_SPEED)
                                   for c in self.speeds):
             raise ValueError(f"speeds must lie in (0, {MAX_SPEED}]")
-        if any(a <= b for a, b in zip(self.speeds, self.speeds[1:])):
-            raise ValueError("speeds must be strictly decreasing")
+        for a, b in zip(self.speeds, self.speeds[1:]):
+            if a <= b:
+                raise ValueError("speeds must be strictly decreasing")
+            if self.neighbor_triple(a)[-1] <= self.neighbor_triple(b)[0]:
+                raise ValueError(f"speeds {a} and {b} are too close: their "
+                                 f"derivative triples overlap")
         if self.r_ball <= 5.0:
             raise ValueError("r_ball (orthogonality ball radius) must exceed 5")
         if self.max_nx % 2 == 0:
@@ -111,22 +113,16 @@ class RunConfig:
                              f"lie in (0, {MAX_UNIQUENESS_DELTA:g}]")
 
     # -- grid rules ----------------------------------------------------
-    def _anchor(self, c: float) -> float:
-        return min(self.speeds, key=lambda m: abs(np.log(c / m)))
-
-    def _core_reach(self, anchor: float) -> float:
-        c_lo = anchor * (1.0 - self._neighbor_frac(anchor))
-        return 1.0 / c_lo + max(BOUNDARY_MARGIN, self.r_ball)
-
     def _rule(self, c: float, reach: float) -> Grid:
-        a = self._anchor(c)
-        return default_grid_rule(a, box_factor=self.box_factor,
+        c_lo = self.neighbor_triple(c)[-1]
+        core_reach = 1.0 / c_lo + max(BOUNDARY_MARGIN, self.r_ball)
+        return default_grid_rule(c, box_factor=self.box_factor,
                                  h_target=self.h_target, max_nx=self.max_nx,
-                                 reach=max(reach, self._core_reach(a)))
+                                 reach=max(reach, core_reach))
 
     def grid_rule(self, c: float) -> Grid:
-        """Spectral-scale grid of speed c: the box_factor box of its main
-        speed (the anchor), shared by every entry of the derivative triple.
+        """Spectral-scale grid of main speed c, shared by every entry of
+        its derivative triple.
 
         Margin guarantee: the half-width is at least
         1/c_lo + max(BOUNDARY_MARGIN, r_ball) + 2h, with c_lo the lowest
@@ -137,25 +133,21 @@ class RunConfig:
         return self._rule(c, 0.0)
 
     def stability_grid_rule(self, c: float) -> Grid:
-        """The spectral-scale rule, widened so that the edge lies at least
-        STABILITY_EDGE_MARGIN beyond the cores (at 1/anchor); it keeps the
-        margin guarantee of ``grid_rule``."""
-        a = self._anchor(c)
-        return self._rule(c, 1.0 / a + STABILITY_EDGE_MARGIN)
-
-    def _neighbor_frac(self, c: float) -> float:
-        """Relative offset of the derivative neighbours of main speed c."""
-        return min(NEIGHBOR_QUAD * c * c, NEIGHBOR_FRAC_CAP)
+        """The spectral-scale rule of main speed c, widened so that the
+        edge lies at least STABILITY_EDGE_MARGIN beyond the cores (at
+        1/c); it keeps the margin guarantee of ``grid_rule``."""
+        return self._rule(c, 1.0 / c + STABILITY_EDGE_MARGIN)
 
     def neighbor_triple(self, c: float) -> list:
         """Main speed c between its two derivative neighbours, decreasing."""
-        frac = self._neighbor_frac(c)
+        frac = min(NEIGHBOR_QUAD * c * c, NEIGHBOR_FRAC_CAP)
         return [c * f for f in (1.0 + frac, 1.0, 1.0 - frac)]
 
     def speeds_with_neighbors(self):
         """Strictly decreasing speed list with the two derivative
         neighbours per main speed, plus the map from each listed speed to
-        its main speed."""
+        its main speed; the benchmark's branch check counts the entries
+        with it."""
         out, anchors = [], {}
         for c in self.speeds:
             for s in self.neighbor_triple(c):

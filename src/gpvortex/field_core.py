@@ -107,9 +107,6 @@ class ComplexField:
                              f"({self.grid.nx}, {self.grid.ny})")
         self.values = v
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy())
-
 
 def symmetrize(f: ComplexField) -> ComplexField:
     """Average over the images x1 -> -x1 and conj(x2 -> -x2), in that

@@ -235,12 +235,13 @@ def curl_energy_ratio(dirs: DirectionSet, Q: ComplexField, c: float) -> float:
     return val / np.log(1.0 / c)
 
 
-def prop12_report(branch, profile) -> list[dict]:
-    """Per-speed diagnostic rows for every interior branch entry
-    (energy/momentum derivatives, form values on the four directions,
-    and the identity residuals).  The ``_with_tail`` columns add to the
-    box's energy and P2 the ``ansatz_tail`` of the ansatz at d = 1/c and
-    ``profile`` that pinned the box edge."""
+def prop12_report(branch, speeds, profile) -> list[dict]:
+    """One diagnostic row per main speed in ``speeds``, at the branch
+    entry between its two derivative neighbours (energy/momentum
+    derivatives, form values on the four directions, and the identity
+    residuals).  The ``_with_tail`` columns add to the box's energy and
+    P2 the ``ansatz_tail`` of the ansatz at d = 1/c and ``profile`` that
+    pinned the box edge."""
     rows = []
     entries = branch.entries
 
@@ -248,14 +249,9 @@ def prop12_report(branch, profile) -> list[dict]:
         t_e, t_p = ansatz_tail(AnsatzParams(1.0 / e.c, profile), e.field.grid)
         return e.energy + t_e, e.p2 + t_p
 
-    for i in range(1, len(entries) - 1):
-        mid = entries[i]
-        lo, hi = entries[i + 1], entries[i - 1]
-        if lo.field.grid != mid.field.grid or hi.field.grid != mid.field.grid:
-            continue
-        if max(abs(hi.c - mid.c), abs(mid.c - lo.c)) > 0.1 * mid.c + 1e-15:
-            continue
+    for i in map(branch.index_of, speeds):
         dirs = build_directions(branch, i)
+        lo, mid, hi = entries[i + 1], entries[i], entries[i - 1]
         Q, c = mid.field, mid.c
         dE = (hi.energy - lo.energy) / (hi.c - lo.c)
         dP2 = (hi.p2 - lo.p2) / (hi.c - lo.c)

@@ -2,17 +2,18 @@
 reduction, branch continuation in the speed, zero location, branch
 persistence, and the perturb-and-resolve local-uniqueness experiment.
 
-The branch is solved in runs of consecutive speeds on one grid, each
-from the ansatz at its first speed, finest grid first.  It and the
-uniqueness re-solves share one Newton loop, and each passes its linear
-solve: the branch step factors only the rows of the linearized matrix
-that the symmetric quarter keeps (``QuarterMaps.solve``).  The
-uniqueness re-solves run without symmetry on the full grid by the chord
-method: all of them iterate with one factorization of the linearized
-operator L_Q at the unperturbed wave, invertible by the paper's
-non-degeneracy of L_Q.  The Dirichlet ring pins translation, so each
-re-solve converges back to that wave itself, where the frozen Jacobian
-is the true one, and a chord step gains as much as a Newton step.  The
+The branch is solved in the runs its caller names (the CLI: one grid
+and derivative triple per main speed, both from the config), each from
+the ansatz at its first speed, finest grid first.  It and the uniqueness
+re-solves share one Newton loop, and each passes its linear solve: the
+branch step factors only the rows of the linearized matrix that the
+symmetric quarter keeps (``QuarterMaps.solve``).  The uniqueness
+re-solves run without symmetry on the full grid by the chord method:
+all of them iterate with one factorization of the linearized operator
+L_Q at the unperturbed wave, invertible by the paper's non-degeneracy
+of L_Q.  The Dirichlet ring pins translation, so each re-solve
+converges back to that wave itself, where the frozen Jacobian is the
+true one, and a chord step gains as much as a Newton step.  The
 experiment thus checks that Q is an isolated zero of the box residual
 to which the chord iteration returns; uniqueness up to translation is
 not checked here.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -226,14 +226,15 @@ def newton_solve(Q0: ComplexField, c: float, newton_tol: float, solve):
 def default_grid_rule(c: float, box_factor: float = 3.0, h_target: float = 0.4,
                       max_nx: int = 401, reach: float = 0.0) -> Grid:
     """Square box of half-width box_factor/c with spacing close to
-    h_target, capped at max_nx nodes per side (odd counts).
+    h_target, with 7 to max_nx nodes per side (odd counts; the margin
+    widening needs more than 5).
 
     Margin guarantee: the half-width is widened where needed so that it
     is at least ``reach`` plus two grid spacings, i.e. every point within
     ``reach`` of the origin lies two spacings inside the boundary ring.
     A box that already satisfies this is returned unchanged."""
     def node_count(lx):
-        nx = min(int(round(2.0 * lx / h_target)) + 1, max_nx)
+        nx = min(max(int(round(2.0 * lx / h_target)) + 1, 7), max_nx)
         return nx + 1 if nx % 2 == 0 else nx
 
     lx = box_factor / c
@@ -298,31 +299,24 @@ def _solve_run(c_values, grid: Grid, newton_tol: float,
     return entries
 
 
-def continue_branch(c_values, newton_tol: float, profile: RadialProfile,
-                    grid_rule=default_grid_rule,
+def continue_branch(runs, newton_tol: float, profile: RadialProfile,
                     config_hash: str = "") -> TravellingWaveBranch:
-    """Solve the branch at the given (strictly decreasing) speeds.
+    """Solve the branch over ``runs``, pairs (grid, speeds) of strictly
+    decreasing speeds to solve on one grid (one derivative triple, or the
+    one speed of the stability stage, in the CLI).
 
-    The speeds split into runs of consecutive speeds on one grid (one
-    derivative triple under every CLI grid rule).  A run starts from the
-    two-vortex ansatz at separation 1/c of its first speed; each later
-    entry starts from the previous solution's correction to its ansatz,
-    transported to the new speed, and falls back once to its own ansatz.
-    So an entry depends on the speeds of its run alone.  The runs are
-    solved finest grid first (node count, stable), so the largest quarter
-    LU, which sets the peak memory, factors before the heap holds the
-    other runs' fields; the entries come back in the given order.
+    A run starts from the two-vortex ansatz at separation 1/c of its
+    first speed; each later entry starts from the previous solution's
+    correction to its ansatz, transported to the new speed, and falls
+    back once to its own ansatz.  So an entry depends on the speeds of
+    its run alone.  The runs are solved finest grid first (node count,
+    stable), so the largest quarter LU, which sets the peak memory,
+    factors before the heap holds the other runs' fields; the entries
+    come back by decreasing speed.
     """
-    c_values = list(c_values)
-    if any(not (0 < c <= MAX_SOLVE_SPEED) for c in c_values):
-        raise ValueError(f"speeds must lie in (0, {MAX_SOLVE_SPEED:g}]")
-    if any(b >= a for a, b in zip(c_values, c_values[1:])):
-        raise ValueError("speeds must be strictly decreasing")
-
-    runs = [(grid, list(run)) for grid, run in groupby(c_values, key=grid_rule)]
     entries = []
-    for grid, run in sorted(runs, key=lambda r: -r[0].nx * r[0].ny):
-        entries += _solve_run(run, grid, newton_tol, profile)
+    for grid, speeds in sorted(runs, key=lambda r: -r[0].nx * r[0].ny):
+        entries += _solve_run(speeds, grid, newton_tol, profile)
     entries.sort(key=lambda e: -e.c)
     return TravellingWaveBranch(entries, config_hash=config_hash)
 

@@ -149,11 +149,9 @@ def kernel_handle(profile, run_cfg, newton_tol):
     larger box (the near-zero principal angles are box-limited)."""
     from gpvortex.spectral import assemble
     c0 = KERNEL_SPEED
-    rule = lambda c: default_grid_rule(
-        c0, box_factor=KERNEL_BOX_FACTOR,
-        h_target=run_cfg.h_target, max_nx=1025)
-    br = continue_branch(run_cfg.neighbor_triple(c0), newton_tol, profile,
-                         grid_rule=rule)
+    grid = default_grid_rule(c0, box_factor=KERNEL_BOX_FACTOR,
+                             h_target=run_cfg.h_target, max_nx=1025)
+    br = continue_branch([(grid, run_cfg.neighbor_triple(c0))], newton_tol, profile)
     return assemble(br.entries[1].field, c0, R=run_cfg.r_ball,
                     directions=build_directions(br, 1))
 

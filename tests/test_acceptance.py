@@ -127,7 +127,7 @@ def test_criterion_4_form_values(prop12_rows, run_cfg, profile, newton_tol):
         grid_c = default_grid_rule(c, box_factor=run_cfg.box_factor,
                                    h_target=2 * run_cfg.h_target,
                                    max_nx=(run_cfg.max_nx + 1) // 2 + 1)
-        br = continue_branch([c], newton_tol, profile, grid_rule=lambda s: grid_c)
+        br = continue_branch([(grid_c, [c])], newton_tol, profile)
         e = br.entries[0]
         gx, gy = (translation_direction(e.field, axis) for axis in (0, 1))
         floors[c] = (quadratic_form_B(gx, e.field, c),

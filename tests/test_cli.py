@@ -16,10 +16,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gpvortex
-from conftest import READER_STAGES, src_env
+from conftest import READER_STAGES, read_prop12_csv, src_env
 from gpvortex import cli
 from gpvortex.ansatz import MAX_SPEED
 from gpvortex.cli import main
@@ -63,10 +63,16 @@ odd_cap = st.integers(3, 600).map(lambda k: 2 * k + 1)
 
 @st.composite
 def run_configs(draw):
-    speeds = draw(st.lists(st.floats(1e-3, MAX_SPEED), min_size=1, max_size=4,
-                           unique=True))
+    drawn = draw(st.lists(st.floats(1e-3, MAX_SPEED), min_size=1, max_size=4,
+                          unique=True))
+    # a speed whose derivative triple would overlap the last one kept is
+    # dropped: the config refuses such a pair
+    triple, speeds = RunConfig().neighbor_triple, []
+    for c in sorted(drawn, reverse=True):
+        if not speeds or triple(speeds[-1])[-1] > triple(c)[0]:
+            speeds.append(c)
     return RunConfig(
-        speeds=tuple(sorted(speeds, reverse=True)),
+        speeds=tuple(speeds),
         box_factor=draw(positive), h_target=draw(positive), max_nx=draw(odd_cap),
         newton_tol=draw(st.floats(1e-14, 1e-6)),
         r_ball=draw(st.floats(5.001, 50.0)),
@@ -163,7 +169,10 @@ def _unreached_definitions() -> set:
     module-level statements.  References match by name across modules.
     A reached class reaches its decorators, bases and class-level
     statements, and its dunder methods; any other method is reached when
-    reached code names it as an attribute."""
+    reached code names it as an attribute.  Names are matched, not
+    types: a method is taken as reached when reached code reads any
+    attribute of its name, so one that shares a name with a NumPy method
+    such as ``ndarray.copy`` escapes this test."""
     pkg = os.path.dirname(gpvortex.__file__)
     defs, methods, roots = {}, {}, []
     for name in sorted(os.listdir(pkg)):
@@ -209,9 +218,57 @@ def _unreached_definitions() -> set:
 
 def test_every_definition_is_reached_from_the_cli():
     # code that no CLI stage runs is a second path to keep in step; a
-    # definition kept on purpose without a caller is named here
-    allowed = set()
+    # definition kept on purpose without a caller is named here: the
+    # benchmark's branch check counts the listed speeds with
+    # ``speeds_with_neighbors``
+    allowed = {"RunConfig.speeds_with_neighbors"}
     assert sorted(_unreached_definitions() - allowed) == []
+
+
+def _unread_parameters() -> set:
+    """``module.function.parameter`` (``module.Class.method.parameter``
+    for a method, ``<lambda>`` for a lambda) of each parameter of a
+    function, method or lambda in the package that its body never reads
+    by name; reads in nested definitions count.  A method's receiver is
+    not a parameter here: the instance passes it."""
+    pkg = os.path.dirname(gpvortex.__file__)
+    unread = set()
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{qual}.{child.name}")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{qual}.{getattr(child, 'name', '<lambda>')}"
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                          + [a.vararg, a.kwarg] if p is not None]
+                if isinstance(node, ast.ClassDef):
+                    params = params[1:]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                reads = {n.id for stmt in body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread.update(f"{name}.{p}" for p in params if p not in reads)
+                visit(child, name)
+                continue
+            visit(child, qual)
+
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                visit(ast.parse(fh.read()), name[:-3])
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter that its body never reads is a knob that changes
+    # nothing; the one exception is the chord solve of the uniqueness
+    # re-solves, whose lambda takes the iterate and the speed because
+    # ``newton_solve`` passes them to every linear solve
+    allowed = {"tw_solver.perturb_and_resolve.<lambda>.W",
+               "tw_solver.perturb_and_resolve.<lambda>.c"}
+    assert sorted(_unread_parameters() - allowed) == []
 
 
 def _gradient_callers() -> set:
@@ -362,16 +419,37 @@ def test_config_hash_ignores_out_dir(tmp_path):
 
 @pytest.mark.parametrize("speeds", [(0.2, 0.17), (0.1, 0.05, 0.03)])
 def test_grid_rule_margin_holds_for_every_neighbour(speeds):
+    # every listed speed, neighbours included, is solved on the grids of
+    # its main speed: those keep its cores, at 1/c, inside the margins
     from gpvortex.ansatz import BOUNDARY_MARGIN
     cfg = RunConfig(speeds=speeds)
     listed, anchors = cfg.speeds_with_neighbors()
     for c in listed:
-        wide = cfg.stability_grid_rule(c)
-        for g in (cfg.grid_rule(c), wide):
+        wide = cfg.stability_grid_rule(anchors[c])
+        for g in (cfg.grid_rule(anchors[c]), wide):
             assert g.lx >= 1.0 / c + max(BOUNDARY_MARGIN, cfg.r_ball) + 2 * g.hx
         # the stability box's own promise: its edge lies STABILITY_EDGE_MARGIN
         # beyond the cores at 1/anchor
         assert wide.lx >= 1.0 / anchors[c] + STABILITY_EDGE_MARGIN + 2 * wide.hx
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs())
+@example(cfg=RunConfig())
+@example(cfg=RunConfig(speeds=(0.2, 0.17)))
+def test_grid_rules_keep_their_margins_for_every_triple(cfg):
+    # the grid of a main speed serves its whole triple: the cores of the
+    # slowest entry, at 1/c_lo, keep the margin of the ansatz check and
+    # of the orthogonality balls
+    from gpvortex.ansatz import BOUNDARY_MARGIN
+    for c in cfg.speeds:
+        c_lo = cfg.neighbor_triple(c)[-1]
+        wide = cfg.stability_grid_rule(c)
+        for g in (cfg.grid_rule(c), wide):
+            assert g.lx >= 1.0 / c_lo + max(BOUNDARY_MARGIN, cfg.r_ball) + 2 * g.hx
+        # the stability box's own promise: its edge lies STABILITY_EDGE_MARGIN
+        # beyond the cores at 1/c
+        assert wide.lx >= 1.0 / c + STABILITY_EDGE_MARGIN + 2 * wide.hx
 
 
 @pytest.mark.parametrize("key", ["stability_speed", "uniqueness_speed"])
@@ -445,6 +523,36 @@ def test_repeated_speeds_exit_2_before_any_solve(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "strictly decreasing" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_overlapping_triples_exit_2_before_any_solve(tmp_path, capsys):
+    # 0.2 and 0.195 are decreasing, but the low neighbour 0.196 of 0.2
+    # lies below the high neighbour 0.1987 of 0.195
+    with pytest.raises(ValueError, match="triples overlap"):
+        RunConfig(speeds=(0.2, 0.195))
+    assert main(["--out", str(tmp_path / "out"), "--speeds", "0.2,0.195",
+                 "vortex"]) == 2
+    err = capsys.readouterr().err
+    assert "0.2 and 0.195" in err and "triples overlap" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_close_main_speeds_keep_their_own_triples(tmp_path, capsys):
+    # the low neighbour 0.196 of 0.2 lies nearer to 0.1924 than to 0.2;
+    # it is still solved on the grid of 0.2, and prop12.csv has one row
+    # per main speed
+    cfg = RunConfig(speeds=(0.2, 0.1924))
+    assert main(["--out", str(tmp_path / "out"), "--speeds", "0.2,0.1924",
+                 "branch"]) == 0
+    branch = load_branch(tmp_path / "out" / "branch")
+    for c in cfg.speeds:
+        i = branch.index_of(c)
+        assert [e.c for e in branch.entries[i - 1:i + 2]] == cfg.neighbor_triple(c)
+        assert all(e.field.grid == cfg.grid_rule(c)
+                   for e in branch.entries[i - 1:i + 2])
+    rows = read_prop12_csv(tmp_path / "out" / "branch" / "prop12.csv")
+    assert [r["c"] for r in rows] == [0.2, 0.1924]
 
 
 @pytest.mark.parametrize("sets", ["none, bogus", "none, none"])

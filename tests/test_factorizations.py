@@ -116,8 +116,8 @@ def test_factorization_ordering(case, orderings):
 def branch02(profile):
     """The c = 0.2 branch triple of the CLI tests' fast configuration."""
     cfg = RunConfig(speeds=(0.2,), max_nx=201, newton_tol=1e-10, basis_size=60)
-    branch = continue_branch(cfg.speeds_with_neighbors()[0], cfg.newton_tol,
-                             profile, grid_rule=cfg.grid_rule)
+    branch = continue_branch([(cfg.grid_rule(0.2), cfg.neighbor_triple(0.2))],
+                             cfg.newton_tol, profile)
     return cfg, branch
 
 

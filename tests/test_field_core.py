@@ -177,8 +177,7 @@ def test_expanded_norm_finite_and_stable_for_phase(entry01, profile, newton_tol)
     assert np.isfinite(val) and val > 0
     # the same wave solved on a 5.5/c box
     wide = default_grid_rule(entry01.c, box_factor=5.5)
-    e_big = continue_branch([entry01.c], newton_tol, profile,
-                            grid_rule=lambda c: wide).entries[0]
+    e_big = continue_branch([(wide, [entry01.c])], newton_tol, profile).entries[0]
     iQb = ComplexField(e_big.field.grid, 1j * e_big.field.values)
     big = gram_norm(_gram_exp(e_big.field, e_big.zeros, psi_mult(e_big.field)), iQb)
     assert abs(big - val) <= 0.1 * val

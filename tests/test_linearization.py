@@ -189,7 +189,7 @@ def test_direction_neighbor_requirements(branch_spec):
     with pytest.raises(ValueError):
         build_directions(branch_spec, 0)
     with pytest.raises(ValueError):
-        build_directions(branch_spec, 2)   # next entry is a different anchor
+        build_directions(branch_spec, 2)   # next entry is in another triple
 
 
 def test_speed_direction_matches_core_translation(branch_spec, profile):
@@ -251,7 +251,7 @@ def test_ansatz_tail_makes_box_values_box_independent(profile, monkeypatch):
 
 
 def test_prop12_report_and_csv(branch_spec, profile, run_cfg, stored_run, tmp_path):
-    rows = prop12_report(branch_spec, profile)
+    rows = prop12_report(branch_spec, run_cfg.speeds, profile)
     assert len(rows) == len(run_cfg.speeds)
     for row in rows:
         assert row["rel_dE_identity_with_tail"] <= 0.05

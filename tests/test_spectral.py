@@ -250,8 +250,8 @@ def stability_entry01(profile, run_cfg, newton_tol):
     on: the 3/c box leaves 20 between the cores and the edge, which cuts
     off the tail of the translation mode (energy change 3.1% over
     T = 50)."""
-    (entry,) = continue_branch([0.1], newton_tol, profile,
-                               grid_rule=run_cfg.stability_grid_rule).entries
+    (entry,) = continue_branch([(run_cfg.stability_grid_rule(0.1), [0.1])],
+                               newton_tol, profile).entries
     return entry
 
 

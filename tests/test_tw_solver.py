@@ -111,10 +111,10 @@ def test_branch_energy_decreases_with_speed(branch_spec, run_cfg):
 def test_branch_continuity_in_speed(profile, newton_tol):
     # sup-distance between neighbouring solutions shrinks with the spacing
     c = 0.1
-    rule = lambda s: default_grid_rule(c)
+    grid = default_grid_rule(c)
     sups = []
     for delta in (4e-3, 2e-3, 1e-3):
-        br = continue_branch([c, c - delta], newton_tol, profile, grid_rule=rule)
+        br = continue_branch([(grid, [c, c - delta])], newton_tol, profile)
         sups.append(np.max(np.abs(br.entries[0].field.values
                                   - br.entries[1].field.values)))
     assert sups[0] > sups[1] > sups[2]
@@ -147,7 +147,7 @@ def test_branch_fallback_solves_each_guess_once(profile, newton_tol, monkeypatch
     monkeypatch.setattr(tw_solver, "newton_solve", newton)
     with pytest.raises(RuntimeError, match=re.escape(
             f"branch continuation failed at c = {speeds[-1]}")):
-        continue_branch(speeds, newton_tol, profile, grid_rule=lambda s: grid)
+        continue_branch([(grid, speeds)], newton_tol, profile)
     assert len(guesses) == calls
     # the solve starts from the symmetrized guess
     ansatz = symmetrize(build_two_vortex(AnsatzParams(1.0 / speeds[-1], profile),
@@ -167,17 +167,17 @@ def test_triple_depends_on_its_own_speeds_alone(profile, newton_tol, solo_triple
         nodes.append(Q0.grid.nx * Q0.grid.ny)
         return real(Q0, c, *args, **kwargs)
 
-    speeds = [s for m in mains for s in POOL_CFG.neighbor_triple(m)]
+    runs = [(POOL_CFG.grid_rule(m), POOL_CFG.neighbor_triple(m)) for m in mains]
+    speeds = [s for _, triple in runs for s in triple]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tw_solver, "newton_solve", spy)
-        br = continue_branch(speeds, newton_tol, profile, grid_rule=POOL_CFG.grid_rule)
+        br = continue_branch(runs, newton_tol, profile)
     assert [e.c for e in br.entries] == speeds
     # finest grid first, one grid per triple
     assert nodes == sorted(nodes, reverse=True) and len(set(nodes)) == len(mains)
-    for k, m in enumerate(mains):
+    for k, (m, run) in enumerate(zip(mains, runs)):
         if m not in solo_triples:
-            solo_triples[m] = continue_branch(POOL_CFG.neighbor_triple(m), newton_tol,
-                                              profile, grid_rule=POOL_CFG.grid_rule)
+            solo_triples[m] = continue_branch([run], newton_tol, profile)
         for a, b in zip(br.entries[3 * k:3 * k + 3], solo_triples[m].entries):
             assert a.field.values.tobytes() == b.field.values.tobytes()
 
